@@ -15,13 +15,12 @@ Gaussian random-walk update of the whole continuous block.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import MixedPoint, ModelSpec, propose_and_delta
-from .diagnostics import ChainOutput
+from .diagnostics import ChainOutput, drive_chain
 from .models.gmm import GaussianMixture
 from .rng import ChainRng
 
@@ -111,22 +110,14 @@ def run_naive_chain(init: MixedPoint, params: NaiveParams,
                     model: GaussianMixture, n_burn: int, n_samples: int,
                     rng: ChainRng) -> ChainOutput:
     """Iterate ``naive_mixed_hmc_step``; samples hold columns (z, q)."""
-    samples = np.empty((n_samples, 2))
-    accepts = np.zeros(n_samples, dtype=bool)
     z, q = int(init.x[0]), float(init.q[0])
 
-    t_start = time.perf_counter()
-    for i in range(n_burn + n_samples):
+    def step():
+        nonlocal z, q
         z, q, acc = naive_mixed_hmc_step(z, q, params, model, rng)
-        r = i - n_burn
-        if r >= 0:
-            samples[r, 0] = z
-            samples[r, 1] = q
-            accepts[r] = acc
-    wall = time.perf_counter() - t_start
+        return z, q, acc, False
 
-    return ChainOutput(samples=samples, accept_trace=accepts, wall_time=wall,
-                       divergence_count=0, n_discrete=1)
+    return drive_chain(step, 1, 1, n_burn, n_samples)
 
 
 def gibbs_mh_sweep(point: MixedPoint, model: ModelSpec, rw_scale: float,
@@ -157,19 +148,12 @@ def gibbs_mh_sweep(point: MixedPoint, model: ModelSpec, rw_scale: float,
 def run_gibbs_chain(init: MixedPoint, model: ModelSpec, rw_scale: float,
                     n_burn: int, n_samples: int, rng: ChainRng) -> ChainOutput:
     init.validate(model)
-    nd, nc = model.n_discrete, model.n_continuous
-    samples = np.empty((n_samples, nd + nc))
-    accepts = np.ones(n_samples, dtype=bool)  # sweeps always advance
-
-    t_start = time.perf_counter()
     pt = init.copy()
-    for i in range(n_burn + n_samples):
-        pt = gibbs_mh_sweep(pt, model, rw_scale, rng)
-        r = i - n_burn
-        if r >= 0:
-            samples[r, :nd] = pt.x
-            samples[r, nd:] = pt.q
-    wall = time.perf_counter() - t_start
 
-    return ChainOutput(samples=samples, accept_trace=accepts, wall_time=wall,
-                       divergence_count=0, n_discrete=nd)
+    def step():
+        nonlocal pt
+        pt = gibbs_mh_sweep(pt, model, rw_scale, rng)
+        return pt.x, pt.q, True, False  # sweeps always advance
+
+    return drive_chain(step, model.n_discrete, model.n_continuous, n_burn,
+                       n_samples)

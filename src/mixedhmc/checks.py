@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
 
-from .core import KineticEnergy
-from .kernels_general import _integrate, refract, run_chain_general
+from .core import KineticEnergy, leapfrog
+from .kernels_general import initial_hit_time, refract, run_chain_general
 from .models import (
     BlrVarsel,
     blr_generate,
@@ -23,6 +22,7 @@ from .models import (
     random_binary_quadratic,
 )
 from .rng import ChainRng
+from .runner import random_point
 
 __all__ = [
     "CheckResult",
@@ -65,13 +65,6 @@ def _bench_models(seed: int):
     ]
 
 
-def _random_state(model, rng):
-    x = np.array([int(rng.uniform() * model.site_cardinality(j))
-                  for j in range(model.n_discrete)], dtype=np.int64)
-    q = rng.normal(model.n_continuous) if model.n_continuous else np.zeros(0)
-    return x, np.atleast_1d(q) if model.n_continuous else np.zeros(0)
-
-
 def fd_gradient(model, x, q, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of the potential in q."""
     g = np.empty_like(q)
@@ -94,9 +87,9 @@ def check_gradients(seed: int = 20240, n_points: int = 20,
         rng = ChainRng(seed, stream=1)
         worst = 0.0
         for _ in range(n_points):
-            x, q = _random_state(model, rng)
-            ga = model.grad_q(x, q)
-            gf = fd_gradient(model, x, q)
+            pt = random_point(model, rng)
+            ga = model.grad_q(pt.x, pt.q)
+            gf = fd_gradient(model, pt.x, pt.q)
             rel = np.abs(ga - gf) / np.maximum(np.abs(ga), 1.0)
             worst = max(worst, float(rel.max()))
         results.append(CheckResult("gradients", f"fd_match_{name}",
@@ -114,14 +107,15 @@ def check_reversibility(seed: int = 20241, n_trials: int = 100,
         rng = ChainRng(seed, stream=2)
         worst = 0.0
         for _ in range(n_trials):
-            x, q0 = _random_state(model, rng)
+            start = random_point(model, rng)
+            x, q0 = start.x, start.q
             p0 = rng.normal(model.n_continuous)
             eta = 0.02 + 0.1 * float(rng.uniform())
             n_steps = 5 + int(rng.uniform() * 20)
             q, p = q0.copy(), p0.copy()
-            _integrate(x, q, p, eta * n_steps, eta, model)
+            leapfrog(x, q, p, eta, n_steps, model.grad_q)
             p = -p
-            _integrate(x, q, p, eta * n_steps, eta, model)
+            leapfrog(x, q, p, eta, n_steps, model.grad_q)
             scale = max(float(np.abs(q0).max()), float(np.abs(p0).max()), 1.0)
             err = max(float(np.abs(q - q0).max()),
                       float(np.abs(p + p0).max())) / scale
@@ -153,13 +147,14 @@ def check_distributions(seed: int = 20243, n_draws: int = 100_000,
     With tau=1 and momenta from ``nu ∝ e^{-|p|}``, the first hit time of each
     clock is Uniform([0, 1]) and its initial kinetic energy is Exponential(1).
     """
+    from scipy import stats
+
     results = []
     rng = ChainRng(seed, stream=0)
     kin = KineticEnergy(1.0)
     qd = rng.uniform(n_draws)
     pd = kin.sample(rng, n_draws)
-    v = kin.kprime(pd)
-    t0 = (1.0 * (np.sign(v) + 1.0) - 2.0 * qd) / (2.0 * v)
+    t0 = initial_hit_time(qd, pd, 1.0, kin)
     p_t = stats.kstest(t0, "uniform").pvalue
     results.append(CheckResult("distributions", "hit_time_uniform_pvalue",
                                p_t >= alpha, float(p_t), alpha, ">="))

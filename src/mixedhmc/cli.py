@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from . import checks
-from .diagnostics import DegenerateDimensionWarning, ess, ks_two_sample, mress
+from .diagnostics import DegenerateDimensionWarning, ess, ks_two_sample
 from .models import (
     BlrVarsel,
     GaussianMixture,
@@ -111,7 +111,15 @@ def build_kernel(section: dict, model):
                              "kernel", "n_D"),
         }
         if "mass_diag" in section:
-            kw["mass_diag"] = np.asarray(section["mass_diag"], dtype=float)
+            try:
+                mass = np.asarray(section["mass_diag"], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"kernel.mass_diag: {exc}") from exc
+            if mass.shape != (model.n_continuous,) or not np.all(mass > 0):
+                raise ConfigError(f"kernel.mass_diag: expected a list of "
+                                  f"{model.n_continuous} positive entries, one "
+                                  "per continuous coordinate")
+            kw["mass_diag"] = mass
         if model.n_discrete >= 1 and kw["n_D"] > model.n_discrete:
             raise ConfigError("kernel.n_D: exceeds the model's discrete sites")
         return "laplace", kw
@@ -204,19 +212,18 @@ def build_summary(config, model, outputs, seed, wall_time):
                        for d in range(nd + nc)}
             dims = list(range(nd, nd + nc)) if nc else list(range(nd))
             summary["ess"] = per_dim
-            summary["mress"] = float(mress(outputs, dims))
+            summary["mress"] = min(per_dim[cols[d]] for d in dims) / total
     else:
         summary["ess"] = {}
         summary["mress"] = None
 
-    if total and hasattr(model, "exact_marginal_sample") and nc:
+    if total and hasattr(model, "exact_sample") and nc:
         ref_rng = ChainRng(seed, stream=len(outputs))
-        n_ref = min(total, 100_000)
+        ref = model.exact_sample(ref_rng, min(total, 100_000))
         ks = {}
         for d in range(nc):
             pooled = np.concatenate([o.samples[:, nd + d] for o in outputs])
-            ref = model.exact_marginal_sample(ref_rng, n_ref, dim=d)
-            ks[cols[nd + d]] = float(ks_two_sample(pooled, ref))
+            ks[cols[nd + d]] = float(ks_two_sample(pooled, ref[:, 1 + d]))
         summary["ks_vs_exact"] = ks
 
     div_rate = summary["divergences"] / max(total, 1)

@@ -23,13 +23,22 @@ __all__ = [
     "ModelSpec",
     "KineticEnergy",
     "DegenerateSiteError",
+    "NonFiniteWeightsError",
     "default_proposal_sample",
     "delta_E",
+    "leapfrog",
 ]
+
+# Energy errors beyond this mark a trajectory divergent and reject the step.
+DIVERGENCE_MAX = 1.0e4
 
 
 class DegenerateSiteError(ValueError):
     """Raised when a single-site proposal is requested at a cardinality-1 site."""
+
+
+class NonFiniteWeightsError(ValueError):
+    """No finite proposal at a site; the kernels count it as a divergence."""
 
 
 @dataclass
@@ -155,14 +164,31 @@ class KineticEnergy:
         return sign * mag
 
 
+def leapfrog(x, q, p, h, n, grad_q, mass=None) -> int:
+    """``n`` leapfrog steps of size ``h`` at fixed ``x``, updating ``q`` and
+    ``p`` in place, with diagonal ``mass`` (identity when None); returns the
+    number of gradient evaluations, ``n + 1``."""
+    half = 0.5 * h
+    g = grad_q(x, q)
+    for _ in range(n):
+        p -= half * g
+        if mass is None:
+            q += h * p
+        else:
+            q += h * (p / mass)
+        g = grad_q(x, q)
+        p -= half * g
+    return n + 1
+
+
 def _masked_logsumexp(neglogp: np.ndarray, skip: int):
     """log sum_{v != skip} exp(-neglogp[v]) plus the per-value logits."""
     logits = -neglogp
     logits[skip] = -np.inf
     m = logits.max()
     if not np.isfinite(m):
-        raise ValueError(f"no admissible proposal: all alternatives to value {skip} "
-                         "have zero conditional weight")
+        raise NonFiniteWeightsError(f"no admissible proposal from value {skip}: "
+                                    "conditional weights zero or non-finite")
     w = np.exp(logits - m)
     return logits, m + np.log(w.sum()), w
 
@@ -239,56 +265,34 @@ def propose_and_delta(j, x, q, model, rng):
     if card == 2:
         return 1 - cur, float(neglogp[1 - cur] - neglogp[cur])
 
-    if card <= 16:
-        # Scalar-math fast path; small-array numpy overhead dominates here.
-        w = neglogp.tolist()
-        shift = min(v for i, v in enumerate(w) if i != cur)
-        if not math.isfinite(shift):
-            raise ValueError(f"no admissible proposal: all alternatives to "
-                             f"value {cur} have zero conditional weight")
-        e = [0.0 if i == cur else math.exp(shift - v) for i, v in enumerate(w)]
-        z_fwd = sum(e)
-        u = rng.uniform() * z_fwd
-        acc = 0.0
-        new = card - 1 if cur != card - 1 else card - 2
-        for i, wi in enumerate(e):
-            acc += wi
-            if u < acc:
-                new = i
-                break
-        # Backward normalizer by exclusion sum (subtracting e[new] from z_fwd
-        # would cancel catastrophically when e[new] dominates).
-        try:
-            z_bwd = math.exp(shift - w[cur])
-        except OverflowError:
-            return new, forced_delta(j, x, q, model, new)
-        for i, wi in enumerate(e):
-            if i != new:
-                z_bwd += wi
-        if not 0.0 < z_bwd < math.inf:
-            return new, forced_delta(j, x, q, model, new)
-        return new, math.log(z_bwd) - math.log(z_fwd)
-
-    neglogp = np.asarray(neglogp, dtype=np.float64)
-    logits = -neglogp
-    logits[cur] = -np.inf
-    m = logits.max()
-    if not np.isfinite(m):
-        raise ValueError(f"no admissible proposal: all alternatives to value {cur} "
-                         "have zero conditional weight")
-    w = np.exp(logits - m)
-    z_fwd = w.sum()
-    new = int(np.searchsorted(np.cumsum(w), rng.uniform() * z_fwd, side="right"))
-    # Backward normalizer masks the proposed value instead (exclusion sum with
-    # the same shift; no subtraction, which could cancel catastrophically).
-    wb = w.copy()
-    wb[new] = 0.0
-    with np.errstate(over="ignore"):
-        wb[cur] = np.exp(-neglogp[cur] - m)
-    z_bwd = wb.sum()
-    if not (0.0 < z_bwd < np.inf):
+    # Scalar math: numpy's per-call overhead dominates on these short vectors.
+    w = neglogp.tolist()
+    shift = min(v for i, v in enumerate(w) if i != cur)
+    if not math.isfinite(shift):
+        raise NonFiniteWeightsError(f"no admissible proposal from value {cur}: "
+                                    "conditional weights zero or non-finite")
+    e = [0.0 if i == cur else math.exp(shift - v) for i, v in enumerate(w)]
+    z_fwd = sum(e)
+    u = rng.uniform() * z_fwd
+    acc = 0.0
+    new = card - 1 if cur != card - 1 else card - 2
+    for i, wi in enumerate(e):
+        acc += wi
+        if u < acc:
+            new = i
+            break
+    # Backward normalizer by exclusion sum (subtracting e[new] from z_fwd
+    # would cancel catastrophically when e[new] dominates).
+    try:
+        z_bwd = math.exp(shift - w[cur])
+    except OverflowError:
         return new, forced_delta(j, x, q, model, new)
-    return new, np.log(z_bwd) - np.log(z_fwd)
+    for i, wi in enumerate(e):
+        if i != new:
+            z_bwd += wi
+    if not 0.0 < z_bwd < math.inf:
+        return new, forced_delta(j, x, q, model, new)
+    return new, math.log(z_bwd) - math.log(z_fwd)
 
 
 def forced_delta(j, x, q, model, new_value) -> float:
@@ -303,14 +307,6 @@ def forced_delta(j, x, q, model, new_value) -> float:
     neglogp = np.asarray(model.site_cond_neglogp(j, x, q), dtype=np.float64)
     if neglogp.size == 2:
         return float(neglogp[new_value] - neglogp[cur])
-
-    def masked_lse(skip):
-        logits = -neglogp
-        logits[skip] = -np.inf
-        m = logits.max()
-        if not np.isfinite(m):
-            raise ValueError("no admissible proposal: all alternatives have "
-                             "zero conditional weight")
-        return m + np.log(np.exp(logits - m).sum())
-
-    return float(masked_lse(new_value) - masked_lse(cur))
+    _, log_z_new, _ = _masked_logsumexp(neglogp, new_value)
+    _, log_z_cur, _ = _masked_logsumexp(neglogp, cur)
+    return float(log_z_new - log_z_cur)

@@ -8,6 +8,7 @@ selected dimensions divided by total recorded samples.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 __all__ = [
     "ChainOutput",
     "DegenerateDimensionWarning",
+    "drive_chain",
     "ess",
     "mress",
     "ks_two_sample",
@@ -43,6 +45,35 @@ class ChainOutput:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
+
+
+def drive_chain(step, n_discrete: int, n_continuous: int, n_burn: int,
+                n_samples: int) -> ChainOutput:
+    """Call ``step`` ``n_burn + n_samples`` times, recording the last
+    ``n_samples`` states.
+
+    ``step()`` advances the chain and returns ``(x, q, accepted, divergent)``
+    for the new state.  Divergences are counted over burn-in too.
+    """
+    nd = n_discrete
+    samples = np.empty((n_samples, nd + n_continuous))
+    accepts = np.zeros(n_samples, dtype=bool)
+    divergences = 0
+
+    t_start = time.perf_counter()
+    for i in range(n_burn + n_samples):
+        x, q, accepted, divergent = step()
+        if divergent:
+            divergences += 1
+        r = i - n_burn
+        if r >= 0:
+            samples[r, :nd] = x
+            samples[r, nd:] = q
+            accepts[r] = accepted
+    wall = time.perf_counter() - t_start
+
+    return ChainOutput(samples=samples, accept_trace=accepts, wall_time=wall,
+                       divergence_count=divergences, n_discrete=nd)
 
 
 def _autocov(x: np.ndarray) -> np.ndarray:

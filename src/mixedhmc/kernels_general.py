@@ -12,13 +12,13 @@ on the total energy ends the iteration, negating all momenta on acceptance.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KineticEnergy, MixedPoint, ModelSpec, propose_and_delta
-from .diagnostics import ChainOutput
+from .core import (DIVERGENCE_MAX, KineticEnergy, MixedPoint, ModelSpec,
+                   NonFiniteWeightsError, leapfrog, propose_and_delta)
+from .diagnostics import ChainOutput, drive_chain
 from .kernels_laplace import StepStats
 from .rng import ChainRng
 
@@ -31,7 +31,6 @@ __all__ = [
     "run_chain_general",
 ]
 
-DIVERGENCE_MAX = 1.0e4
 _MAX_EVENTS = 10_000_000
 
 
@@ -57,6 +56,12 @@ class AuxiliaryState:
         return AuxiliaryState(self.qD.copy(), self.pD.copy(), self.tau)
 
 
+def _hit_time(qd, v, tau):
+    """Time until a clock at ``qd`` moving at nonzero velocity ``v`` reaches
+    0 or tau."""
+    return (tau * (np.sign(v) + 1.0) - 2.0 * qd) / (2.0 * v)
+
+
 def initial_hit_time(qd, pd, tau: float, kinetic: KineticEnergy):
     """Time until a clock at ``qd`` with momentum ``pd`` reaches 0 or tau.
 
@@ -66,8 +71,7 @@ def initial_hit_time(qd, pd, tau: float, kinetic: KineticEnergy):
     pd = np.asarray(pd, dtype=np.float64)
     if np.any(pd == 0.0):
         raise ValueError("zero momentum: hit time is infinite, resample upstream")
-    v = kinetic.kprime(pd)
-    t = (tau * (np.sign(v) + 1.0) - 2.0 * np.asarray(qd, dtype=np.float64)) / (2.0 * v)
+    t = _hit_time(np.asarray(qd, dtype=np.float64), kinetic.kprime(pd), tau)
     return t if t.ndim else float(t)
 
 
@@ -89,17 +93,7 @@ def refract(pd, delta_e, kinetic: KineticEnergy):
 def _integrate(x, q, p, duration, max_step, model):
     """Leapfrog for ``duration`` in equal steps no larger than ``max_step``."""
     n = max(int(np.ceil(duration / max_step)), 1)
-    h = duration / n
-    half = 0.5 * h
-    g = model.grad_q(x, q)
-    grads = 1
-    for _ in range(n):
-        p -= half * g
-        q += h * p
-        g = model.grad_q(x, q)
-        grads += 1
-        p -= half * g
-    return grads
+    return leapfrog(x, q, p, duration / n, n, model.grad_q)
 
 
 def _simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
@@ -118,7 +112,7 @@ def _simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
 
     if nd:
         v = kinetic.kprime(pD)
-        hit = (tau * (np.sign(v) + 1.0) - 2.0 * qD) / (2.0 * v)
+        hit = _hit_time(qD, v, tau)
     else:
         v = hit = np.zeros(0)
 
@@ -146,7 +140,7 @@ def _simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
             np.maximum(hit, 0.0, out=hit)
             try:
                 new, d_e = propose(j, x, qC, rng)
-            except ValueError:
+            except NonFiniteWeightsError:
                 return n_acc, n_grad, False
             old = int(x[j])
             energy = kinetic.k(pD[j])
@@ -160,7 +154,7 @@ def _simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
             else:
                 pD[j] = -pD[j]
                 v[j] = -v[j]
-            hit[j] = (tau * (np.sign(v[j]) + 1.0) - 2.0 * qD[j]) / (2.0 * v[j])
+            hit[j] = _hit_time(qD[j], v[j], tau)
             if events is not None:
                 events.append((j, old, new, accepted))
             n_events += 1
@@ -241,14 +235,11 @@ def run_chain_general(init: MixedPoint, T: float, model: ModelSpec,
     """
     init.validate(model)
     nd, nc = model.n_discrete, model.n_continuous
-    samples = np.empty((n_samples, nd + nc))
-    accepts = np.zeros(n_samples, dtype=bool)
-    divergences = 0
-
-    t_start = time.perf_counter()
     pt = init.copy()
     aux = sample_auxiliary(nd, tau, kinetic, rng)
-    for i in range(n_burn + n_samples):
+
+    def step():
+        nonlocal pt, aux
         if nd:
             if resample_positions:
                 aux.qD = rng.uniform(nd) * tau
@@ -256,14 +247,6 @@ def run_chain_general(init: MixedPoint, T: float, model: ModelSpec,
         pC = rng.normal(nc) if nc else np.zeros(0)
         pt, aux, _, stats = general_step(pt, aux, pC, T, model, kinetic,
                                          integrator_eps, rng)
-        if stats.divergent:
-            divergences += 1
-        r = i - n_burn
-        if r >= 0:
-            samples[r, :nd] = pt.x
-            samples[r, nd:] = pt.q
-            accepts[r] = stats.accepted
-    wall = time.perf_counter() - t_start
+        return pt.x, pt.q, stats.accepted, stats.divergent
 
-    return ChainOutput(samples=samples, accept_trace=accepts, wall_time=wall,
-                       divergence_count=divergences, n_discrete=nd)
+    return drive_chain(step, nd, nc, n_burn, n_samples)

@@ -12,14 +12,14 @@ Metropolis test on the total energy closes the iteration.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import MixedPoint, ModelSpec, propose_and_delta
-from .diagnostics import ChainOutput
+from .core import (DIVERGENCE_MAX, MixedPoint, ModelSpec, NonFiniteWeightsError,
+                   leapfrog, propose_and_delta)
+from .diagnostics import ChainOutput, drive_chain
 from .rng import ChainRng
 
 __all__ = [
@@ -30,9 +30,6 @@ __all__ = [
     "laplace_step",
     "run_chain",
 ]
-
-# Energy errors beyond this mark the trajectory divergent and reject the step.
-DIVERGENCE_MAX = 1.0e4
 
 
 @dataclass(frozen=True)
@@ -65,9 +62,16 @@ class LaplaceKernelParams:
                 raise ValueError("mass_diag entries must be positive")
             object.__setattr__(self, "mass_diag", m)
 
-    def validate_for(self, n_sites: int) -> None:
+    def validate_for(self, n_sites: int,
+                     n_continuous: Optional[int] = None) -> None:
+        """Raise ValueError if these params do not fit a model with
+        ``n_sites`` discrete sites and ``n_continuous`` coordinates."""
         if n_sites >= 1 and self.n_D > n_sites:
             raise ValueError(f"n_D={self.n_D} exceeds the {n_sites} discrete sites")
+        if (n_continuous is not None and self.mass_diag is not None
+                and self.mass_diag.shape != (n_continuous,)):
+            raise ValueError(f"mass_diag has shape {self.mass_diag.shape}, "
+                             f"expected ({n_continuous},)")
 
 
 @dataclass
@@ -118,8 +122,8 @@ def laplace_step(point: MixedPoint, params: LaplaceKernelParams,
                  model: ModelSpec, rng: ChainRng):
     """One full mixed-HMC iteration; returns the next point and step stats.
 
-    Non-finite potentials or gradients abort the step as a divergent
-    rejection rather than raising.
+    Non-finite energies or conditional weights abort the step as a divergent
+    rejection rather than raising; any other model error raises.
     """
     nd = model.n_discrete
     nc = model.n_continuous
@@ -152,19 +156,8 @@ def laplace_step(point: MixedPoint, params: LaplaceKernelParams,
 
     for t in range(L):
         if nc:
-            eta = sched.eta[t]
-            half = 0.5 * eta
-            g = grad(x, q)
-            n_grad += 1
-            for _ in range(sched.n_steps[t]):
-                p -= half * g
-                if mass is None:
-                    q += eta * p
-                else:
-                    q += eta * (p / mass)
-                g = grad(x, q)
-                n_grad += 1
-                p -= half * g
+            n_grad += leapfrog(x, q, p, sched.eta[t], sched.n_steps[t], grad,
+                               mass)
         if nd:
             base = t * n_d
             try:
@@ -177,8 +170,7 @@ def laplace_step(point: MixedPoint, params: LaplaceKernelParams,
                         # k[j] > d_e guarantees the budget stays positive
                         assert k[j] >= 0.0
                         n_acc += 1
-            except ValueError:
-                # Conditional weights degenerated (non-finite trajectory).
+            except NonFiniteWeightsError:
                 diverged = True
                 break
 
@@ -213,25 +205,14 @@ def run_chain(init: MixedPoint, params: LaplaceKernelParams, model: ModelSpec,
 
     Step-level divergences are counted, never raised.
     """
-    params.validate_for(model.n_discrete)
+    params.validate_for(model.n_discrete, model.n_continuous)
     init.validate(model)
-    nd, nc = model.n_discrete, model.n_continuous
-    samples = np.empty((n_samples, nd + nc))
-    accepts = np.zeros(n_samples, dtype=bool)
-    divergences = 0
-
-    t_start = time.perf_counter()
     pt = init.copy()
-    for i in range(n_burn + n_samples):
-        pt, stats = laplace_step(pt, params, model, rng)
-        if stats.divergent:
-            divergences += 1
-        r = i - n_burn
-        if r >= 0:
-            samples[r, :nd] = pt.x
-            samples[r, nd:] = pt.q
-            accepts[r] = stats.accepted
-    wall = time.perf_counter() - t_start
 
-    return ChainOutput(samples=samples, accept_trace=accepts, wall_time=wall,
-                       divergence_count=divergences, n_discrete=nd)
+    def step():
+        nonlocal pt
+        pt, stats = laplace_step(pt, params, model, rng)
+        return pt.x, pt.q, stats.accepted, stats.divergent
+
+    return drive_chain(step, model.n_discrete, model.n_continuous, n_burn,
+                       n_samples)

@@ -109,10 +109,6 @@ class GaussianMixture(ModelSpec):
              + rng.gen.standard_normal((n, spec.dim)) * np.sqrt(spec.variances[z]))
         return np.column_stack([z.astype(np.float64), q])
 
-    def exact_marginal_sample(self, rng: ChainRng, n: int, dim: int = 0) -> np.ndarray:
-        """Exact draws of the marginal of continuous dimension ``dim``."""
-        return self.exact_sample(rng, n)[:, 1 + dim]
-
     def initial_point(self, rng: ChainRng) -> MixedPoint:
         row = self.exact_sample(rng, 1)[0]
         return MixedPoint(np.array([int(row[0])]), row[1:])

@@ -18,19 +18,24 @@ from .kernels_general import run_chain_general
 from .kernels_laplace import LaplaceKernelParams, run_chain
 from .rng import ChainRng
 
-__all__ = ["default_init", "run_chains", "resolve_threads"]
+__all__ = ["default_init", "random_point", "run_chains", "resolve_threads"]
 
 KERNEL_KINDS = ("laplace", "general", "naive", "gibbs")
+
+
+def random_point(model: ModelSpec, rng: ChainRng) -> MixedPoint:
+    """Uniform site values and standard normal coordinates."""
+    x = np.array([int(rng.uniform() * model.site_cardinality(j))
+                  for j in range(model.n_discrete)], dtype=np.int64)
+    q = rng.normal(model.n_continuous) if model.n_continuous else np.zeros(0)
+    return MixedPoint(x, q)
 
 
 def default_init(model: ModelSpec, rng: ChainRng) -> MixedPoint:
     """Model-provided initial point when available, else a generic draw."""
     if hasattr(model, "initial_point"):
         return model.initial_point(rng)
-    x = np.array([int(rng.uniform() * model.site_cardinality(j))
-                  for j in range(model.n_discrete)], dtype=np.int64)
-    q = rng.normal(model.n_continuous) if model.n_continuous else np.zeros(0)
-    return MixedPoint(x, np.atleast_1d(q) if model.n_continuous else np.zeros(0))
+    return random_point(model, rng)
 
 
 def _chain_task(args):

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mixedhmc
 from mixedhmc.cli import main
 from mixedhmc.runner import resolve_threads
 
@@ -182,6 +185,19 @@ class TestConfigValidation:
                      str(tmp_path)]) == 2
         assert "kernel.n_D" in capsys.readouterr().err
 
+    def test_mass_diag_length_names_path(self, tmp_path, capsys):
+        run = {"chains": 1, "burn_in": 0, "samples": 2, "seed": 0}
+        for model, mass in (({"type": "gmm24"}, [2.0]),
+                            ({"type": "gmm1d"}, [1.0, 2.0, 3.0]),
+                            ({"type": "gmm1d"}, [-1.0]),
+                            ({"type": "gmm1d"}, "heavy")):
+            cfg = write_config(tmp_path, model=model, run=run,
+                               kernel={"type": "laplace", "epsilon": 0.5,
+                                       "T": 2.0, "L": 4, "mass_diag": mass})
+            assert main(["run", "--config", cfg, "--out-dir",
+                         str(tmp_path), "--threads", "1"]) == 2
+            assert "kernel.mass_diag" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_gradients_suite_passes(self, capsys):
@@ -195,6 +211,18 @@ class TestCheckCommand:
         report = json.loads(capsys.readouterr().out)
         names = {c["name"] for c in report["checks"]}
         assert "hit_time_uniform_pvalue" in names
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        """``mixedhmc run`` does not pay for scipy, which only the check
+        suites and rank-normalized ESS use."""
+        src = os.path.dirname(os.path.dirname(mixedhmc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, mixedhmc.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestThreads:

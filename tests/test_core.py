@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +40,32 @@ class UniformSites(ModelSpec):
 
     def grad_q(self, x, q):
         return np.zeros(self._nc)
+
+
+class ShiftingSite(ModelSpec):
+    """One site whose conditional weights move with q:
+    ``U(x, q) = offsets[x] + (q - centers[x])^2 / 2``."""
+
+    def __init__(self, centers, offsets):
+        self.centers = np.asarray(centers, dtype=np.float64)
+        self.offsets = np.asarray(offsets, dtype=np.float64)
+
+    @property
+    def n_discrete(self):
+        return 1
+
+    @property
+    def n_continuous(self):
+        return 1
+
+    def site_cardinality(self, j):
+        return self.centers.size
+
+    def potential(self, x, q):
+        return self.offsets[x[0]] + 0.5 * (q[0] - self.centers[x[0]]) ** 2
+
+    def grad_q(self, x, q):
+        return np.array([q[0] - self.centers[x[0]]])
 
 
 class TestMixedPoint:
@@ -235,17 +262,36 @@ class TestFastPaths:
     def test_propose_and_delta_matches_public_ops(self):
         """The kernel fast path draws the same value and produces the same
         energy cost as default_proposal_sample followed by delta_E."""
-        model = gmm1d_preset()
-        for seed in range(40):
-            x = np.array([seed % 4])
-            q = np.atleast_1d(ChainRng(seed, 3).normal()) * 2.5
-            a = ChainRng(seed, 1)
-            b = ChainRng(seed, 1)
-            new, d_fast = propose_and_delta(0, x, q, model, a)
-            xt, lf, lb = default_proposal_sample(0, x, q, model, b)
-            assert xt[0] == new
-            d_ref = delta_E(x, xt, q, lf, lb, model)
-            assert d_fast == pytest.approx(d_ref, abs=1e-10)
+        models = [gmm1d_preset()] + [
+            ShiftingSite(np.linspace(-3.0, 3.0, card), np.cos(np.arange(card)))
+            for card in (3, 5, 20)]
+        for model in models:
+            card = model.site_cardinality(0)
+            for seed in range(40):
+                x = np.array([seed % card])
+                q = np.atleast_1d(ChainRng(seed, 3).normal()) * 2.5
+                a = ChainRng(seed, 1)
+                b = ChainRng(seed, 1)
+                new, d_fast = propose_and_delta(0, x, q, model, a)
+                xt, lf, lb = default_proposal_sample(0, x, q, model, b)
+                assert xt[0] == new
+                d_ref = delta_E(x, xt, q, lf, lb, model)
+                assert d_fast == pytest.approx(d_ref, abs=1e-10)
+
+        # The current value outweighs both alternatives by e^800, beyond the
+        # float range, so the backward normalizer overflows and the cost
+        # comes from forced_delta.
+        model = ShiftingSite([0.0, 40.0, 41.0], [0.0, 0.0, 0.0])
+        x, q = np.array([0]), np.array([0.0])
+        with mock.patch("mixedhmc.core.forced_delta",
+                        wraps=forced_delta) as fallback:
+            new, d_fast = propose_and_delta(0, x, q, model, ChainRng(0, 1))
+        assert fallback.call_count == 1
+        xt, lf, lb = default_proposal_sample(0, x, q, model, ChainRng(0, 1))
+        assert xt[0] == new
+        d_ref = delta_E(x, xt, q, lf, lb, model)
+        assert d_ref == pytest.approx(800.0, rel=1e-12)
+        assert d_fast == pytest.approx(d_ref, abs=1e-10)
 
     def test_forced_delta_matches(self):
         model = gmm1d_preset()

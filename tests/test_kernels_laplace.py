@@ -3,17 +3,21 @@ import pytest
 
 from mixedhmc import (
     ChainRng,
+    KineticEnergy,
     LaplaceKernelParams,
     MixedPoint,
     ModelSpec,
     get_step_sizes_n_steps,
     laplace_step,
     run_chain,
+    run_chain_general,
 )
 from mixedhmc.diagnostics import ks_two_sample
 from mixedhmc.models import (
+    GaussianMixture,
     binary_quadratic_enumerate,
     gmm1d_preset,
+    gmm24_preset,
     random_binary_quadratic,
 )
 
@@ -87,6 +91,15 @@ class BlowUpModel(ModelSpec):
         return np.array([-10.0])
 
 
+class ShapeBugMixture(GaussianMixture):
+    """Site conditionals summed over the wrong axis, a bug in model code:
+    (24,) terms meet the (4,) component constants and numpy raises."""
+
+    def site_cond_neglogp(self, j, x, q):
+        d = q - self.spec.means
+        return self._const + 0.5 * (d * d * self._inv_var).sum(axis=0)
+
+
 class TestStepSchedule:
     def test_single_site_single_round(self):
         params = LaplaceKernelParams(epsilon=0.25, T=1.0, L=1, n_D=1)
@@ -142,6 +155,19 @@ class TestStepSchedule:
         params = LaplaceKernelParams(epsilon=0.1, T=1.0, L=2, n_D=4)
         with pytest.raises(ValueError):
             params.validate_for(2)
+
+    def test_mass_diag_length_checked(self):
+        params = LaplaceKernelParams(epsilon=0.1, T=1.0, L=2,
+                                     mass_diag=[1.0, 2.0, 3.0])
+        params.validate_for(1, 3)
+        with pytest.raises(ValueError, match="mass_diag"):
+            params.validate_for(1, 2)
+        # A length-1 mass on a 24-dimensional model would broadcast silently.
+        model = gmm24_preset()
+        rng = ChainRng(17, 0)
+        params = LaplaceKernelParams(epsilon=1.7, T=13.6, L=8, mass_diag=[2.0])
+        with pytest.raises(ValueError, match="mass_diag"):
+            run_chain(model.initial_point(rng), params, model, 0, 5, rng)
 
 
 class TestLaplaceStep:
@@ -262,6 +288,20 @@ class TestRunChain:
                         model, 0, 100, rng)
         assert out.divergence_count > 0
         assert out.samples.shape == (100, 2)
+
+    def test_model_bug_raises_instead_of_diverging(self):
+        """Only non-finite conditional weights count as divergences; a
+        broadcasting error in model code reaches the caller from both
+        kernels."""
+        model = ShapeBugMixture(gmm24_preset().spec)
+        rng = ChainRng(18, 0)
+        init = model.initial_point(rng)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_chain(init, LaplaceKernelParams(epsilon=1.7, T=13.6, L=8),
+                      model, 0, 50, rng)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_chain_general(init, 1.0, model, KineticEnergy(1.0), 1.0, 0.5,
+                              0, 50, rng)
 
 
 class TestStationarity:
