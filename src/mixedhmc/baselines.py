@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixedPoint, ModelSpec, propose_and_delta
-from .diagnostics import ChainOutput, drive_chain
+from .diagnostics import ChainOutput, drive_chains
 from .models.gmm import GaussianMixture
 from .rng import ChainRng
 
@@ -117,7 +117,7 @@ def run_naive_chain(init: MixedPoint, params: NaiveParams,
         z, q, acc = naive_mixed_hmc_step(z, q, params, model, rng)
         return z, q, acc, False
 
-    return drive_chain(step, 1, 1, n_burn, n_samples)
+    return drive_chains(step, 1, 1, 1, n_burn, n_samples)[0]
 
 
 def gibbs_mh_sweep(point: MixedPoint, model: ModelSpec, rw_scale: float,
@@ -155,5 +155,5 @@ def run_gibbs_chain(init: MixedPoint, model: ModelSpec, rw_scale: float,
         pt = gibbs_mh_sweep(pt, model, rw_scale, rng)
         return pt.x, pt.q, True, False  # sweeps always advance
 
-    return drive_chain(step, model.n_discrete, model.n_continuous, n_burn,
-                       n_samples)
+    return drive_chains(step, 1, model.n_discrete, model.n_continuous, n_burn,
+                        n_samples)[0]

@@ -175,9 +175,25 @@ def _column_names(model):
             + [f"q_{d}" for d in range(model.n_continuous)])
 
 
+def _write_atomic(path, write):
+    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
+    to ``path``: a failed write leaves no partial file."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_samples_csv(path, outputs, model):
     cols = _column_names(model)
-    with open(path, "w", newline="") as fh:
+
+    def write(fh):
         fh.write("chain,iter,accept," + ",".join(cols) + "\n")
         for chain_id, out in enumerate(outputs):
             for i in range(out.n_samples):
@@ -185,6 +201,16 @@ def write_samples_csv(path, outputs, model):
                 fh.write(f"{chain_id},{i},{int(out.accept_trace[i])},")
                 fh.write(",".join(format(v, ".17g") for v in row))
                 fh.write("\n")
+
+    _write_atomic(path, write)
+
+
+def write_summary_json(path, summary):
+    def write(fh):
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
+
+    _write_atomic(path, write)
 
 
 def build_summary(config, model, outputs, seed, wall_time):
@@ -273,9 +299,7 @@ def cmd_run(args) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         write_samples_csv(samples_path, outputs, model)
-        with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        write_summary_json(summary_path, summary)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -11,7 +11,6 @@ component, inclusion indicator, spin).
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +84,21 @@ class ModelSpec(abc.ABC):
     processes.  Subclasses may override :meth:`site_cond_neglogp` to exploit
     model structure; the default adapter evaluates the potential once per
     admissible site value.
+
+    A subclass that sets ``row_stacked = True`` also accepts row stacks in
+    :meth:`potential`, :meth:`grad_q` and :meth:`site_cond_neglogp`: ``x``
+    of shape ``(C, n_discrete)``, ``q`` of shape ``(C, n_continuous)`` and
+    ``j`` of shape ``(C,)``, returning ``(C,)``, ``(C, n_continuous)`` and
+    ``(C, K)`` with row ``r`` that of the single-state call on row ``r``.
+    ``K`` is the largest site cardinality; entries past site ``j[r]``'s
+    cardinality are ``+inf``.  Each row must not depend on the other rows
+    or on ``C``, bit for bit: reduce with row sums, ``np.einsum`` or one
+    vector-matrix product per row (``np.matmul`` on a ``(C, 1, d)``
+    stack), never one ``(C, d) @ (d, n)`` product, whose rows change with
+    ``C``.  Other models are called once per row by :func:`row_method`.
     """
+
+    row_stacked = False
 
     @property
     @abc.abstractmethod
@@ -164,21 +177,59 @@ class KineticEnergy:
         return sign * mag
 
 
-def leapfrog(x, q, p, h, n, grad_q, mass=None) -> int:
+def leapfrog(x, q, p, h, n, grad_q, mass=None):
     """``n`` leapfrog steps of size ``h`` at fixed ``x``, updating ``q`` and
     ``p`` in place, with diagonal ``mass`` (identity when None); returns the
-    number of gradient evaluations, ``n + 1``."""
+    number of gradient evaluations, ``n + 1``.
+
+    On row stacks (``q``, ``p`` of shape ``(C, n_continuous)``, ``h`` of
+    shape ``(C, 1)``, ``grad_q`` taking row stacks) ``n`` may be a ``(C,)``
+    array: row ``r`` then takes ``n[r]`` steps, and rows that are done sit
+    out the later steps and their gradient calls.
+    """
     half = 0.5 * h
     g = grad_q(x, q)
-    for _ in range(n):
-        p -= half * g
-        if mass is None:
-            q += h * p
+    if isinstance(n, (int, np.integer)):
+        for _ in range(n):
+            g = _leapfrog_step(x, q, p, g, half, h, grad_q, mass)
+        return n + 1
+    n_min = int(n.min())
+    for i in range(int(n.max())):
+        if i < n_min:
+            g = _leapfrog_step(x, q, p, g, half, h, grad_q, mass)
         else:
-            q += h * (p / mass)
-        g = grad_q(x, q)
-        p -= half * g
+            r = np.flatnonzero(n > i)
+            qr, pr = q[r], p[r]
+            g[r] = _leapfrog_step(x[r], qr, pr, g[r], half[r], h[r], grad_q,
+                                  mass)
+            q[r], p[r] = qr, pr
     return n + 1
+
+
+def _leapfrog_step(x, q, p, g, half, h, grad_q, mass):
+    p -= half * g
+    q += h * p if mass is None else h * (p / mass)
+    g = grad_q(x, q)
+    p -= half * g
+    return g
+
+
+def row_method(model, name):
+    """``model.<name>`` on row stacks: the method itself when the model is
+    ``row_stacked``, else a wrapper that calls it once per row and stacks
+    the results, padding site conditionals of smaller sites with ``+inf``."""
+    fn = getattr(model, name)
+    if model.row_stacked:
+        return fn
+
+    def per_row(*args):
+        out = [np.asarray(fn(*row), dtype=np.float64) for row in zip(*args)]
+        width = max(v.size for v in out)
+        return np.array([
+            np.pad(v, (0, width - v.size), constant_values=np.inf)
+            if v.ndim and v.size < width else v for v in out])
+
+    return per_row
 
 
 def _masked_logsumexp(neglogp: np.ndarray, skip: int):
@@ -251,7 +302,9 @@ def propose_and_delta(j, x, q, model, rng):
     Fast path used inside kernels.  Equivalent to
     ``default_proposal_sample`` followed by ``delta_E``: for the locally
     informed proposal the potential differences and proposal corrections
-    collapse to the log ratio of the two masked normalizers.
+    collapse to the log ratio of the two masked normalizers.  Sites with
+    more than 2 values go through the one-row call of
+    :func:`informed_rows`.
 
     Returns ``(new_value, delta_e)`` for site ``j``.
     """
@@ -265,34 +318,56 @@ def propose_and_delta(j, x, q, model, rng):
     if card == 2:
         return 1 - cur, float(neglogp[1 - cur] - neglogp[cur])
 
-    # Scalar math: numpy's per-call overhead dominates on these short vectors.
-    w = neglogp.tolist()
-    shift = min(v for i, v in enumerate(w) if i != cur)
-    if not math.isfinite(shift):
+    new, delta, ok = informed_rows(np.array([j]), x[None], q[None], model,
+                                   np.asarray(neglogp)[None], rng.uniform(1))
+    if not ok[0]:
         raise NonFiniteWeightsError(f"no admissible proposal from value {cur}: "
                                     "conditional weights zero or non-finite")
-    e = [0.0 if i == cur else math.exp(shift - v) for i, v in enumerate(w)]
-    z_fwd = sum(e)
-    u = rng.uniform() * z_fwd
-    acc = 0.0
-    new = card - 1 if cur != card - 1 else card - 2
-    for i, wi in enumerate(e):
-        acc += wi
-        if u < acc:
-            new = i
-            break
-    # Backward normalizer by exclusion sum (subtracting e[new] from z_fwd
-    # would cancel catastrophically when e[new] dominates).
-    try:
-        z_bwd = math.exp(shift - w[cur])
-    except OverflowError:
-        return new, forced_delta(j, x, q, model, new)
-    for i, wi in enumerate(e):
-        if i != new:
-            z_bwd += wi
-    if not 0.0 < z_bwd < math.inf:
-        return new, forced_delta(j, x, q, model, new)
-    return new, math.log(z_bwd) - math.log(z_fwd)
+    return int(new[0]), float(delta[0])
+
+
+def informed_rows(j, x, q, model, neglogp, u):
+    """Locally informed proposals at sites ``j`` of the rows of ``x``, ``q``,
+    with their energy costs.
+
+    ``neglogp`` holds each row's site conditionals (``+inf`` past the site's
+    cardinality) and ``u`` one uniform per row.  Row ``r`` moves to a value
+    ``v != x[r, j[r]]`` with probability proportional to
+    ``exp(-neglogp[r, v])``.  Returns ``(new, delta, ok)``; ``ok`` is False
+    on rows whose weights leave no finite proposal, and their other entries
+    are meaningless.
+    """
+    rows = np.arange(j.size)
+    cur = x[rows, j]
+    w = np.array(neglogp, dtype=np.float64)
+    w_cur = w[rows, cur]
+    w[rows, cur] = np.inf
+    shift = w.min(axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e = np.exp(shift[:, None] - w)
+        acc = e.cumsum(axis=1)
+        z_fwd = acc[:, -1]
+        new = (acc <= (u * z_fwd)[:, None]).sum(axis=1)
+        if new.max(initial=0) == w.shape[1]:
+            # u * z_fwd rounded up to z_fwd: take the last positive weight.
+            past = new == w.shape[1]
+            new[past] = w.shape[1] - 1 - np.argmax(e[past, ::-1] > 0.0, axis=1)
+        # Backward normalizer by exclusion sum (subtracting e[new] from z_fwd
+        # would cancel catastrophically when e[new] dominates).
+        e[rows, new] = 0.0
+        e[rows, cur] = np.exp(shift - w_cur)
+        delta = np.log(e.sum(axis=1) / z_fwd)
+    ok = np.isfinite(shift)
+    if not np.isfinite(delta).all():
+        # The backward normalizer over- or underflowed: redo the cost in log
+        # space.
+        for r in np.flatnonzero(ok & ~np.isfinite(delta)):
+            try:
+                delta[r] = forced_delta(int(j[r]), x[r], q[r], model,
+                                        int(new[r]))
+            except NonFiniteWeightsError:
+                ok[r] = False
+    return new, delta, ok
 
 
 def forced_delta(j, x, q, model, new_value) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "ChainOutput",
     "DegenerateDimensionWarning",
-    "drive_chain",
+    "drive_chains",
     "ess",
     "mress",
     "ks_two_sample",
@@ -47,33 +47,36 @@ class ChainOutput:
         return self.samples.shape[0]
 
 
-def drive_chain(step, n_discrete: int, n_continuous: int, n_burn: int,
-                n_samples: int) -> ChainOutput:
+def drive_chains(step, n_chains: int, n_discrete: int, n_continuous: int,
+                 n_burn: int, n_samples: int) -> list:
     """Call ``step`` ``n_burn + n_samples`` times, recording the last
-    ``n_samples`` states.
+    ``n_samples`` states of each of ``n_chains`` chains stepped together.
 
-    ``step()`` advances the chain and returns ``(x, q, accepted, divergent)``
-    for the new state.  Divergences are counted over burn-in too.
+    ``step()`` advances every chain and returns ``(x, q, accepted,
+    divergent)`` for the new states, one row or entry per chain; a single
+    chain may return them unstacked.  Divergences are counted over burn-in
+    too.  Each chain's ``wall_time`` is its share, ``1 / n_chains``, of the
+    time spent stepping.
     """
     nd = n_discrete
-    samples = np.empty((n_samples, nd + n_continuous))
-    accepts = np.zeros(n_samples, dtype=bool)
-    divergences = 0
+    samples = np.empty((n_chains, n_samples, nd + n_continuous))
+    accepts = np.zeros((n_chains, n_samples), dtype=bool)
+    divergences = np.zeros(n_chains, dtype=np.int64)
 
     t_start = time.perf_counter()
     for i in range(n_burn + n_samples):
         x, q, accepted, divergent = step()
-        if divergent:
-            divergences += 1
+        divergences += divergent
         r = i - n_burn
         if r >= 0:
-            samples[r, :nd] = x
-            samples[r, nd:] = q
-            accepts[r] = accepted
-    wall = time.perf_counter() - t_start
+            samples[:, r, :nd] = x
+            samples[:, r, nd:] = q
+            accepts[:, r] = accepted
+    wall = (time.perf_counter() - t_start) / max(n_chains, 1)
 
-    return ChainOutput(samples=samples, accept_trace=accepts, wall_time=wall,
-                       divergence_count=divergences, n_discrete=nd)
+    return [ChainOutput(samples=samples[c], accept_trace=accepts[c],
+                        wall_time=wall, divergence_count=int(divergences[c]),
+                        n_discrete=nd) for c in range(n_chains)]
 
 
 def _autocov(x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (DIVERGENCE_MAX, KineticEnergy, MixedPoint, ModelSpec,
                    NonFiniteWeightsError, leapfrog, propose_and_delta)
-from .diagnostics import ChainOutput, drive_chain
+from .diagnostics import ChainOutput, drive_chains
 from .kernels_laplace import StepStats
 from .rng import ChainRng
 
@@ -249,4 +249,4 @@ def run_chain_general(init: MixedPoint, T: float, model: ModelSpec,
                                          integrator_eps, rng)
         return pt.x, pt.q, stats.accepted, stats.divergent
 
-    return drive_chain(step, nd, nc, n_burn, n_samples)
+    return drive_chains(step, 1, nd, nc, n_burn, n_samples)[0]

@@ -17,9 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DIVERGENCE_MAX, MixedPoint, ModelSpec, NonFiniteWeightsError,
-                   leapfrog, propose_and_delta)
-from .diagnostics import ChainOutput, drive_chain
+from .core import (DIVERGENCE_MAX, DegenerateSiteError, MixedPoint, ModelSpec,
+                   informed_rows, leapfrog, row_method)
+# Not called here, but perfbench/tracer.py wraps the kernels' proposal by
+# this module attribute.
+from .core import propose_and_delta  # noqa: F401
+from .diagnostics import ChainOutput, drive_chains
 from .rng import ChainRng
 
 __all__ = [
@@ -28,7 +31,9 @@ __all__ = [
     "StepStats",
     "get_step_sizes_n_steps",
     "laplace_step",
+    "laplace_step_batch",
     "run_chain",
+    "run_chain_batch",
 ]
 
 
@@ -84,11 +89,33 @@ class StepSchedule:
 
 @dataclass
 class StepStats:
+    """Per-iteration statistics: scalars from :func:`laplace_step`, ``(C,)``
+    arrays, one entry per chain, from :func:`laplace_step_batch`."""
+
     accepted: bool
     energy_error: float
     n_discrete_accepts: int
     n_grad_evals: int
     divergent: bool = False
+
+
+def _schedules(params: LaplaceKernelParams, phi: np.ndarray):
+    """Leapfrog step sizes and counts, ``(C, L)`` each, of the trajectories
+    whose Dirichlet draws are the rows of ``phi`` (``(C, n_sites + 1)``)."""
+    L, n_d = params.L, params.n_D
+    n_sites = phi.shape[1] - 1
+    if n_sites == 0:
+        eta = np.full((phi.shape[0], L), params.T / L)
+    else:
+        phi[:, 0] += phi[:, n_sites]
+        idx = np.arange(L * n_d).reshape(L, n_d) % n_sites
+        # np.take keeps rows contiguous; phi[:, idx] would not, and row sums
+        # over other layouts change with the number of rows.
+        eta = np.take(phi, idx, axis=1).sum(axis=2)
+        eta[:, 0] -= phi[:, n_sites]
+        eta *= params.T / eta.sum(axis=1, keepdims=True)
+    n_steps = np.maximum(np.ceil(eta / params.epsilon).astype(np.int64), 1)
+    return eta / n_steps, n_steps
 
 
 def get_step_sizes_n_steps(params: LaplaceKernelParams, n_sites: int,
@@ -104,115 +131,218 @@ def get_step_sizes_n_steps(params: LaplaceKernelParams, n_sites: int,
 
     With no discrete sites the schedule degenerates to ``L`` equal rounds.
     """
-    L, n_d = params.L, params.n_D
-    if n_sites == 0:
-        eta = np.full(L, params.T / L)
-    else:
-        phi = rng.dirichlet_ones(n_sites + 1)
-        phi[0] += phi[n_sites]
-        idx = np.arange(L * n_d).reshape(L, n_d) % n_sites
-        eta = phi[idx].sum(axis=1)
-        eta[0] -= phi[n_sites]
-        eta *= params.T / eta.sum()
-    n_steps = np.maximum(np.ceil(eta / params.epsilon).astype(np.int64), 1)
-    return StepSchedule(eta=eta / n_steps, n_steps=n_steps)
+    phi = rng.dirichlet_ones(n_sites + 1) if n_sites else np.ones(1)
+    eta, n_steps = _schedules(params, phi[None])
+    return StepSchedule(eta=eta[0], n_steps=n_steps[0])
 
 
 def laplace_step(point: MixedPoint, params: LaplaceKernelParams,
                  model: ModelSpec, rng: ChainRng):
     """One full mixed-HMC iteration; returns the next point and step stats.
 
-    Non-finite energies or conditional weights abort the step as a divergent
-    rejection rather than raising; any other model error raises.
+    The one-chain call of :func:`laplace_step_batch`.
     """
-    nd = model.n_discrete
-    nc = model.n_continuous
-    mass = params.mass_diag
+    x, q, stats = laplace_step_batch(point.x[None], point.q[None], params,
+                                     model, [rng])
+    return MixedPoint(x[0], q[0]), StepStats(
+        accepted=bool(stats.accepted[0]),
+        energy_error=float(stats.energy_error[0]),
+        n_discrete_accepts=int(stats.n_discrete_accepts[0]),
+        n_grad_evals=int(stats.n_grad_evals[0]),
+        divergent=bool(stats.divergent[0]))
 
-    x = point.x.copy()
-    q = point.q.copy()
 
-    k = rng.exponential(nd) if nd else np.zeros(0)
-    if nc:
-        if mass is None:
-            p = rng.normal(nc)
-            ke0 = 0.5 * float(p @ p)
-        else:
-            p = rng.normal(nc) * np.sqrt(mass)
-            ke0 = 0.5 * float(p @ (p / mass))
-    else:
-        p = np.zeros(0)
-        ke0 = 0.0
-    perm = rng.permutation(nd) if nd else np.zeros(0, dtype=np.int64)
-    sched = get_step_sizes_n_steps(params, nd, rng)
+def _noise(params, model, rngs, wide):
+    """Each chain's draws for one iteration, from its own stream, in the
+    order the kernel consumes them: site energies, momenta, visiting order,
+    schedule, then one uniform per proposal at a site with more than 2
+    values and the Metropolis uniform.
 
-    e0 = model.potential(point.x, point.q) + float(k.sum()) + ke0
+    ``u[r, m]`` is chain ``r``'s uniform for proposal ``m`` of the
+    trajectory (NaN at 2-value sites), ``u[r, -1]`` its Metropolis uniform;
+    ``at_wide[r, m]`` says whether proposal ``m`` is at a site with more
+    than 2 values.
+    """
+    nd, nc, n = model.n_discrete, model.n_continuous, len(rngs)
+    n_prop = params.L * params.n_D if nd else 0
+    k = np.zeros((n, nd))
+    p = np.zeros((n, nc))
+    perm = np.zeros((n, nd), dtype=np.int64)
+    phi = np.ones((n, nd + 1))
+    for r, rng in enumerate(rngs):
+        if nd:
+            k[r] = rng.exponential(nd)
+        if nc:
+            p[r] = rng.normal(nc)
+        if nd:
+            perm[r] = rng.permutation(nd)
+            phi[r] = rng.dirichlet_ones(nd + 1)
+    sites = np.take(perm, np.arange(n_prop) % max(nd, 1), axis=1)
+    at_wide = wide[sites]
+    drawn = np.concatenate([at_wide, np.ones((n, 1), dtype=bool)], axis=1)
+    u = np.full(drawn.shape, np.nan)
+    counts = drawn.sum(axis=1)
+    u[drawn] = np.concatenate([rng.uniform(c) for rng, c in zip(rngs, counts)])
+    if params.mass_diag is not None:
+        p *= np.sqrt(params.mass_diag)
+    return k, p, sites, at_wide, _schedules(params, phi), u
 
-    grad = model.grad_q
-    n_grad = 0
-    n_acc = 0
-    diverged = False
-    n_d, L = params.n_D, params.L
+
+def _kinetic(p, mass):
+    return 0.5 * np.einsum("cd,cd->c", p, p if mass is None else p / mass)
+
+
+def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
+                       rngs):
+    """One mixed-HMC iteration of each of a batch of chains, in lockstep.
+
+    Row ``r`` of ``x`` (``(C, n_discrete)``) and ``q`` (``(C,
+    n_continuous)``) is the state of chain ``r``, which draws only from
+    ``rngs[r]``.  Chains share each leapfrog round and each round of
+    discrete updates; a chain whose round needs fewer leapfrog steps sits
+    out the rest.  Returns the new ``(x, q)`` and a :class:`StepStats` of
+    ``(C,)`` arrays.
+
+    Non-finite conditional weights freeze a chain for the rest of the
+    iteration and count it divergent, as do non-finite or huge energy
+    errors; the other chains go on.  Any other model error raises.  Each
+    row's result does not depend on the other rows.
+    """
+    nd, nc = model.n_discrete, model.n_continuous
+    mass, L, n_d = params.mass_diag, params.L, params.n_D
+    n = len(rngs)
+    cards = np.array([model.site_cardinality(j) for j in range(nd)],
+                     dtype=np.int64)
+    if np.any(cards < 2):
+        raise DegenerateSiteError(f"degenerate sites {np.flatnonzero(cards < 2)}"
+                                  ": cardinality 1 admits no move")
+    wide = cards > 2
+    k, p, sites, at_wide, (eta, n_steps), u = _noise(params, model, rngs, wide)
+    # Whether all or any chains make proposal m at a site with more than 2
+    # values; kept when chains freeze, as the mixed branch serves any rows.
+    all_wide = at_wide.all(axis=0).tolist()
+    any_wide = at_wide.any(axis=0).tolist()
+
+    potential = row_method(model, "potential")
+    grad = row_method(model, "grad_q")
+    site_cond = row_method(model, "site_cond_neglogp")
+    e0 = potential(x, q) + k.sum(axis=1) + _kinetic(p, mass)
+    rounds = np.full(n, L)             # leapfrog rounds each chain ran
+    n_acc = np.zeros(n, dtype=np.int64)
+    divergent = np.zeros(n, dtype=bool)
+    live = np.arange(n)                # chains not frozen, in batch order
+    rows = np.arange(n)
+    xs, qs, ps, steps_l = x.copy(), q.copy(), p, n_steps
+    h_l = eta[:, :, None]              # step sizes as (C, L, 1) columns
+    lo, hi = n_steps.min(axis=0).tolist(), n_steps.max(axis=0).tolist()
+    acc_l = np.zeros(n, dtype=np.int64)
+
+    def freeze(keep):
+        nonlocal live, rows, xs, qs, ps, k, sites, at_wide, h_l, steps_l, \
+            lo, hi, u, e0, acc_l
+        divergent[live[~keep]] = True
+        n_acc[live] = acc_l
+        live, xs, qs, ps, k, sites, at_wide, h_l, steps_l, u, e0, acc_l = (
+            a[keep] for a in (live, xs, qs, ps, k, sites, at_wide, h_l,
+                              steps_l, u, e0, acc_l))
+        rows = np.arange(live.size)
+        if live.size:
+            lo, hi = steps_l.min(axis=0).tolist(), steps_l.max(axis=0).tolist()
 
     for t in range(L):
         if nc:
-            n_grad += leapfrog(x, q, p, sched.eta[t], sched.n_steps[t], grad,
-                               mass)
-        if nd:
-            base = t * n_d
-            try:
-                for s in range(n_d):
-                    j = perm[(base + s) % nd]
-                    new, d_e = propose_and_delta(j, x, q, model, rng)
-                    if k[j] > d_e:
-                        x[j] = new
-                        k[j] -= d_e
-                        # k[j] > d_e guarantees the budget stays positive
-                        assert k[j] >= 0.0
-                        n_acc += 1
-            except NonFiniteWeightsError:
-                diverged = True
-                break
+            # An int step count when every live chain takes the same number.
+            leapfrog(xs, qs, ps, h_l[:, t],
+                     lo[t] if lo[t] == hi[t] else steps_l[:, t], grad, mass)
+        for m in range(t * n_d, (t + 1) * n_d) if nd else ():
+            j = sites[:, m]
+            neglogp = site_cond(j, xs, qs)
+            cur = xs[rows, j]
+            if all_wide[m]:
+                new, d_e, ok = informed_rows(j, xs, qs, model, neglogp,
+                                             u[:, m])
+            else:
+                new = 1 - cur
+                d_e = neglogp[rows, new] - neglogp[rows, cur]
+                ok = None  # flips always propose
+                if any_wide[m]:
+                    ok = np.ones(live.size, dtype=bool)
+                    w = np.flatnonzero(at_wide[:, m])
+                    new[w], d_e[w], ok[w] = informed_rows(
+                        j[w], xs[w], qs[w], model, neglogp[w], u[w, m])
+            k_j = k[rows, j]
+            # A move is accepted iff its cost fits in the site's energy,
+            # which then stays positive.
+            take = k_j > d_e
+            if ok is not None:
+                take &= ok
+            xs[rows, j] = np.where(take, new, cur)
+            k[rows, j] = np.where(take, k_j - d_e, k_j)
+            acc_l += take
+            if ok is not None and not ok.all():
+                rounds[live[~ok]] = t + 1
+                freeze(ok)
+                if not live.size:
+                    break
+        if not live.size:
+            break
 
-    if not diverged:
-        if nc:
-            ke1 = 0.5 * float(p @ p) if mass is None \
-                else 0.5 * float(p @ (p / mass))
-        else:
-            ke1 = 0.0
-        err = model.potential(x, q) + float(k.sum()) + ke1 - e0
-        if not np.isfinite(err) or abs(err) > DIVERGENCE_MAX:
-            diverged = True
+    if live.size:
+        err = (potential(xs, qs) + k.sum(axis=1)
+               + _kinetic(ps, mass) - e0)
+        finite = np.isfinite(err) & (np.abs(err) <= DIVERGENCE_MAX)
+        if not finite.all():
+            freeze(finite)
+            err = err[finite]
+    else:
+        err = e0
+    n_acc[live] = acc_l
+    energy_error = np.full(n, np.nan)
+    energy_error[live] = err
+    take = u[:, -1] < np.exp(-np.maximum(err, 0.0))
+    accepted = np.zeros(n, dtype=bool)
+    accepted[live] = take
+    x_new, q_new = x.copy(), q.copy()
+    x_new[live[take]], q_new[live[take]] = xs[take], qs[take]
+    # Each leapfrog round evaluates the gradient once more than its steps.
+    n_grad = (np.where(np.arange(L) < rounds[:, None], n_steps + 1, 0)
+              .sum(axis=1) if nc else np.zeros(n, dtype=np.int64))
+    return x_new, q_new, StepStats(
+        accepted=accepted, energy_error=energy_error, n_discrete_accepts=n_acc,
+        n_grad_evals=n_grad, divergent=divergent)
 
-    if diverged:
-        return point.copy(), StepStats(accepted=False, energy_error=np.nan,
-                                       n_discrete_accepts=n_acc,
-                                       n_grad_evals=n_grad, divergent=True)
 
-    u = rng.uniform()
-    if err > 0.0 and u >= np.exp(-err):
-        return point.copy(), StepStats(accepted=False, energy_error=err,
-                                       n_discrete_accepts=n_acc,
-                                       n_grad_evals=n_grad)
-    return MixedPoint(x, q), StepStats(accepted=True, energy_error=err,
-                                       n_discrete_accepts=n_acc,
-                                       n_grad_evals=n_grad)
+def run_chain_batch(inits, params: LaplaceKernelParams, model: ModelSpec,
+                    n_burn: int, n_samples: int, rngs) -> list:
+    """Iterate the kernel on a batch of chains in lockstep, chain ``r``
+    starting at ``inits[r]`` and drawing from ``rngs[r]``; returns one
+    :class:`ChainOutput` per chain, in order.
+
+    Each chain's samples are those it gives when run alone.  Step-level
+    divergences are counted, never raised.
+    """
+    params.validate_for(model.n_discrete, model.n_continuous)
+    for init in inits:
+        init.validate(model)
+    x = np.array([init.x for init in inits], dtype=np.int64).reshape(
+        len(inits), model.n_discrete)
+    q = np.array([init.q for init in inits], dtype=np.float64).reshape(
+        len(inits), model.n_continuous)
+
+    def step():
+        nonlocal x, q
+        x, q, stats = laplace_step_batch(x, q, params, model, rngs)
+        return x, q, stats.accepted, stats.divergent
+
+    return drive_chains(step, len(inits), model.n_discrete, model.n_continuous,
+                        n_burn, n_samples)
 
 
 def run_chain(init: MixedPoint, params: LaplaceKernelParams, model: ModelSpec,
               n_burn: int, n_samples: int, rng: ChainRng) -> ChainOutput:
     """Iterate the kernel, discarding ``n_burn`` steps and recording the rest.
 
-    Step-level divergences are counted, never raised.
+    The one-chain call of :func:`run_chain_batch`.  Step-level divergences
+    are counted, never raised.
     """
-    params.validate_for(model.n_discrete, model.n_continuous)
-    init.validate(model)
-    pt = init.copy()
-
-    def step():
-        nonlocal pt
-        pt, stats = laplace_step(pt, params, model, rng)
-        return pt.x, pt.q, stats.accepted, stats.divergent
-
-    return drive_chain(step, model.n_discrete, model.n_continuous, n_burn,
-                       n_samples)
+    return run_chain_batch([init], params, model, n_burn, n_samples, [rng])[0]

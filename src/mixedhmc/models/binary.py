@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _ENUM_MAX_SITES = 20
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class BinaryQuadraticSpec:
 
 
 class BinaryQuadratic(ModelSpec):
+    row_stacked = True
+
     def __init__(self, spec: BinaryQuadraticSpec):
         self.spec = spec
 
@@ -65,21 +68,21 @@ class BinaryQuadratic(ModelSpec):
     def site_cardinality(self, j: int) -> int:
         return 2
 
-    def potential(self, x, q) -> float:
+    def potential(self, x, q):
         s = 2.0 * x - 1.0
-        return -(0.5 * float(s @ (self.spec.W @ s)) + float(self.spec.b @ s))
+        u = -(0.5 * np.einsum("...i,ij,...j->...", s, self.spec.W, s)
+              + np.einsum("...i,i->...", s, self.spec.b))
+        return float(u) if x.ndim == 1 else u
 
     def grad_q(self, x, q) -> np.ndarray:
-        return np.zeros(0)
+        return np.zeros(x.shape[:-1] + (0,))
 
     def site_cond_neglogp(self, j, x, q) -> np.ndarray:
+        # U(s_j = sigma) = const - sigma * h with local field h = W[j] s + b[j]
+        # (the diagonal of W is zero), so values (-1, +1) weigh (h, -h).
         s = 2.0 * x - 1.0
-        # Local field excludes the diagonal (it is zero by construction).
-        h = float(self.spec.W[j] @ s) + self.spec.b[j]
-        u_cur = self.potential(x, q)
-        s_cur = s[j]
-        # U(s_j = sigma) = U_cur - (sigma - s_cur) * h
-        return np.array([u_cur - (-1.0 - s_cur) * h, u_cur - (1.0 - s_cur) * h])
+        h = (self.spec.W[j] * s).sum(axis=-1) + self.spec.b[j]
+        return h[..., None] * _SIGNS
 
     def initial_point(self, rng: ChainRng) -> MixedPoint:
         x = (rng.uniform(self.spec.n_sites) < 0.5).astype(np.int64)

@@ -65,7 +65,7 @@ class BlrDataset:
 
 def _softplus(t):
     # log(1 + exp(t)), overflow safe
-    return np.logaddexp(0.0, t)
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 class BlrVarsel(ModelSpec):
@@ -75,10 +75,13 @@ class BlrVarsel(ModelSpec):
          + sum_i [ softplus(t_i) - y_i t_i ]``  with ``t = X (beta * gamma)``.
     """
 
+    row_stacked = True
+
     def __init__(self, spec: BlrVarselSpec):
         self.spec = spec
         self._d = spec.X.shape[1]
         self._prior_const = 0.5 * self._d * np.log(2.0 * np.pi * spec.prior_var)
+        self._Xt = np.ascontiguousarray(spec.X.T)
 
     @property
     def n_discrete(self) -> int:
@@ -92,28 +95,35 @@ class BlrVarsel(ModelSpec):
         return 2
 
     def _predictor(self, gamma, beta):
-        return self.spec.X @ (beta * gamma)
+        # One vector-matrix product per row: unlike one (C, d) @ (d, n)
+        # product, each row's sums do not depend on the other rows.
+        return np.matmul((beta * gamma)[..., None, :], self._Xt)[..., 0, :]
 
     def _nll(self, t):
-        return float(np.sum(_softplus(t) - self.spec.y * t))
+        return np.sum(_softplus(t) - self.spec.y * t, axis=-1)
 
-    def potential(self, x, q) -> float:
-        t = self._predictor(x, q)
-        prior = 0.5 * float(q @ q) / self.spec.prior_var + self._prior_const
-        return prior + self._nll(t)
+    def _prior(self, q):
+        return (0.5 * np.einsum("...d,...d->...", q, q) / self.spec.prior_var
+                + self._prior_const)
+
+    def potential(self, x, q):
+        u = self._prior(q) + self._nll(self._predictor(x, q))
+        return float(u) if x.ndim == 1 else u
 
     def grad_q(self, x, q) -> np.ndarray:
         t = self._predictor(x, q)
         p = 1.0 / (1.0 + np.exp(-t))
-        return q / self.spec.prior_var - x * (self.spec.X.T @ (self.spec.y - p))
+        r = (self.spec.y - p)[..., None, :]
+        return q / self.spec.prior_var - x * np.matmul(r, self.spec.X)[..., 0, :]
 
     def site_cond_neglogp(self, j, x, q) -> np.ndarray:
         # Rank-one update of the linear predictor: only column j toggles.
+        j = np.asarray(j)[..., None]
         t = self._predictor(x, q)
-        col = self.spec.X[:, j] * q[j]
-        t_off = t - x[j] * col
-        prior = 0.5 * float(q @ q) / self.spec.prior_var + self._prior_const
-        return np.array([prior + self._nll(t_off), prior + self._nll(t_off + col)])
+        col = self._Xt[j[..., 0]] * np.take_along_axis(q, j, axis=-1)
+        t_off = t - np.take_along_axis(x, j, axis=-1) * col
+        both = np.stack([t_off, t_off + col], axis=-2)
+        return self._prior(q)[..., None] + self._nll(both)
 
     def initial_point(self, rng: ChainRng) -> MixedPoint:
         gamma = (rng.uniform(self._d) < 0.5).astype(np.int64)

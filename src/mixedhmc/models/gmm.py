@@ -60,13 +60,15 @@ class GaussianMixture(ModelSpec):
                                      + 0.5 (q_d - mu_zd)^2 / var_zd ]``.
     """
 
+    row_stacked = True
+
     def __init__(self, spec: GmmSpec):
         self.spec = spec
         self._neg_log_w = -np.log(spec.weights)
         self._inv_var = 1.0 / spec.variances
         self._log_norm = 0.5 * np.sum(_LOG_2PI + np.log(spec.variances), axis=1)
         self._const = self._neg_log_w + self._log_norm
-        # scalar fast path for one continuous dimension
+        # elementwise fast path for one continuous dimension
         self._dim1 = spec.dim == 1
         if self._dim1:
             self._mu_flat = spec.means[:, 0].copy()
@@ -83,22 +85,23 @@ class GaussianMixture(ModelSpec):
     def site_cardinality(self, j: int) -> int:
         return self.spec.n_components
 
-    def potential(self, x, q) -> float:
-        z = x[0]
+    def potential(self, x, q):
+        z = x[..., 0]
         d = q - self.spec.means[z]
-        return (self._neg_log_w[z] + self._log_norm[z]
-                + 0.5 * float(d @ (d * self._inv_var[z])))
+        u = self._const[z] + 0.5 * np.einsum("...d,...d->...", d,
+                                             d * self._inv_var[z])
+        return float(u) if x.ndim == 1 else u
 
     def grad_q(self, x, q) -> np.ndarray:
-        z = x[0]
+        z = x[..., 0]
         return (q - self.spec.means[z]) * self._inv_var[z]
 
     def site_cond_neglogp(self, j, x, q) -> np.ndarray:
         if self._dim1:
-            d = q[0] - self._mu_flat
+            d = q[..., :1] - self._mu_flat
             return self._const + d * d * self._half_inv_flat
-        d = q - self.spec.means
-        quad = np.einsum("kd,kd->k", d, d * self._inv_var)
+        d = q[..., None, :] - self.spec.means
+        quad = np.einsum("...kd,...kd->...k", d, d * self._inv_var)
         return self._const + 0.5 * quad
 
     def exact_sample(self, rng: ChainRng, n: int) -> np.ndarray:

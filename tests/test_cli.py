@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import mixedhmc
-from mixedhmc.cli import main
-from mixedhmc.runner import resolve_threads
+import mixedhmc.models
+from mixedhmc.cli import main, write_samples_csv
+from mixedhmc.runner import chain_batches, resolve_threads
 
 
 def write_config(tmp_path, **overrides):
@@ -146,6 +147,78 @@ class TestRun:
         assert "divergence rate" in capsys.readouterr().err
 
 
+class TestDeterminismAcrossWorkers:
+    """The samples CSV is byte-identical for one and two workers; with 9
+    chains the two workers step batches of 5 and 4 in lockstep."""
+
+    @pytest.mark.parametrize("model,kernel", [
+        ({"type": "gmm1d"},
+         {"type": "laplace", "epsilon": 0.5, "T": 4.5, "L": 18, "n_D": 1}),
+        ({"type": "blr", "seed": 0, "n": 100, "d": 20},
+         {"type": "laplace", "epsilon": 0.15, "T": 3.0, "L": 20, "n_D": 1}),
+        ({"type": "gmm24"},
+         {"type": "laplace", "epsilon": 1.7, "T": 136.0, "L": 80, "n_D": 1}),
+    ], ids=["gmm1d", "blr", "gmm24"])
+    def test_threads_1_and_2_byte_identical(self, tmp_path, model, kernel):
+        cfg = write_config(tmp_path, model=model, kernel=kernel,
+                           run={"chains": 9, "burn_in": 5, "samples": 30,
+                                "seed": 8})
+        data = []
+        for threads in ("1", "2"):
+            out = os.path.join(tmp_path, threads)
+            assert main(["run", "--config", cfg, "--out-dir", out,
+                         "--threads", threads]) == 0
+            with open(os.path.join(out, "samples.csv"), "rb") as fh:
+                data.append(fh.read())
+        assert data[0] == data[1]
+        assert data[0].count(b"\n") == 1 + 9 * 30
+
+
+class TestAtomicWrites:
+    def test_failed_csv_write_leaves_no_file(self, tmp_path):
+        class Broken:
+            """A chain output whose second row cannot be read."""
+            n_samples = 2
+            accept_trace = np.ones(2, dtype=bool)
+
+            class samples:
+                def __getitem__(self, i):
+                    if i:
+                        raise RuntimeError("lost row")
+                    return np.zeros(2)
+            samples = samples()
+
+        model = mixedhmc.models.gmm1d_preset()
+        path = os.path.join(tmp_path, "samples.csv")
+        with pytest.raises(RuntimeError, match="lost row"):
+            write_samples_csv(path, [Broken()], model)
+        assert os.listdir(tmp_path) == []
+
+        # An earlier complete file survives a failed rewrite.
+        with open(path, "w") as fh:
+            fh.write("old\n")
+        with pytest.raises(RuntimeError, match="lost row"):
+            write_samples_csv(path, [Broken()], model)
+        assert os.listdir(tmp_path) == ["samples.csv"]
+        assert read_rows(path) == ["old"]
+
+    def test_failed_summary_write_fails_run_and_leaves_no_file(
+            self, tmp_path, monkeypatch, capsys):
+        def dump(obj, fh, **kwargs):
+            fh.write('{"partial": ')
+            raise OSError("disk full")
+
+        cfg = write_config(tmp_path, run={"chains": 1, "burn_in": 0,
+                                          "samples": 10, "seed": 1})
+        monkeypatch.setattr(json, "dump", dump)
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--out-dir", out,
+                     "--threads", "1"]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["samples.csv"]
+        assert len(read_rows(os.path.join(out, "samples.csv"))) == 11
+
+
 class TestConfigValidation:
     def test_missing_required_field_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, kernel={"type": "laplace", "T": 1.0,
@@ -233,3 +306,14 @@ class TestThreads:
         monkeypatch.setenv("MHMC_THREADS", "3")
         assert resolve_threads(None, 8) == 3
         assert resolve_threads(1, 8) == 1
+
+    def test_laplace_batches_hold_at_least_four_chains(self):
+        assert chain_batches("laplace", 4, 4) == [[0, 1, 2, 3]]
+        assert chain_batches("laplace", 9, 4) == [[0, 1, 2, 3, 4],
+                                                   [5, 6, 7, 8]]
+        assert chain_batches("laplace", 48, 2) == [list(range(24)),
+                                                   list(range(24, 48))]
+        assert chain_batches("laplace", 2, 2) == [[0, 1]]
+        # The other kernels run chains one after another: one per worker.
+        assert chain_batches("general", 4, 4) == [[0], [1], [2], [3]]
+        assert chain_batches("gibbs", 5, 2) == [[0, 1, 2], [3, 4]]

@@ -13,7 +13,8 @@ from mixedhmc import (
     default_proposal_sample,
     delta_E,
 )
-from mixedhmc.core import forced_delta, propose_and_delta
+from mixedhmc.core import (NonFiniteWeightsError, forced_delta,
+                           informed_rows, propose_and_delta)
 from mixedhmc.models import gmm1d_preset, random_binary_quadratic
 
 
@@ -292,6 +293,24 @@ class TestFastPaths:
         d_ref = delta_E(x, xt, q, lf, lb, model)
         assert d_ref == pytest.approx(800.0, rel=1e-12)
         assert d_fast == pytest.approx(d_ref, abs=1e-10)
+
+    def test_propose_and_delta_raises_on_no_finite_alternative(self):
+        """Zero or NaN weight on every other value is a NonFiniteWeightsError
+        (counted as a divergence by the kernels); the rows of a batch call
+        report it row by row."""
+        for offsets in ([0.0, np.inf, np.inf], [0.0, np.nan, np.inf]):
+            model = ShiftingSite([0.0, 1.0, 2.0], offsets)
+            with pytest.raises(NonFiniteWeightsError):
+                propose_and_delta(0, np.array([0]), np.array([0.3]), model,
+                                  ChainRng(0, 2))
+        model = ShiftingSite([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        x = np.array([[0], [0]])
+        q = np.array([[0.3], [0.3]])
+        neglogp = np.array([[0.0, np.inf, np.inf], [0.0, 0.5, 1.0]])
+        new, delta, ok = informed_rows(np.zeros(2, dtype=np.int64), x, q,
+                                       model, neglogp, np.array([0.5, 0.5]))
+        assert ok.tolist() == [False, True]
+        assert new[1] in (1, 2) and np.isfinite(delta[1])
 
     def test_forced_delta_matches(self):
         model = gmm1d_preset()

@@ -3,6 +3,7 @@ import pytest
 
 from mixedhmc import (
     ChainRng,
+    DegenerateSiteError,
     KineticEnergy,
     LaplaceKernelParams,
     MixedPoint,
@@ -12,10 +13,13 @@ from mixedhmc import (
     run_chain,
     run_chain_general,
 )
+from mixedhmc.kernels_laplace import laplace_step_batch, run_chain_batch
 from mixedhmc.diagnostics import ks_two_sample
 from mixedhmc.models import (
+    BlrVarsel,
     GaussianMixture,
     binary_quadratic_enumerate,
+    blr_generate,
     gmm1d_preset,
     gmm24_preset,
     random_binary_quadratic,
@@ -98,6 +102,68 @@ class ShapeBugMixture(GaussianMixture):
     def site_cond_neglogp(self, j, x, q):
         d = q - self.spec.means
         return self._const + 0.5 * (d * d * self._inv_var).sum(axis=0)
+
+
+class CliffMixture(GaussianMixture):
+    """The 1D mixture with zero conditional weights beyond q = 4.6, above the
+    top component: chains there diverge mid-trajectory, others do not."""
+
+    def site_cond_neglogp(self, j, x, q):
+        w = super().site_cond_neglogp(j, x, q)
+        return np.where(q[..., :1] > 4.6, np.inf, w)
+
+
+class CliffWell(ModelSpec):
+    """Harmonic well with a 3-value site, called one row at a time; its
+    conditional weights vanish for |q| > 1.6."""
+
+    @property
+    def n_discrete(self):
+        return 1
+
+    @property
+    def n_continuous(self):
+        return 1
+
+    def site_cardinality(self, j):
+        return 3
+
+    def potential(self, x, q):
+        return 0.5 * q[0] ** 2 + 0.3 * x[0]
+
+    def grad_q(self, x, q):
+        return q.copy()
+
+    def site_cond_neglogp(self, j, x, q):
+        if abs(q[0]) > 1.6:
+            return np.full(3, np.inf)
+        return 0.5 * q[0] ** 2 + 0.3 * np.arange(3.0)
+
+
+class MixedSites(ModelSpec):
+    """Sites of 2, 3 and 4 values coupled to one coordinate, called one row
+    at a time; a batch mixes flips with informed proposals."""
+
+    levels = (np.array([0.0, 0.7]), np.array([0.0, -0.4, 0.9]),
+              np.array([0.3, 0.0, -0.5, 0.8]))
+
+    @property
+    def n_discrete(self):
+        return 3
+
+    @property
+    def n_continuous(self):
+        return 1
+
+    def site_cardinality(self, j):
+        return len(self.levels[j])
+
+    def potential(self, x, q):
+        shift = sum(lv[v] for lv, v in zip(self.levels, x))
+        return 0.5 * (q[0] - shift) ** 2 + 0.2 * float(x.sum())
+
+    def grad_q(self, x, q):
+        return q - sum(lv[v] for lv, v in zip(self.levels, x))
 
 
 class TestStepSchedule:
@@ -289,6 +355,17 @@ class TestRunChain:
         assert out.divergence_count > 0
         assert out.samples.shape == (100, 2)
 
+    def test_degenerate_site_raises(self):
+        class OneValueSite(FlatModel):
+            def site_cardinality(self, j):
+                return 1 if j == 1 else 2
+
+        model = OneValueSite(n_discrete=2, n_continuous=1)
+        pt = MixedPoint(np.array([1, 0]), np.zeros(1))
+        with pytest.raises(DegenerateSiteError):
+            laplace_step(pt, LaplaceKernelParams(epsilon=0.2, T=1.0, L=2),
+                         model, ChainRng(25, 0))
+
     def test_model_bug_raises_instead_of_diverging(self):
         """Only non-finite conditional weights count as divergences; a
         broadcasting error in model code reaches the caller from both
@@ -302,6 +379,97 @@ class TestRunChain:
         with pytest.raises(ValueError, match="broadcast"):
             run_chain_general(init, 1.0, model, KineticEnergy(1.0), 1.0, 0.5,
                               0, 50, rng)
+
+
+BATCH_CASES = [
+    ("cliff_mixture", CliffMixture(gmm1d_preset().spec),
+     LaplaceKernelParams(epsilon=0.5, T=4.5, L=18), True),
+    ("cliff_well", CliffWell(),
+     LaplaceKernelParams(epsilon=0.3, T=3.0, L=4), True),
+    ("mixed_sites", MixedSites(),
+     LaplaceKernelParams(epsilon=0.3, T=2.0, L=6, n_D=2), False),
+    ("blr", BlrVarsel(blr_generate(5, n=40, d=6).spec),
+     LaplaceKernelParams(epsilon=0.2, T=2.0, L=6, n_D=2), False),
+    ("binary", random_binary_quadratic(5, ChainRng(19, 0)),
+     LaplaceKernelParams(epsilon=1.0, T=1.0, L=5), False),
+    ("gmm24_mass", gmm24_preset(),
+     LaplaceKernelParams(epsilon=1.7, T=13.6, L=8,
+                         mass_diag=np.linspace(0.5, 2.0, 24)), False),
+]
+
+
+class TestBatchIsolation:
+    @pytest.mark.parametrize("name,model,params,diverges", BATCH_CASES,
+                             ids=[c[0] for c in BATCH_CASES])
+    def test_batch_of_five_matches_chains_alone(self, name, model, params,
+                                                diverges):
+        """Each chain's states and step stats are bit-identical whether it
+        steps alone or in a lockstep batch of 5, also when batch-mates
+        diverge on non-finite weights mid-trajectory."""
+        n, steps = 5, 40
+        init_rngs = [ChainRng(20, c) for c in range(n)]
+        inits = [model.initial_point(r) if hasattr(model, "initial_point")
+                 else MixedPoint(np.full(model.n_discrete, c % 2),
+                                 np.array([0.4 * c - 0.8]))
+                 for c, r in enumerate(init_rngs)]
+        alone = [init.copy() for init in inits]
+        alone_rngs = [ChainRng(21, c) for c in range(n)]
+        batch_rngs = [ChainRng(21, c) for c in range(n)]
+        x = np.array([p.x for p in inits])
+        q = np.array([p.q for p in inits]).reshape(n, model.n_continuous)
+        mixed_steps = 0
+        for _ in range(steps):
+            x, q, stats = laplace_step_batch(x, q, params, model, batch_rngs)
+            for c in range(n):
+                alone[c], st = laplace_step(alone[c], params, model,
+                                            alone_rngs[c])
+                assert np.array_equal(x[c], alone[c].x)
+                assert np.array_equal(q[c], alone[c].q)
+                assert stats.accepted[c] == st.accepted
+                assert stats.divergent[c] == st.divergent
+                assert stats.n_discrete_accepts[c] == st.n_discrete_accepts
+                assert stats.n_grad_evals[c] == st.n_grad_evals
+                assert np.array_equal(stats.energy_error[c], st.energy_error,
+                                      equal_nan=True)
+            mixed_steps += 0 < stats.divergent.sum() < n
+        if diverges:
+            # Batch-mates of a frozen chain went on in the same step.
+            assert mixed_steps > 0
+        else:
+            assert mixed_steps == 0
+
+    def test_run_chain_batch_matches_run_chain(self):
+        model, params = BATCH_CASES[0][1], BATCH_CASES[0][2]
+        inits = [model.initial_point(ChainRng(22, c)) for c in range(5)]
+        outs = run_chain_batch(inits, params, model, 10, 60,
+                               [ChainRng(23, c) for c in range(5)])
+        assert sum(o.divergence_count for o in outs) > 0
+        for c, out in enumerate(outs):
+            solo = run_chain(inits[c], params, model, 10, 60,
+                             ChainRng(23, c))
+            assert np.array_equal(out.samples, solo.samples)
+            assert np.array_equal(out.accept_trace, solo.accept_trace)
+            assert out.divergence_count == solo.divergence_count
+
+    def test_noise_record_replays_scalar_draws(self):
+        """A step that does not diverge reads exactly the draws of the
+        scalar sequence: site energies, momenta, visiting order, schedule,
+        one uniform per proposal at a site with more than 2 values, then
+        the Metropolis uniform."""
+        model = CliffWell()
+        params = LaplaceKernelParams(epsilon=0.3, T=1.0, L=4)
+        rng = ChainRng(24, 0)
+        clone = ChainRng(24, 0)
+        pt = MixedPoint(np.array([1]), np.array([0.1]))
+        _, stats = laplace_step(pt, params, model, rng)
+        assert not stats.divergent
+        clone.exponential(1)
+        clone.normal(1)
+        clone.permutation(1)
+        get_step_sizes_n_steps(params, 1, clone)
+        for _ in range(params.L + 1):
+            clone.uniform()
+        assert rng.uniform() == clone.uniform()
 
 
 class TestStationarity:

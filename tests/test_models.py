@@ -115,6 +115,43 @@ class TestSiteConditionals:
                 assert abs(lhs - rhs) < 1e-10
 
 
+class TestRowStacks:
+    """Row-stacked calls give, bit for bit, the rows of single-state calls,
+    whatever the batch size."""
+
+    @pytest.mark.parametrize("name,model", ALL_MODELS)
+    def test_rows_bit_identical_across_batch_sizes(self, name, model):
+        assert model.row_stacked
+        rng = ChainRng(47, 0)
+        states = [random_state(model, rng) for _ in range(48)]
+        x = np.array([s[0] for s in states]).reshape(48, model.n_discrete)
+        q = np.array([s[1] for s in states]).reshape(48, model.n_continuous)
+        j = np.array([int(rng.uniform() * model.n_discrete)
+                      for _ in range(48)])
+        single = {
+            "potential": np.array([model.potential(x[r], q[r])
+                                   for r in range(48)]),
+            "grad_q": np.array([model.grad_q(x[r], q[r])
+                                for r in range(48)]).reshape(48, -1),
+            "site_cond_neglogp": np.array([
+                model.site_cond_neglogp(int(j[r]), x[r], q[r])
+                for r in range(48)]),
+        }
+        for c in (1, 3, 48):
+            for start in range(0, 48, c):
+                rows = slice(start, start + c)
+                got = {
+                    "potential": model.potential(x[rows], q[rows]),
+                    "grad_q": model.grad_q(x[rows], q[rows]),
+                    "site_cond_neglogp": model.site_cond_neglogp(
+                        j[rows], x[rows], q[rows]),
+                }
+                for method, want in single.items():
+                    assert got[method].shape == want[rows].shape, method
+                    assert np.array_equal(got[method], want[rows]), \
+                        (method, c, start)
+
+
 class TestBlr:
     def test_generated_design_covariance(self):
         data = blr_generate(17, n=10_000, d=20)
