@@ -21,8 +21,6 @@ from .kernels_general import (
 )
 from .kernels_laplace import (
     LaplaceKernelParams,
-    StepSchedule,
-    StepStats,
     get_step_sizes_n_steps,
     laplace_step,
     run_chain,
@@ -48,8 +46,6 @@ __all__ = [
     "MixedPoint",
     "ModelSpec",
     "NaiveParams",
-    "StepSchedule",
-    "StepStats",
     "default_proposal_sample",
     "delta_E",
     "ess",

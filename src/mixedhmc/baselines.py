@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MixedPoint, ModelSpec, propose_and_delta
+from .core import MixedPoint, ModelSpec, check_positive, propose_and_delta
 from .diagnostics import ChainOutput, drive_chains
 from .models.gmm import GaussianMixture
 from .rng import ChainRng
 
 __all__ = [
+    "GibbsParams",
     "NaiveParams",
     "naive_mixed_hmc_step",
     "run_naive_chain",
@@ -44,10 +45,17 @@ class NaiveParams:
     use_k: bool = True
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
+        check_positive(self)
+
+
+@dataclass(frozen=True)
+class GibbsParams:
+    """Scale of the Gaussian random-walk move on the continuous block."""
+
+    rw_scale: float
+
+    def __post_init__(self):
+        check_positive(self)
 
 
 def _gmm1d_tables(model: GaussianMixture):

@@ -10,10 +10,12 @@ full schema.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
+import typing
 import warnings
 
 import numpy as np
@@ -31,7 +33,7 @@ from .models import (
     random_binary_quadratic,
 )
 from .rng import ChainRng
-from .runner import resolve_threads, run_chains
+from .runner import KERNELS, kernel_params, resolve_threads, run_chains
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -56,6 +58,14 @@ def _get(section: dict, path: str, key: str, kind, required=False, default=None)
     return value
 
 
+def _section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: expected an object, "
+                          f"got {type(section).__name__}")
+    return section
+
+
 def _positive(value, path, key):
     if value is None or value <= 0:
         raise ConfigError(f"{path}.{key}: must be positive")
@@ -67,23 +77,27 @@ def build_model(section: dict):
     if mtype == "gmm1d" or mtype == "gmm24":
         model = gmm1d_preset() if mtype == "gmm1d" else gmm24_preset()
         if any(k in section for k in ("weights", "means", "variances")):
-            spec = model.spec
-            weights = np.asarray(section.get("weights", spec.weights), dtype=float)
-            means = np.asarray(section.get("means", spec.means), dtype=float)
-            variances = np.asarray(section.get("variances", spec.variances),
-                                   dtype=float)
+            parts = {}
+            for key in ("weights", "means", "variances"):
+                try:
+                    parts[key] = np.asarray(
+                        section.get(key, getattr(model.spec, key)), dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"model.{key}: {exc}") from None
             try:
-                model = GaussianMixture(GmmSpec(weights, means, variances))
+                model = GaussianMixture(GmmSpec(**parts))
             except ValueError as exc:
                 raise ConfigError(f"model: invalid GMM override: {exc}") from exc
         return model
     if mtype == "blr":
-        csv_path = section.get("csv_path")
+        csv_path = _get(section, "model", "csv_path", str)
         if csv_path:
             try:
                 return BlrVarsel(blr_dataset_from_csv(csv_path))
             except OSError as exc:
                 raise ConfigError(f"model.csv_path: cannot read: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"model.csv_path: bad content: {exc}") from exc
         seed = _get(section, "model", "seed", int, default=0)
         n = _positive(_get(section, "model", "n", int, default=100), "model", "n")
         d = _positive(_get(section, "model", "d", int, default=20), "model", "d")
@@ -98,63 +112,29 @@ def build_model(section: dict):
 
 
 def build_kernel(section: dict, model):
-    ktype = _get(section, "kernel", "type", str, required=True)
-    if ktype == "laplace":
-        kw = {
-            "epsilon": _positive(_get(section, "kernel", "epsilon", float,
-                                      required=True), "kernel", "epsilon"),
-            "T": _positive(_get(section, "kernel", "T", float, required=True),
-                           "kernel", "T"),
-            "L": _positive(_get(section, "kernel", "L", int, required=True),
-                           "kernel", "L"),
-            "n_D": _positive(_get(section, "kernel", "n_D", int, default=1),
-                             "kernel", "n_D"),
-        }
-        if "mass_diag" in section:
-            try:
-                mass = np.asarray(section["mass_diag"], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"kernel.mass_diag: {exc}") from exc
-            if mass.shape != (model.n_continuous,) or not np.all(mass > 0):
-                raise ConfigError(f"kernel.mass_diag: expected a list of "
-                                  f"{model.n_continuous} positive entries, one "
-                                  "per continuous coordinate")
-            kw["mass_diag"] = mass
-        if model.n_discrete >= 1 and kw["n_D"] > model.n_discrete:
-            raise ConfigError("kernel.n_D: exceeds the model's discrete sites")
-        return "laplace", kw
-    if ktype == "general":
-        kw = {
-            "T": _positive(_get(section, "kernel", "T", float, required=True),
-                           "kernel", "T"),
-            "beta": _positive(_get(section, "kernel", "beta", float, default=1.0),
-                              "kernel", "beta"),
-            "tau": _positive(_get(section, "kernel", "tau", float, default=1.0),
-                             "kernel", "tau"),
-            "integrator_eps": _positive(
-                _get(section, "kernel", "integrator_eps", float, default=0.1),
-                "kernel", "integrator_eps"),
-            "resample_positions": _get(section, "kernel", "resample_positions",
-                                       bool, default=True),
-        }
-        return "general", kw
-    if ktype == "naive":
-        if not isinstance(model, GaussianMixture) or model.n_continuous != 1:
-            raise ConfigError("kernel.type: naive kernel requires a 1D GMM model")
-        kw = {
-            "epsilon": _positive(_get(section, "kernel", "epsilon", float,
-                                      required=True), "kernel", "epsilon"),
-            "L": _positive(_get(section, "kernel", "L", int, required=True),
-                           "kernel", "L"),
-            "use_k": _get(section, "kernel", "use_k", bool, default=True),
-        }
-        return "naive", kw
-    if ktype == "gibbs":
-        kw = {"rw_scale": _positive(_get(section, "kernel", "rw_scale", float,
-                                         required=True), "kernel", "rw_scale")}
-        return "gibbs", kw
-    raise ConfigError(f"kernel.type: unknown type {ktype!r} "
-                      "(expected laplace|general|naive|gibbs)")
+    """The kernel kind and its params object, read from the fields of the
+    kind's params class in :data:`KERNELS`; any other key is rejected."""
+    kind = _get(section, "kernel", "type", str, required=True)
+    if kind not in KERNELS:
+        raise ConfigError(f"kernel.type: unknown type {kind!r} "
+                          f"(expected {'|'.join(KERNELS)})")
+    cls = KERNELS[kind]
+    hints = typing.get_type_hints(cls)  # each field's name and type
+    for key in section:
+        if key != "type" and key not in hints:
+            raise ConfigError(f"kernel.{key}: not a setting of the {kind} "
+                              f"kernel (expected one of {', '.join(hints)})")
+    settings = {}
+    for f in dataclasses.fields(cls):
+        if f.name in section or f.default is dataclasses.MISSING:
+            hint = hints[f.name]
+            settings[f.name] = (
+                _get(section, "kernel", f.name, hint, required=True)
+                if hint in (bool, float, int) else section[f.name])
+    try:
+        return kind, kernel_params(kind, model, settings)
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError(f"kernel.{exc}") from None
 
 
 def parse_run_section(section: dict):
@@ -167,6 +147,8 @@ def parse_run_section(section: dict):
     if samples < 0:
         raise ConfigError("run.samples: must be >= 0")
     seed = _get(section, "run", "seed", int, default=0)
+    if seed < 0:
+        raise ConfigError("run.seed: must be >= 0")
     return chains, burn_in, samples, seed
 
 
@@ -270,17 +252,17 @@ def cmd_run(args) -> int:
     try:
         if not isinstance(config, dict):
             raise ConfigError("config: top level must be a JSON object")
-        model = build_model(config.get("model", {}))
-        kind, kernel_kwargs = build_kernel(config.get("kernel", {}), model)
-        chains, burn_in, samples, seed = parse_run_section(config.get("run", {}))
+        model = build_model(_section(config, "model"))
+        kind, params = build_kernel(_section(config, "kernel"), model)
+        run = dict(_section(config, "run"))
+        for key in ("chains", "seed"):  # flags override, and pass the checks
+            if getattr(args, key) is not None:
+                run[key] = getattr(args, key)
+        chains, burn_in, samples, seed = parse_run_section(run)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    if args.chains is not None:
-        chains = args.chains
-    if args.seed is not None:
-        seed = args.seed
     threads = resolve_threads(args.threads, chains)
 
     out_section = config.get("output", {})
@@ -291,8 +273,8 @@ def cmd_run(args) -> int:
                                                          "summary.json"))
 
     t_start = time.perf_counter()
-    outputs = run_chains(kind, model, kernel_kwargs, chains, burn_in, samples,
-                         seed, threads=threads)
+    outputs = run_chains(kind, model, params, chains, burn_in, samples, seed,
+                         threads=threads)
     wall = time.perf_counter() - t_start
 
     summary = build_summary(config, model, outputs, seed, wall)

@@ -11,7 +11,7 @@ component, inclusion indicator, spin).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "KineticEnergy",
     "DegenerateSiteError",
     "NonFiniteWeightsError",
+    "check_positive",
     "default_proposal_sample",
     "delta_E",
     "leapfrog",
@@ -38,6 +39,16 @@ class DegenerateSiteError(ValueError):
 
 class NonFiniteWeightsError(ValueError):
     """No finite proposal at a site; the kernels count it as a divergence."""
+
+
+def check_positive(params) -> None:
+    """Raise ``ValueError("<field>: must be positive")`` for the first numeric
+    field of the dataclass ``params`` that is not positive everywhere."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not (value is None or isinstance(value, bool)
+                or np.all(np.asarray(value) > 0)):
+            raise ValueError(f"{f.name}: must be positive")
 
 
 @dataclass

@@ -96,25 +96,13 @@ def _split_chains(chains: np.ndarray) -> np.ndarray:
     return np.vstack([chains[:, :half], chains[:, n - half:]])
 
 
-def _rank_normalize(chains: np.ndarray) -> np.ndarray:
-    from scipy.stats import norm
-
-    flat = chains.reshape(-1)
-    ranks = np.argsort(np.argsort(flat)) + 1.0
-    z = norm.ppf((ranks - 0.375) / (flat.size + 0.25))
-    return z.reshape(chains.shape)
-
-
-def ess(chains, rank_normalized: bool = False) -> float:
+def ess(chains) -> float:
     """Multi-chain effective sample size of one dimension.
 
     Parameters
     ----------
     chains : sequence of 1D arrays
         Per-chain sample vectors, equal lengths >= 8.
-    rank_normalized : bool
-        Apply rank normalization before estimating (off by default; the
-        raw-scale estimate is simpler to audit).
 
     Returns
     -------
@@ -133,8 +121,6 @@ def ess(chains, rank_normalized: bool = False) -> float:
         return float(n_total)
 
     arr = _split_chains(arr)
-    if rank_normalized:
-        arr = _rank_normalize(arr)
     m, n = arr.shape
 
     acov = np.vstack([_autocov(arr[c]) for c in range(m)])

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DIVERGENCE_MAX, KineticEnergy, MixedPoint, ModelSpec,
-                   NonFiniteWeightsError, leapfrog, propose_and_delta)
+                   NonFiniteWeightsError, check_positive, leapfrog,
+                   propose_and_delta)
 from .diagnostics import ChainOutput, drive_chains
 from .kernels_laplace import StepStats
 from .rng import ChainRng
 
 __all__ = [
     "AuxiliaryState",
+    "GeneralParams",
     "initial_hit_time",
     "refract",
     "general_step",
@@ -32,6 +34,22 @@ __all__ = [
 ]
 
 _MAX_EVENTS = 10_000_000
+
+
+@dataclass(frozen=True)
+class GeneralParams:
+    """Settings of :func:`run_chain_general`: travel time ``T``, clock
+    kinetic energy ``|p|^beta``, circumference ``tau``, largest leapfrog
+    step ``integrator_eps``, and whether clocks are redrawn each step."""
+
+    T: float
+    beta: float = 1.0
+    tau: float = 1.0
+    integrator_eps: float = 0.1
+    resample_positions: bool = True
+
+    def __post_init__(self):
+        check_positive(self)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (DIVERGENCE_MAX, DegenerateSiteError, MixedPoint, ModelSpec,
-                   informed_rows, leapfrog, row_method)
+                   check_positive, informed_rows, leapfrog, row_method)
 # Not called here, but perfbench/tracer.py wraps the kernels' proposal by
 # this module attribute.
 from .core import propose_and_delta  # noqa: F401
@@ -39,11 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LaplaceKernelParams:
-    """Tuning knobs: max leapfrog step ``epsilon``, total travel time ``T``,
+    """Settings: max leapfrog step ``epsilon``, total travel time ``T``,
     ``L`` rounds of discrete updates, ``n_D`` sites updated per round.
 
     ``mass_diag`` optionally scales the continuous kinetic energy
-    ``sum_i p_i^2 / (2 m_i)`` (identity by default).
+    ``sum_i p_i^2 / (2 m_i)`` (identity by default).  A bad value raises
+    ``ValueError("<field>: ...")``.
     """
 
     epsilon: float
@@ -53,30 +54,24 @@ class LaplaceKernelParams:
     mass_diag: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
-        if self.n_D < 1:
-            raise ValueError("n_D must be >= 1")
         if self.mass_diag is not None:
-            m = np.asarray(self.mass_diag, dtype=np.float64)
-            if np.any(m <= 0):
-                raise ValueError("mass_diag entries must be positive")
+            try:
+                m = np.asarray(self.mass_diag, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"mass_diag: {exc}") from None
             object.__setattr__(self, "mass_diag", m)
+        check_positive(self)
 
     def validate_for(self, n_sites: int,
                      n_continuous: Optional[int] = None) -> None:
         """Raise ValueError if these params do not fit a model with
         ``n_sites`` discrete sites and ``n_continuous`` coordinates."""
         if n_sites >= 1 and self.n_D > n_sites:
-            raise ValueError(f"n_D={self.n_D} exceeds the {n_sites} discrete sites")
+            raise ValueError(f"n_D: {self.n_D} exceeds the {n_sites} discrete sites")
         if (n_continuous is not None and self.mass_diag is not None
                 and self.mass_diag.shape != (n_continuous,)):
-            raise ValueError(f"mass_diag has shape {self.mass_diag.shape}, "
-                             f"expected ({n_continuous},)")
+            raise ValueError(f"mass_diag: shape {self.mass_diag.shape}, expected"
+                             f" one entry per coordinate, ({n_continuous},)")
 
 
 @dataclass

@@ -173,7 +173,7 @@ def blr_dataset_to_csv(spec: BlrVarselSpec, path) -> None:
 def blr_dataset_from_csv(path, prior_var: float = 25.0) -> BlrVarselSpec:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[0] != "y":
             raise ValueError(f"unexpected CSV header: {header!r}")
         rows = [row for row in reader if row]

@@ -12,16 +12,20 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .baselines import NaiveParams, run_gibbs_chain, run_naive_chain
+from .baselines import (GibbsParams, NaiveParams, run_gibbs_chain,
+                        run_naive_chain)
 from .core import KineticEnergy, MixedPoint, ModelSpec
-from .kernels_general import run_chain_general
+from .kernels_general import GeneralParams, run_chain_general
 from .kernels_laplace import LaplaceKernelParams, run_chain_batch
+from .models import GaussianMixture
 from .rng import ChainRng
 
-__all__ = ["chain_batches", "default_init", "random_point", "run_chains",
-           "resolve_threads"]
+__all__ = ["KERNELS", "chain_batches", "default_init", "kernel_params",
+           "random_point", "run_chains", "resolve_threads"]
 
-KERNEL_KINDS = ("laplace", "general", "naive", "gibbs")
+# Each kind's params class states its settings: names, defaults and checks.
+KERNELS = {"laplace": LaplaceKernelParams, "general": GeneralParams,
+           "naive": NaiveParams, "gibbs": GibbsParams}
 
 # Fewest chains per Laplace worker.  A lockstep round costs numpy's per-call
 # overhead once for the whole batch, so one chain alone pays 3-4x what it
@@ -45,35 +49,44 @@ def default_init(model: ModelSpec, rng: ChainRng) -> MixedPoint:
     return random_point(model, rng)
 
 
+def kernel_params(kind: str, model: ModelSpec, settings):
+    """The params object of kernel ``kind`` from ``settings`` (a dict of its
+    fields, or the object itself), checked against ``model``; a bad or
+    unfit value raises ``ValueError("<field>: ...")``."""
+    if kind not in KERNELS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    cls = KERNELS[kind]
+    params = settings if isinstance(settings, cls) else cls(**settings)
+    if isinstance(params, LaplaceKernelParams):
+        params.validate_for(model.n_discrete, model.n_continuous)
+    if isinstance(params, NaiveParams) and not (
+            isinstance(model, GaussianMixture) and model.n_continuous == 1):
+        raise ValueError("type: the naive kernel needs a 1-D Gaussian mixture")
+    return params
+
+
 def _batch_task(args):
     """Run the chains of one worker: Laplace-kernel chains in one lockstep
     batch, the other kernels' chains one after another."""
-    kind, model, kw, n_burn, n_samples, seed, streams = args
+    params, model, n_burn, n_samples, seed, streams = args
     rngs = [ChainRng(seed, stream) for stream in streams]
     inits = [default_init(model, rng) for rng in rngs]
-    if kind == "laplace":
-        params = LaplaceKernelParams(
-            epsilon=kw["epsilon"], T=kw["T"], L=kw["L"],
-            n_D=kw.get("n_D", 1), mass_diag=kw.get("mass_diag"))
+    if isinstance(params, LaplaceKernelParams):
         return run_chain_batch(inits, params, model, n_burn, n_samples, rngs)
-    return [_chain(kind, model, kw, n_burn, n_samples, init, rng)
+    return [_chain(params, model, n_burn, n_samples, init, rng)
             for init, rng in zip(inits, rngs)]
 
 
-def _chain(kind, model, kw, n_burn, n_samples, init, rng):
-    if kind == "general":
+def _chain(params, model, n_burn, n_samples, init, rng):
+    if isinstance(params, GeneralParams):
         return run_chain_general(
-            init, kw["T"], model, KineticEnergy(kw.get("beta", 1.0)),
-            kw.get("tau", 1.0), kw["integrator_eps"], n_burn, n_samples, rng,
-            resample_positions=kw.get("resample_positions", True))
-    if kind == "naive":
-        params = NaiveParams(epsilon=kw["epsilon"], L=kw["L"],
-                             use_k=kw.get("use_k", True))
+            init, params.T, model, KineticEnergy(params.beta), params.tau,
+            params.integrator_eps, n_burn, n_samples, rng,
+            resample_positions=params.resample_positions)
+    if isinstance(params, NaiveParams):
         return run_naive_chain(init, params, model, n_burn, n_samples, rng)
-    if kind == "gibbs":
-        return run_gibbs_chain(init, model, kw["rw_scale"], n_burn,
-                               n_samples, rng)
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    return run_gibbs_chain(init, model, params.rw_scale, n_burn, n_samples,
+                           rng)
 
 
 def resolve_threads(requested=None, n_chains: int = 1) -> int:
@@ -105,11 +118,11 @@ def run_chains(kind: str, model: ModelSpec, kernel_kwargs: dict,
     differing by at most one; Laplace runs use no more workers than leave
     ``LAPLACE_MIN_BATCH`` chains in each batch.  A chain's samples do not
     depend on the batch it runs in, so a run's samples do not depend on the
-    worker count.
+    worker count.  The settings ``kernel_kwargs`` (see :func:`kernel_params`)
+    are checked before any worker starts.
     """
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    tasks = [(kind, model, kernel_kwargs, n_burn, n_samples, seed, streams)
+    params = kernel_params(kind, model, kernel_kwargs)
+    tasks = [(params, model, n_burn, n_samples, seed, streams)
              for streams in chain_batches(kind, n_chains, threads)]
     if len(tasks) <= 1:
         batches = [_batch_task(t) for t in tasks]

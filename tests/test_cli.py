@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,8 +10,9 @@ import pytest
 
 import mixedhmc
 import mixedhmc.models
+import mixedhmc.runner as runner
 from mixedhmc.cli import main, write_samples_csv
-from mixedhmc.runner import chain_batches, resolve_threads
+from mixedhmc.runner import KERNELS, chain_batches, resolve_threads, run_chains
 
 
 def write_config(tmp_path, **overrides):
@@ -272,6 +275,113 @@ class TestConfigValidation:
             assert "kernel.mass_diag" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("model,kernel,field", [
+        ({"type": "gmm1d"},
+         {"type": "laplace", "epsilon": 0.5, "T": 2.0, "L": 4, "n_d": 1},
+         "n_d"),
+        ({"type": "gmm1d"},
+         {"type": "general", "T": 1.0, "mass_diag": [2.0]}, "mass_diag"),
+    ], ids=["laplace-n_d", "general-mass_diag"])
+    def test_unknown_kernel_field_names_it(self, tmp_path, capsys, model,
+                                           kernel, field):
+        cfg = write_config(tmp_path, model=model, kernel=kernel)
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--out-dir", out,
+                     "--threads", "1"]) == 2
+        assert f"kernel.{field}:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("chains", ["0", "-3"])
+    def test_chains_override_below_one(self, tmp_path, capsys, chains):
+        cfg = write_config(tmp_path)
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--chains", chains,
+                     "--out-dir", out, "--threads", "1"]) == 2
+        assert "run.chains" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_negative_seed_names_run_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, run={"chains": 1, "burn_in": 0,
+                                          "samples": 5, "seed": -1})
+        assert main(["run", "--config", cfg, "--out-dir",
+                     str(tmp_path), "--threads", "1"]) == 2
+        assert "run.seed" in capsys.readouterr().err
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--seed", "-5", "--out-dir",
+                     str(tmp_path), "--threads", "1"]) == 2
+        assert "run.seed" in capsys.readouterr().err
+
+    def test_bad_csv_content_names_csv_path(self, tmp_path, capsys):
+        data = os.path.join(tmp_path, "data.csv")
+        for content in ("y = 2\n", "", "y,x_0\n1,abc\n"):
+            with open(data, "w") as fh:
+                fh.write(content)
+            cfg = write_config(tmp_path, model={"type": "blr",
+                                                "csv_path": data})
+            assert main(["run", "--config", cfg, "--out-dir",
+                         str(tmp_path), "--threads", "1"]) == 2
+            assert "model.csv_path" in capsys.readouterr().err
+
+    def test_non_numeric_gmm_override_names_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model={"type": "gmm1d",
+                                            "weights": "abc"})
+        assert main(["run", "--config", cfg, "--out-dir",
+                     str(tmp_path), "--threads", "1"]) == 2
+        assert "model.weights" in capsys.readouterr().err
+
+
+class TestKernelParams:
+    """``runner.run_chains`` builds each kernel's params object once, in
+    the parent, from the fields and defaults of its class."""
+
+    def test_general_defaults_integrator_eps(self):
+        model = mixedhmc.models.gmm1d_preset()
+        runs = [run_chains("general", model, kernel, 2, 5, 40, 3, threads=1)
+                for kernel in ({"T": 1.0}, {"T": 1.0, "integrator_eps": 0.1})]
+        for a, b in zip(*runs):
+            assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("kind,model,kernel,error", [
+        ("laplace", "gmm1d", {"epsilon": -0.5, "T": 1.0, "L": 2}, ValueError),
+        ("laplace", "gmm1d", {"epsilon": 0.5, "T": 1.0, "L": 2, "n_D": 3},
+         ValueError),
+        ("laplace", "gmm24", {"epsilon": 0.5, "T": 1.0, "L": 2,
+                              "mass_diag": [1.0]}, ValueError),
+        ("general", "gmm1d", {"T": 1.0, "tau": 0.0}, ValueError),
+        ("naive", "gmm24", {"epsilon": 0.5, "L": 2}, ValueError),
+        ("gibbs", "gmm1d", {"rw_scale": 1.0, "scale": 2.0}, TypeError),
+    ], ids=["epsilon", "n_D", "mass_diag", "tau", "naive-model", "unknown"])
+    def test_bad_value_raises_before_any_worker(self, monkeypatch, kind,
+                                                model, kernel, error):
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(runner, "_batch_task", no_worker)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_worker)
+        preset = {"gmm1d": mixedhmc.models.gmm1d_preset,
+                  "gmm24": mixedhmc.models.gmm24_preset}[model]()
+        for threads in (1, 2):
+            with pytest.raises(error):
+                run_chains(kind, preset, kernel, 8, 0, 5, 0, threads=threads)
+
+
+class TestReadme:
+    def test_kernel_table_lists_each_params_field_and_default(self):
+        """README's kernel table is the params classes' fields, in order,
+        with their JSON defaults."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            text = fh.read()
+        rows = re.findall(r"^\| `(\w+)` +\| `(\w+)` +\| ([^|]+?) +\|",
+                          text[text.index("Kernel types:"):], re.M)
+        expected = [(kind, f.name,
+                     "required" if f.default is dataclasses.MISSING
+                     else f"`{json.dumps(f.default)}`")
+                    for kind, cls in KERNELS.items()
+                    for f in dataclasses.fields(cls)]
+        assert rows == expected
+
+
 class TestCheckCommand:
     def test_gradients_suite_passes(self, capsys):
         assert main(["check", "gradients"]) == 0
@@ -289,7 +399,7 @@ class TestCheckCommand:
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         """``mixedhmc run`` does not pay for scipy, which only the check
-        suites and rank-normalized ESS use."""
+        suites use."""
         src = os.path.dirname(os.path.dirname(mixedhmc.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, mixedhmc.cli; print('scipy' in sys.modules)"
