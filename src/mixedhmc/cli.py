@@ -66,15 +66,30 @@ def _section(config: dict, name: str) -> dict:
     return section
 
 
+def _known_keys(section: dict, path: str, keys) -> None:
+    """Reject the first key of ``section`` that is not in ``keys``."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{path + '.' if path else ''}{key}: unknown key "
+                              f"(expected one of {', '.join(keys)})")
+
+
 def _positive(value, path, key):
     if value is None or value <= 0:
         raise ConfigError(f"{path}.{key}: must be positive")
     return value
 
 
+def _nonnegative(value, path, key):
+    if value < 0:
+        raise ConfigError(f"{path}.{key}: must be >= 0")
+    return value
+
+
 def build_model(section: dict):
     mtype = _get(section, "model", "type", str, required=True)
     if mtype == "gmm1d" or mtype == "gmm24":
+        _known_keys(section, "model", ("type", "weights", "means", "variances"))
         model = gmm1d_preset() if mtype == "gmm1d" else gmm24_preset()
         if any(k in section for k in ("weights", "means", "variances")):
             parts = {}
@@ -90,6 +105,7 @@ def build_model(section: dict):
                 raise ConfigError(f"model: invalid GMM override: {exc}") from exc
         return model
     if mtype == "blr":
+        _known_keys(section, "model", ("type", "csv_path", "seed", "n", "d"))
         csv_path = _get(section, "model", "csv_path", str)
         if csv_path:
             try:
@@ -98,12 +114,15 @@ def build_model(section: dict):
                 raise ConfigError(f"model.csv_path: cannot read: {exc}") from exc
             except ValueError as exc:
                 raise ConfigError(f"model.csv_path: bad content: {exc}") from exc
-        seed = _get(section, "model", "seed", int, default=0)
+        seed = _nonnegative(_get(section, "model", "seed", int, default=0),
+                            "model", "seed")
         n = _positive(_get(section, "model", "n", int, default=100), "model", "n")
         d = _positive(_get(section, "model", "d", int, default=20), "model", "d")
         return BlrVarsel(blr_generate(seed, n=n, d=d).spec)
     if mtype == "binary":
-        seed = _get(section, "model", "seed", int, default=0)
+        _known_keys(section, "model", ("type", "seed", "n_sites"))
+        seed = _nonnegative(_get(section, "model", "seed", int, default=0),
+                            "model", "seed")
         n_sites = _positive(_get(section, "model", "n_sites", int, default=6),
                             "model", "n_sites")
         return random_binary_quadratic(n_sites, ChainRng(seed, stream=0))
@@ -120,10 +139,7 @@ def build_kernel(section: dict, model):
                           f"(expected {'|'.join(KERNELS)})")
     cls = KERNELS[kind]
     hints = typing.get_type_hints(cls)  # each field's name and type
-    for key in section:
-        if key != "type" and key not in hints:
-            raise ConfigError(f"kernel.{key}: not a setting of the {kind} "
-                              f"kernel (expected one of {', '.join(hints)})")
+    _known_keys(section, "kernel", ("type", *hints))
     settings = {}
     for f in dataclasses.fields(cls):
         if f.name in section or f.default is dataclasses.MISSING:
@@ -138,17 +154,12 @@ def build_kernel(section: dict, model):
 
 
 def parse_run_section(section: dict):
+    _known_keys(section, "run", ("chains", "burn_in", "samples", "seed"))
     chains = _positive(_get(section, "run", "chains", int, default=1),
                        "run", "chains")
-    burn_in = _get(section, "run", "burn_in", int, default=0)
-    if burn_in < 0:
-        raise ConfigError("run.burn_in: must be >= 0")
-    samples = _get(section, "run", "samples", int, default=1000)
-    if samples < 0:
-        raise ConfigError("run.samples: must be >= 0")
-    seed = _get(section, "run", "seed", int, default=0)
-    if seed < 0:
-        raise ConfigError("run.seed: must be >= 0")
+    burn_in, samples, seed = (
+        _nonnegative(_get(section, "run", key, int, default=default), "run", key)
+        for key, default in (("burn_in", 0), ("samples", 1000), ("seed", 0)))
     return chains, burn_in, samples, seed
 
 
@@ -252,6 +263,7 @@ def cmd_run(args) -> int:
     try:
         if not isinstance(config, dict):
             raise ConfigError("config: top level must be a JSON object")
+        _known_keys(config, "", ("model", "kernel", "run", "output"))
         model = build_model(_section(config, "model"))
         kind, params = build_kernel(_section(config, "kernel"), model)
         run = dict(_section(config, "run"))
@@ -259,18 +271,20 @@ def cmd_run(args) -> int:
             if getattr(args, key) is not None:
                 run[key] = getattr(args, key)
         chains, burn_in, samples, seed = parse_run_section(run)
+        out = _section(config, "output")
+        _known_keys(out, "output", ("samples_path", "summary_path"))
+        out_dir = args.out_dir or "."
+        samples_path, summary_path = (
+            os.path.join(out_dir, _get(out, "output", key, str, default=name))
+            for key, name in (("samples_path", "samples.csv"),
+                              ("summary_path", "summary.json")))
+        try:
+            threads = resolve_threads(args.threads, chains)
+        except ValueError as exc:  # a bad MHMC_THREADS
+            raise ConfigError(str(exc)) from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-
-    threads = resolve_threads(args.threads, chains)
-
-    out_section = config.get("output", {})
-    out_dir = args.out_dir or "."
-    samples_path = os.path.join(out_dir, out_section.get("samples_path",
-                                                         "samples.csv"))
-    summary_path = os.path.join(out_dir, out_section.get("summary_path",
-                                                         "summary.json"))
 
     t_start = time.perf_counter()
     outputs = run_chains(kind, model, params, chains, burn_in, samples, seed,

@@ -42,13 +42,15 @@ class NonFiniteWeightsError(ValueError):
 
 
 def check_positive(params) -> None:
-    """Raise ``ValueError("<field>: must be positive")`` for the first numeric
-    field of the dataclass ``params`` that is not positive everywhere."""
+    """Raise ``ValueError("<field>: must be positive and finite")`` for the
+    first numeric field of the dataclass ``params`` that is not positive and
+    finite everywhere."""
     for f in fields(params):
         value = getattr(params, f.name)
         if not (value is None or isinstance(value, bool)
-                or np.all(np.asarray(value) > 0)):
-            raise ValueError(f"{f.name}: must be positive")
+                or np.all(np.asarray(value) > 0)
+                and np.all(np.isfinite(np.asarray(value, dtype=np.float64)))):
+            raise ValueError(f"{f.name}: must be positive and finite")
 
 
 @dataclass

@@ -198,10 +198,11 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     out the rest.  Returns the new ``(x, q)`` and a :class:`StepStats` of
     ``(C,)`` arrays.
 
-    Non-finite conditional weights freeze a chain for the rest of the
-    iteration and count it divergent, as do non-finite or huge energy
-    errors; the other chains go on.  Any other model error raises.  Each
-    row's result does not depend on the other rows.
+    A chain whose conditional weights leave no finite proposal is stuck: it
+    moves no further site, is rejected and counted divergent, as are
+    non-finite or huge energy errors, and is still evaluated with its
+    batch-mates for the rest of the trajectory.  Any other model error
+    raises.  Each row's result does not depend on the other rows.
     """
     nd, nc = model.n_discrete, model.n_continuous
     mass, L, n_d = params.mass_diag, params.L, params.n_D
@@ -213,8 +214,8 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
                                   ": cardinality 1 admits no move")
     wide = cards > 2
     k, p, sites, at_wide, (eta, n_steps), u = _noise(params, model, rngs, wide)
-    # Whether all or any chains make proposal m at a site with more than 2
-    # values; kept when chains freeze, as the mixed branch serves any rows.
+    # Whether all or any chains, stuck ones included, make proposal m at a
+    # site with more than 2 values.
     all_wide = at_wide.all(axis=0).tolist()
     any_wide = at_wide.any(axis=0).tolist()
 
@@ -224,31 +225,19 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     e0 = potential(x, q) + k.sum(axis=1) + _kinetic(p, mass)
     rounds = np.full(n, L)             # leapfrog rounds each chain ran
     n_acc = np.zeros(n, dtype=np.int64)
-    divergent = np.zeros(n, dtype=bool)
-    live = np.arange(n)                # chains not frozen, in batch order
+    stuck = np.zeros(n, dtype=bool)    # no finite proposal: moves no more
+    any_stuck = False
     rows = np.arange(n)
-    xs, qs, ps, steps_l = x.copy(), q.copy(), p, n_steps
-    h_l = eta[:, :, None]              # step sizes as (C, L, 1) columns
+    xs, qs = x.copy(), q.copy()
     lo, hi = n_steps.min(axis=0).tolist(), n_steps.max(axis=0).tolist()
-    acc_l = np.zeros(n, dtype=np.int64)
-
-    def freeze(keep):
-        nonlocal live, rows, xs, qs, ps, k, sites, at_wide, h_l, steps_l, \
-            lo, hi, u, e0, acc_l
-        divergent[live[~keep]] = True
-        n_acc[live] = acc_l
-        live, xs, qs, ps, k, sites, at_wide, h_l, steps_l, u, e0, acc_l = (
-            a[keep] for a in (live, xs, qs, ps, k, sites, at_wide, h_l,
-                              steps_l, u, e0, acc_l))
-        rows = np.arange(live.size)
-        if live.size:
-            lo, hi = steps_l.min(axis=0).tolist(), steps_l.max(axis=0).tolist()
 
     for t in range(L):
+        if any_stuck and stuck.all():
+            break
         if nc:
-            # An int step count when every live chain takes the same number.
-            leapfrog(xs, qs, ps, h_l[:, t],
-                     lo[t] if lo[t] == hi[t] else steps_l[:, t], grad, mass)
+            # An int step count when every chain takes the same number.
+            leapfrog(xs, qs, p, eta[:, t, None],
+                     lo[t] if lo[t] == hi[t] else n_steps[:, t], grad, mass)
         for m in range(t * n_d, (t + 1) * n_d) if nd else ():
             j = sites[:, m]
             neglogp = site_cond(j, xs, qs)
@@ -261,44 +250,30 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
                 d_e = neglogp[rows, new] - neglogp[rows, cur]
                 ok = None  # flips always propose
                 if any_wide[m]:
-                    ok = np.ones(live.size, dtype=bool)
+                    ok = np.ones(n, dtype=bool)
                     w = np.flatnonzero(at_wide[:, m])
                     new[w], d_e[w], ok[w] = informed_rows(
                         j[w], xs[w], qs[w], model, neglogp[w], u[w, m])
+            if ok is not None and not ok.all():
+                rounds[~(ok | stuck)] = t + 1
+                stuck |= ~ok
+                any_stuck = True
             k_j = k[rows, j]
             # A move is accepted iff its cost fits in the site's energy,
             # which then stays positive.
             take = k_j > d_e
-            if ok is not None:
-                take &= ok
+            if any_stuck:
+                take &= ~stuck
             xs[rows, j] = np.where(take, new, cur)
             k[rows, j] = np.where(take, k_j - d_e, k_j)
-            acc_l += take
-            if ok is not None and not ok.all():
-                rounds[live[~ok]] = t + 1
-                freeze(ok)
-                if not live.size:
-                    break
-        if not live.size:
-            break
+            n_acc += take
 
-    if live.size:
-        err = (potential(xs, qs) + k.sum(axis=1)
-               + _kinetic(ps, mass) - e0)
-        finite = np.isfinite(err) & (np.abs(err) <= DIVERGENCE_MAX)
-        if not finite.all():
-            freeze(finite)
-            err = err[finite]
-    else:
-        err = e0
-    n_acc[live] = acc_l
-    energy_error = np.full(n, np.nan)
-    energy_error[live] = err
-    take = u[:, -1] < np.exp(-np.maximum(err, 0.0))
-    accepted = np.zeros(n, dtype=bool)
-    accepted[live] = take
-    x_new, q_new = x.copy(), q.copy()
-    x_new[live[take]], q_new[live[take]] = xs[take], qs[take]
+    err = potential(xs, qs) + k.sum(axis=1) + _kinetic(p, mass) - e0
+    divergent = stuck | ~(np.abs(err) <= DIVERGENCE_MAX)
+    energy_error = np.where(divergent, np.nan, err)
+    accepted = ~divergent & (u[:, -1] < np.exp(-np.maximum(err, 0.0)))
+    x_new = np.where(accepted[:, None], xs, x)
+    q_new = np.where(accepted[:, None], qs, q)
     # Each leapfrog round evaluates the gradient once more than its steps.
     n_grad = (np.where(np.arange(L) < rounds[:, None], n_steps + 1, 0)
               .sum(axis=1) if nc else np.zeros(n, dtype=np.int64))

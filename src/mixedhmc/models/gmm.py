@@ -41,8 +41,10 @@ class GmmSpec:
             raise ValueError("inconsistent GMM parameter shapes")
         if not np.all(self.weights > 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
-        if not np.all(variances > 0):
-            raise ValueError("variances must be positive")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("means must be finite")
+        if not np.all((variances > 0) & np.isfinite(variances)):
+            raise ValueError("variances must be positive and finite")
 
     @property
     def n_components(self) -> int:

@@ -93,7 +93,11 @@ def resolve_threads(requested=None, n_chains: int = 1) -> int:
     """--threads flag > MHMC_THREADS env > available cores, capped at chains."""
     if requested is None:
         env = os.environ.get("MHMC_THREADS")
-        requested = int(env) if env else (os.cpu_count() or 1)
+        try:
+            requested = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"MHMC_THREADS: expected an integer, got {env!r}"
+                             ) from None
     return max(1, min(int(requested), n_chains))
 
 

@@ -329,6 +329,64 @@ class TestConfigValidation:
                      str(tmp_path), "--threads", "1"]) == 2
         assert "model.weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,value,path", [
+        ("run", {"samples": 5, "smaples": 5}, "run.smaples"),
+        ("model", {"type": "blr", "N": 30}, "model.N"),
+        ("model", {"type": "binary", "n": 4}, "model.n"),
+        ("model", {"type": "gmm24", "mean": [0.0]}, "model.mean"),
+        ("output", {"sample_path": "a.csv"}, "output.sample_path"),
+        ("outputs", {}, "outputs"),
+        ("output", "x", "output"),
+        ("output", {"samples_path": 5}, "output.samples_path"),
+    ], ids=["run", "blr", "binary", "gmm24", "output", "top-level",
+            "output-not-object", "output-not-string"])
+    def test_bad_key_names_it(self, tmp_path, capsys, section, value, path):
+        cfg = write_config(tmp_path, **{section: value})
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--out-dir", out,
+                     "--threads", "1"]) == 2
+        assert f"error: {path}:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("model", [
+        {"type": "blr", "seed": -1, "n": 30, "d": 4},
+        {"type": "binary", "seed": -1},
+    ], ids=["blr", "binary"])
+    def test_negative_model_seed_names_it(self, tmp_path, capsys, model):
+        cfg = write_config(tmp_path, model=model,
+                           kernel={"type": "gibbs", "rw_scale": 0.5})
+        assert main(["run", "--config", cfg, "--out-dir",
+                     str(tmp_path), "--threads", "1"]) == 2
+        assert "model.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,kernel,path", [
+        ({"type": "gmm1d"},
+         {"type": "laplace", "epsilon": 0.5, "T": float("inf"), "L": 4},
+         "kernel.T"),
+        ({"type": "gmm1d"},
+         {"type": "laplace", "epsilon": 0.5, "T": 2.0, "L": 4,
+          "mass_diag": [float("inf")]}, "kernel.mass_diag"),
+        ({"type": "gmm1d"}, {"type": "gibbs", "rw_scale": float("inf")},
+         "kernel.rw_scale"),
+        ({"type": "gmm1d", "means": [[float("nan")], [0.0], [2.0], [4.0]]},
+         {"type": "gibbs", "rw_scale": 0.5}, "means must be finite"),
+        ({"type": "gmm1d", "variances": [[float("inf")], [1.0], [1.0], [1.0]]},
+         {"type": "gibbs", "rw_scale": 0.5}, "variances must be positive"),
+    ], ids=["laplace-T", "mass_diag", "rw_scale", "gmm-means",
+            "gmm-variances"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, model,
+                                        kernel, path):
+        """JSON's Infinity and NaN are refused at the boundary."""
+        cfg = write_config(tmp_path, model=model, kernel=kernel)
+        with open(cfg) as fh:
+            text = fh.read()
+        assert "Infinity" in text or "NaN" in text
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--out-dir", out,
+                     "--threads", "1"]) == 2
+        assert path in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestKernelParams:
     """``runner.run_chains`` builds each kernel's params object once, in
@@ -408,6 +466,18 @@ class TestImports:
         assert out.stdout.strip() == "False"
 
 
+class TestBenchmarkTracer:
+    def test_tracer_installs(self):
+        """Every name the benchmark's tracer wraps still exists."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+        code = "import tracer; tracer.install(tracer.Tracer())"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
+
 class TestThreads:
     def test_resolution_order(self, monkeypatch):
         monkeypatch.delenv("MHMC_THREADS", raising=False)
@@ -416,6 +486,17 @@ class TestThreads:
         monkeypatch.setenv("MHMC_THREADS", "3")
         assert resolve_threads(None, 8) == 3
         assert resolve_threads(1, 8) == 1
+
+    def test_non_integer_env_names_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MHMC_THREADS", "abc")
+        with pytest.raises(ValueError, match="MHMC_THREADS"):
+            resolve_threads(None, 8)
+        assert resolve_threads(2, 8) == 2  # the flag wins, unread
+        cfg = write_config(tmp_path)
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--out-dir", out]) == 2
+        assert "MHMC_THREADS" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_laplace_batches_hold_at_least_four_chains(self):
         assert chain_batches("laplace", 4, 4) == [[0, 1, 2, 3]]

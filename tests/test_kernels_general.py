@@ -15,7 +15,7 @@ from mixedhmc import (
 )
 from mixedhmc.core import forced_delta
 from mixedhmc.diagnostics import ess, ks_two_sample
-from mixedhmc.kernels_general import _simulate
+from mixedhmc.kernels_general import GeneralParams, _simulate
 from mixedhmc.models import (
     binary_quadratic_enumerate,
     gmm1d_preset,
@@ -339,3 +339,13 @@ class TestAuxiliaryState:
         aux = sample_auxiliary(50, 2.5, KineticEnergy(1.0), rng)
         assert aux.qD.min() >= 0.0 and aux.qD.max() <= 2.5
         assert np.all(aux.pD != 0.0)
+
+
+class TestGeneralParams:
+    @pytest.mark.parametrize("field", ["T", "beta", "tau", "integrator_eps"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_setting_rejected(self, field, value):
+        """An infinite travel time would never end a trajectory."""
+        with pytest.raises(ValueError,
+                           match=f"^{field}: must be positive and finite"):
+            GeneralParams(**{"T": 1.0, field: value})

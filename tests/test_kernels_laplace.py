@@ -140,6 +140,32 @@ class CliffWell(ModelSpec):
         return 0.5 * q[0] ** 2 + 0.3 * np.arange(3.0)
 
 
+class WallModel(ModelSpec):
+    """Flat in ``q`` with a 3-value site, called one row at a time; its
+    conditional weights are all zero (``+inf``) for ``q > 0``, equal
+    elsewhere."""
+
+    @property
+    def n_discrete(self):
+        return 1
+
+    @property
+    def n_continuous(self):
+        return 1
+
+    def site_cardinality(self, j):
+        return 3
+
+    def potential(self, x, q):
+        return 0.0
+
+    def grad_q(self, x, q):
+        return np.zeros(1)
+
+    def site_cond_neglogp(self, j, x, q):
+        return np.full(3, np.inf if q[0] > 0 else 0.0)
+
+
 class MixedSites(ModelSpec):
     """Sites of 2, 3 and 4 values coupled to one coordinate, called one row
     at a time; a batch mixes flips with informed proposals."""
@@ -433,7 +459,7 @@ class TestBatchIsolation:
                                       equal_nan=True)
             mixed_steps += 0 < stats.divergent.sum() < n
         if diverges:
-            # Batch-mates of a frozen chain went on in the same step.
+            # Batch-mates of a stuck chain went on in the same step.
             assert mixed_steps > 0
         else:
             assert mixed_steps == 0
@@ -470,6 +496,47 @@ class TestBatchIsolation:
         for _ in range(params.L + 1):
             clone.uniform()
         assert rng.uniform() == clone.uniform()
+
+
+class TestStuckChain:
+    def test_stats_against_replayed_schedule(self):
+        """A chain with no finite proposal at its first proposal moves no
+        site, even where its weights turn finite again later, is rejected
+        and counted divergent, and counts the gradients of its first
+        leapfrog round only; a batch-mate below the wall still moves.  The
+        noise is replayed from cloned streams."""
+        model = WallModel()
+        params = LaplaceKernelParams(epsilon=0.1, T=1.0, L=4)
+        p, sched = [], []
+        for c in range(3):
+            clone = ChainRng(40, c)
+            clone.exponential(1)
+            p.append(clone.normal(1)[0])
+            clone.permutation(1)
+            sched.append(get_step_sizes_n_steps(params, 1, clone))
+        # Chain 0 stays above the wall.  Chain 1 moves down: it is above
+        # the wall at its first proposal and below it at its last.  Chain 2
+        # stays below the wall.
+        assert p[1] < 0
+        first = sched[1].eta[0] * sched[1].n_steps[0]
+        q0 = np.array([[50.0], [-0.5 * (first + params.T) * p[1]], [-50.0]])
+        assert q0[1, 0] + first * p[1] > 0 > q0[1, 0] + params.T * p[1]
+        x0 = np.zeros((3, 1), dtype=np.int64)
+        x, q, stats = laplace_step_batch(x0, q0, params, model,
+                                         [ChainRng(40, c) for c in range(3)])
+        for c in (0, 1):
+            assert stats.divergent[c] and not stats.accepted[c]
+            assert np.isnan(stats.energy_error[c])
+            assert np.array_equal(x[c], x0[c])
+            assert np.array_equal(q[c], q0[c])
+            assert stats.n_discrete_accepts[c] == 0
+            assert stats.n_grad_evals[c] == sched[c].n_steps[0] + 1
+        # Equal weights make every move free, so each proposal is taken.
+        assert not stats.divergent[2] and stats.accepted[2]
+        assert stats.energy_error[2] == 0.0
+        assert stats.n_discrete_accepts[2] == params.L
+        assert stats.n_grad_evals[2] == (sched[2].n_steps + 1).sum()
+        assert q[2, 0] == pytest.approx(-50.0 + params.T * p[2], abs=1e-12)
 
 
 class TestStationarity:

@@ -77,6 +77,15 @@ class TestGmm:
                 ratio = math.exp(-m.potential(np.array([z]), q)) / dens
                 assert ratio == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("field", ["means", "variances"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_spec_rejected(self, field, value):
+        parts = {"weights": [0.5, 0.5], "means": [[0.0], [1.0]],
+                 "variances": [[1.0], [1.0]]}
+        parts[field][0] = [value]
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            GmmSpec(**parts)
+
     def test_exact_sampler_component_frequencies(self):
         m = gmm1d_preset()
         rows = m.exact_sample(ChainRng(6, 0), 100_000)
