@@ -190,10 +190,12 @@ class KineticEnergy:
         return sign * mag
 
 
-def leapfrog(x, q, p, h, n, grad_q, mass=None):
+def leapfrog(x, q, p, h, n, grad_q, mass=None, g=None):
     """``n`` leapfrog steps of size ``h`` at fixed ``x``, updating ``q`` and
-    ``p`` in place, with diagonal ``mass`` (identity when None); returns the
-    number of gradient evaluations, ``n + 1``.
+    ``p`` in place, with diagonal ``mass`` (identity when None), from the
+    gradient ``g`` at the start, evaluated when None; returns the gradient
+    at the end, which a segment starting there can reuse.  That makes ``n``
+    gradient evaluations, plus one when ``g`` is None.
 
     On row stacks (``q``, ``p`` of shape ``(C, n_continuous)``, ``h`` of
     shape ``(C, 1)``, ``grad_q`` taking row stacks) ``n`` may be a ``(C,)``
@@ -201,11 +203,12 @@ def leapfrog(x, q, p, h, n, grad_q, mass=None):
     out the later steps and their gradient calls.
     """
     half = 0.5 * h
-    g = grad_q(x, q)
+    if g is None:
+        g = grad_q(x, q)
     if isinstance(n, (int, np.integer)):
         for _ in range(n):
             g = _leapfrog_step(x, q, p, g, half, h, grad_q, mass)
-        return n + 1
+        return g
     n_min = int(n.min())
     for i in range(int(n.max())):
         if i < n_min:
@@ -216,7 +219,7 @@ def leapfrog(x, q, p, h, n, grad_q, mass=None):
             g[r] = _leapfrog_step(x[r], qr, pr, g[r], half[r], h[r], grad_q,
                                   mass)
             q[r], p[r] = qr, pr
-    return n + 1
+    return g
 
 
 def _leapfrog_step(x, q, p, g, half, h, grad_q, mass):

@@ -12,6 +12,7 @@ on the total energy ends the iteration, negating all momenta on acceptance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,20 +71,17 @@ class AuxiliaryState:
         if self.qD.size and (self.qD.min() < 0 or self.qD.max() > self.tau):
             raise ValueError("qD entries must lie in [0, tau]")
 
-    def copy(self) -> "AuxiliaryState":
-        return AuxiliaryState(self.qD.copy(), self.pD.copy(), self.tau)
-
 
 def _hit_time(qd, v, tau):
     """Time until a clock at ``qd`` moving at nonzero velocity ``v`` reaches
-    0 or tau."""
-    return (tau * (np.sign(v) + 1.0) - 2.0 * qd) / (2.0 * v)
+    0 or tau; on floats, or elementwise on arrays."""
+    return (2.0 * tau * (v > 0) - 2.0 * qd) / (2.0 * v)
 
 
 def initial_hit_time(qd, pd, tau: float, kinetic: KineticEnergy):
     """Time until a clock at ``qd`` with momentum ``pd`` reaches 0 or tau.
 
-    ``(tau (sign(v) + 1) - 2 qd) / (2 v)`` with velocity ``v = k'(pd)``;
+    ``(2 tau [v > 0] - 2 qd) / (2 v)`` with velocity ``v = k'(pd)``;
     elementwise on arrays.
     """
     pd = np.asarray(pd, dtype=np.float64)
@@ -108,78 +106,132 @@ def refract(pd, delta_e, kinetic: KineticEnergy):
     return out if out.ndim else float(out)
 
 
-def _integrate(x, q, p, duration, max_step, model):
-    """Leapfrog for ``duration`` in equal steps no larger than ``max_step``."""
-    n = max(int(np.ceil(duration / max_step)), 1)
-    return leapfrog(x, q, p, duration / n, n, model.grad_q)
+def _integrate(x, q, p, duration, max_step, model, g):
+    """Leapfrog for ``duration`` in equal steps no larger than ``max_step``,
+    from the gradient ``g`` at the start (evaluated when None); returns the
+    number of gradient evaluations and the gradient at the end."""
+    n = max(math.ceil(duration / max_step), 1)
+    return (n + (g is None),
+            leapfrog(x, q, p, duration / n, n, model.grad_q, g=g))
+
+
+def _float_kinv(kinetic: KineticEnergy):
+    """``kinetic.kinv`` on one float, bit for bit.
+
+    numpy computes ``e ** (1 / beta)`` on an array with its own ``pow``,
+    except for the exponents 1, 2 and 0.5, where it takes the identity, the
+    square and ``sqrt``; only those have float forms that match it.
+    """
+    r = 1.0 / kinetic.beta
+    if r == 1.0:
+        return float
+    if r == 2.0:
+        return lambda e: e * e
+    if r == 0.5:
+        return math.sqrt
+    return lambda e: float(kinetic.kinv(e))
+
+
+def _runs(p, v) -> bool:
+    """Whether a clock with momentum ``p`` and velocity ``v`` can be run:
+    both finite, and the clock not standing still."""
+    return math.isfinite(p) and math.isfinite(v) and v != 0.0
 
 
 def _simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
               propose, events):
     """Run the event loop, mutating all state arrays in place.
 
+    The clocks' positions, momenta, velocities and hit times live in Python
+    lists of floats for the whole trajectory, read from ``qD`` and ``pD``
+    on entry and written back on exit, so an event costs a few float
+    operations rather than numpy calls on single values.  Each leapfrog
+    segment starts from the gradient the last one ended with, unless a
+    refraction moved ``x`` in between.
+
     ``propose(j, x, qC, rng) -> (new_value, delta_e)`` may be overridden to
     inject a fixed proposal sequence (used by reversibility tests).
     Returns ``(n_accepts, n_grads, ok)``; ``ok`` is False when the trajectory
-    degenerated (non-finite weights or runaway event count).
+    degenerated: non-finite weights, a clock whose momentum or velocity is
+    not finite or whose velocity is zero (on entry or after a refraction),
+    or a runaway event count.
     """
     nd = qD.size
     nc = qC.size
+    beta = kinetic.beta
+    kinv = _float_kinv(kinetic)
+    v = kinetic.kprime(pD)
+    qd, pd, vel = qD.tolist(), pD.tolist(), v.tolist()
+    hit = _hit_time(qD, v, tau).tolist()
     n_acc = 0
     n_grad = 0
+    g = None  # gradient at (x, qC) where the last leapfrog segment ended
 
-    if nd:
-        v = kinetic.kprime(pD)
-        hit = _hit_time(qD, v, tau)
-    else:
-        v = hit = np.zeros(0)
-
+    ok = all(map(_runs, pd, vel))
     t_rem = T
     n_events = 0
-    while t_rem > 0.0:
+    while ok and t_rem > 0.0:
         if nd:
-            j = int(np.argmin(hit))
-            event = hit[j] <= t_rem
-            step = hit[j] if event else t_rem
+            h = min(hit)
+            j = hit.index(h)
+            event = h <= t_rem
+            step = h if event else t_rem
         else:
             event = False
             step = t_rem
 
         if step > 0.0:
-            if nd:
-                qD += step * v
-                np.clip(qD, 0.0, tau, out=qD)
+            if nd:  # np.clip(qd + step * vel, 0, tau)
+                qd = [tau if (c := a + step * w) > tau else
+                      (0.0 if c < 0.0 else c) for a, w in zip(qd, vel)]
             if nc:
-                n_grad += _integrate(x, qC, pC, step, integrator_eps, model)
+                n, g = _integrate(x, qC, pC, step, integrator_eps, model, g)
+                n_grad += n
         t_rem -= step
 
-        if event:
-            hit -= step
-            np.maximum(hit, 0.0, out=hit)
+        if event:  # np.maximum(hit - step, 0)
+            hit = [d if (d := h - step) > 0.0 else 0.0 for h in hit]
             try:
                 new, d_e = propose(j, x, qC, rng)
             except NonFiniteWeightsError:
-                return n_acc, n_grad, False
+                ok = False
+                break
             old = int(x[j])
-            energy = kinetic.k(pD[j])
+            p = pd[j]
+            try:
+                energy = abs(p) ** beta
+            except OverflowError:
+                energy = math.inf
             accepted = energy > d_e
             if accepted:
                 x[j] = new
-                qD[j] = tau - qD[j]
-                pD[j] = np.sign(pD[j]) * kinetic.kinv(energy - d_e)
-                v[j] = kinetic.kprime(pD[j])
+                g = None
+                qd[j] = tau - qd[j]
+                mag = kinv(energy - d_e)
+                p = mag if p > 0.0 else -mag
+                try:
+                    w = beta * abs(p) ** (beta - 1.0)
+                except (OverflowError, ZeroDivisionError):
+                    w = math.nan
+                if not _runs(p, w):
+                    ok = False
+                    break
+                pd[j] = p
+                vel[j] = w if p > 0.0 else -w
                 n_acc += 1
             else:
-                pD[j] = -pD[j]
-                v[j] = -v[j]
-            hit[j] = _hit_time(qD[j], v[j], tau)
+                pd[j] = -p
+                vel[j] = -vel[j]
+            hit[j] = _hit_time(qd[j], vel[j], tau)
             if events is not None:
                 events.append((j, old, new, accepted))
             n_events += 1
             if n_events > _MAX_EVENTS:
-                return n_acc, n_grad, False
+                ok = False
 
-    return n_acc, n_grad, True
+    qD[:] = qd
+    pD[:] = pd
+    return n_acc, n_grad, ok
 
 
 def general_step(point: MixedPoint, aux: AuxiliaryState, pC: np.ndarray,
@@ -189,7 +241,7 @@ def general_step(point: MixedPoint, aux: AuxiliaryState, pC: np.ndarray,
     """One trajectory of the event-driven kernel plus the Metropolis test.
 
     Returns ``(point, aux, pC, stats)``: the accepted end state with both
-    momenta negated, or the unchanged inputs on rejection.
+    momenta negated, or the inputs themselves on rejection.
     """
     if aux.qD.size != model.n_discrete:
         raise ValueError("auxiliary state size does not match model sites")
@@ -212,24 +264,31 @@ def general_step(point: MixedPoint, aux: AuxiliaryState, pC: np.ndarray,
     if ok:
         err = model.potential(x, qC) + float(np.sum(kinetic.k(pD))) \
             + 0.5 * float(p @ p) - e0
-        if not np.isfinite(err) or abs(err) > DIVERGENCE_MAX:
+        if not math.isfinite(err) or abs(err) > DIVERGENCE_MAX:
             ok = False
 
     if not ok:
         stats = StepStats(accepted=False, energy_error=np.nan,
                           n_discrete_accepts=n_acc,
                           n_grad_evals=n_grad, divergent=True)
-        return point.copy(), aux.copy(), np.array(pC, copy=True), stats
+        return point, aux, pC, stats
 
     u = rng.uniform()
     if err <= 0.0 or u < np.exp(-err):
         stats = StepStats(accepted=True, energy_error=err,
                           n_discrete_accepts=n_acc, n_grad_evals=n_grad)
-        return (MixedPoint(x, qC),
-                AuxiliaryState(qD, -pD, aux.tau), -p, stats)
+        return MixedPoint(x, qC), _unchecked_aux(qD, -pD, aux.tau), -p, stats
     stats = StepStats(accepted=False, energy_error=err,
                       n_discrete_accepts=n_acc, n_grad_evals=n_grad)
-    return point.copy(), aux.copy(), np.array(pC, copy=True), stats
+    return point, aux, pC, stats
+
+
+def _unchecked_aux(qD, pD, tau) -> AuxiliaryState:
+    """An AuxiliaryState of arrays known to be valid, built without
+    re-running its checks: the event loop keeps every clock in [0, tau]."""
+    aux = object.__new__(AuxiliaryState)
+    aux.qD, aux.pD, aux.tau = qD, pD, tau
+    return aux
 
 
 def sample_auxiliary(n_sites: int, tau: float, kinetic: KineticEnergy,
@@ -255,14 +314,15 @@ def run_chain_general(init: MixedPoint, T: float, model: ModelSpec,
     nd, nc = model.n_discrete, model.n_continuous
     pt = init.copy()
     aux = sample_auxiliary(nd, tau, kinetic, rng)
+    no_momentum = np.zeros(0)
 
     def step():
         nonlocal pt, aux
         if nd:
             if resample_positions:
                 aux.qD = rng.uniform(nd) * tau
-            aux.pD = np.atleast_1d(kinetic.sample(rng, nd))
-        pC = rng.normal(nc) if nc else np.zeros(0)
+            aux.pD = kinetic.sample(rng, nd)
+        pC = rng.normal(nc) if nc else no_momentum
         pt, aux, _, stats = general_step(pt, aux, pC, T, model, kinetic,
                                          integrator_eps, rng)
         return pt.x, pt.q, stats.accepted, stats.divergent

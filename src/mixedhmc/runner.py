@@ -52,11 +52,18 @@ def default_init(model: ModelSpec, rng: ChainRng) -> MixedPoint:
 def kernel_params(kind: str, model: ModelSpec, settings):
     """The params object of kernel ``kind`` from ``settings`` (a dict of its
     fields, or the object itself), checked against ``model``; a bad or
-    unfit value raises ``ValueError("<field>: ...")``."""
+    unfit value raises ``ValueError("<field>: ...")``.  Every kernel
+    proposes moves to another value at each site, so a site with a single
+    value is unfit for all of them."""
     if kind not in KERNELS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     cls = KERNELS[kind]
     params = settings if isinstance(settings, cls) else cls(**settings)
+    for j in range(model.n_discrete):
+        if model.site_cardinality(j) < 2:
+            raise ValueError(f"type: site {j} has a single value, and the "
+                             f"{kind} kernel proposes a move to another "
+                             "value at every site")
     if isinstance(params, LaplaceKernelParams):
         params.validate_for(model.n_discrete, model.n_continuous)
     if isinstance(params, NaiveParams) and not (

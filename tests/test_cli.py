@@ -250,6 +250,23 @@ class TestConfigValidation:
         assert main(["run", "--config", cfg, "--out-dir",
                      str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("kernel", [
+        {"type": "general", "T": 1.0, "beta": 2.0},
+        {"type": "laplace", "epsilon": 0.5, "T": 4.5, "L": 18}])
+    def test_single_value_site_rejected(self, tmp_path, capsys, kernel):
+        """A one-component mixture leaves site 0 no other value to move to:
+        rejected before sampling, naming the site."""
+        cfg = write_config(tmp_path, kernel=kernel,
+                           model={"type": "gmm1d", "weights": [1.0],
+                                  "means": [[0.0]], "variances": [[1.0]]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out-dir", str(out),
+                     "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "kernel.type: site 0 has a single value" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 

@@ -13,9 +13,9 @@ from mixedhmc import (
     run_chain_general,
     sample_auxiliary,
 )
-from mixedhmc.core import forced_delta
+from mixedhmc.core import forced_delta, leapfrog, propose_and_delta
 from mixedhmc.diagnostics import ess, ks_two_sample
-from mixedhmc.kernels_general import GeneralParams, _simulate
+from mixedhmc.kernels_general import GeneralParams, _float_kinv, _simulate
 from mixedhmc.models import (
     binary_quadratic_enumerate,
     gmm1d_preset,
@@ -349,3 +349,209 @@ class TestGeneralParams:
         with pytest.raises(ValueError,
                            match=f"^{field}: must be positive and finite"):
             GeneralParams(**{"T": 1.0, field: value})
+
+
+def _reference_simulate(x, qD, pD, qC, pC, tau, T, model, kinetic,
+                        integrator_eps, rng, propose, events):
+    """The event loop written with numpy calls on single values, one
+    leapfrog segment per gap between events, each starting with a fresh
+    gradient: the reference that ``_simulate`` must match bit for bit."""
+    def hit_time(qd, v):
+        return (tau * (np.sign(v) + 1.0) - 2.0 * qd) / (2.0 * v)
+
+    nd = qD.size
+    nc = qC.size
+    n_acc = 0
+    n_grad = 0
+
+    if nd:
+        v = kinetic.kprime(pD)
+        hit = hit_time(qD, v)
+    else:
+        v = hit = np.zeros(0)
+
+    t_rem = T
+    while t_rem > 0.0:
+        if nd:
+            j = int(np.argmin(hit))
+            event = hit[j] <= t_rem
+            step = hit[j] if event else t_rem
+        else:
+            event = False
+            step = t_rem
+
+        if step > 0.0:
+            if nd:
+                qD += step * v
+                np.clip(qD, 0.0, tau, out=qD)
+            if nc:
+                n = max(int(np.ceil(step / integrator_eps)), 1)
+                leapfrog(x, qC, pC, step / n, n, model.grad_q)
+                n_grad += n + 1
+        t_rem -= step
+
+        if event:
+            hit -= step
+            np.maximum(hit, 0.0, out=hit)
+            new, d_e = propose(j, x, qC, rng)
+            old = int(x[j])
+            energy = kinetic.k(pD[j])
+            accepted = energy > d_e
+            if accepted:
+                x[j] = new
+                qD[j] = tau - qD[j]
+                pD[j] = np.sign(pD[j]) * kinetic.kinv(energy - d_e)
+                v[j] = kinetic.kprime(pD[j])
+                n_acc += 1
+            else:
+                pD[j] = -pD[j]
+                v[j] = -v[j]
+            hit[j] = hit_time(qD[j], v[j])
+            events.append((j, old, new, accepted))
+
+    return n_acc, n_grad, True
+
+
+def _counting_grad(model):
+    """Make ``model.grad_q`` count its calls; returns the one-entry list
+    holding the count."""
+    calls = [0]
+    grad_q = model.grad_q
+
+    def counted(x, q):
+        calls[0] += 1
+        return grad_q(x, q)
+
+    model.grad_q = counted
+    return calls
+
+
+def _trajectory_start(model, kin, seed):
+    rng = ChainRng(seed, 0)
+    nd, nc = model.n_discrete, model.n_continuous
+    x = np.array([int(rng.uniform() * model.site_cardinality(j))
+                  for j in range(nd)], dtype=np.int64)
+    return (x, rng.uniform(nd), np.atleast_1d(kin.sample(rng, nd)),
+            np.atleast_1d(rng.normal(nc)), np.atleast_1d(rng.normal(nc)))
+
+
+# Model and travel time: the binary model has no leapfrog, so its long
+# trajectories give each beta thousands of refractions.
+_LOOP_MODELS = {
+    "binary6": (lambda: random_binary_quadratic(6, ChainRng(2026, 0),
+                                                coupling_scale=0.8), 60.0),
+    "coupled": (lambda: CoupledModel(3), 3.0),
+    "gmm1d": (gmm1d_preset, 3.0),
+}
+
+
+class TestFloatLoopMatchesReference:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 1.5, 3.0])
+    @pytest.mark.parametrize("name", list(_LOOP_MODELS))
+    def test_bit_identical_to_numpy_loop(self, name, beta):
+        """Positions, momenta, sites, events and accept counts equal the
+        numpy loop's exactly; each loop reports the gradient calls it made.
+        Betas 1.5 and 3 take numpy's own ``pow`` in ``kinv``."""
+        make_model, T = _LOOP_MODELS[name]
+        model = make_model()
+        calls = _counting_grad(model)
+        kin = KineticEnergy(beta)
+        tau, eps = 1.0, 0.1
+        kinds = set()
+        for seed in range(25):
+            runs = []
+            for loop in (_reference_simulate, _simulate):
+                state = [a.copy() for a in _trajectory_start(model, kin, seed)]
+                events = []
+                calls[0] = 0
+                counts = loop(*state, tau, T, model, kin, eps,
+                              ChainRng(seed, 1),
+                              lambda j, x, q, r: propose_and_delta(
+                                  j, x, q, model, r), events)
+                runs.append((state, events, counts, calls[0]))
+            (ref, ref_events, ref_counts, ref_calls), \
+                (new, new_events, new_counts, new_calls) = runs
+            assert new_counts[2], "the float loop degenerated"
+            for a, b in zip(ref, new):
+                assert np.array_equal(a, b)
+            assert new_events == ref_events
+            assert new_counts[0] == ref_counts[0]
+            assert (ref_counts[1], new_counts[1]) == (ref_calls, new_calls)
+            kinds.update(acc for (_, _, _, acc) in new_events)
+        assert kinds == {True, False}, "needs refractions and reflections"
+
+
+class TestFloatKinv:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 1.5, 3.0])
+    def test_matches_kinetic_kinv(self, beta):
+        """numpy's sqrt fast path at beta 2 and libm's ``pow`` differ in the
+        last bit on about 1 draw in 1,500; the float form takes numpy's."""
+        kin = KineticEnergy(beta)
+        kinv = _float_kinv(kin)
+        e = ChainRng(31, 0).gamma(0.7, 20_000) * np.logspace(-6, 6, 20_000)
+        assert [kinv(v) for v in e.tolist()] == [float(kin.kinv(v)) for v in e]
+
+
+class TestGradientReuse:
+    def test_segments_reuse_the_last_gradient(self):
+        """A segment that follows a reflection starts from the gradient the
+        last one ended with: fewer calls than one fresh gradient per
+        segment, and ``n_grad_evals`` counts the calls made."""
+        model = CoupledModel(3)
+        calls = _counting_grad(model)
+        kin = KineticEnergy(1.0)
+        saved = 0
+        for seed in range(10):
+            x, qD, pD, qC, pC = _trajectory_start(model, kin, seed)
+            pt = MixedPoint(x, qC)
+            aux = AuxiliaryState(qD, pD, 1.0)
+            calls[0] = 0
+            _, _, _, stats = general_step(pt, aux, pC, 3.0, model, kin, 0.1,
+                                          ChainRng(seed, 1))
+            assert stats.n_grad_evals == calls[0] > 0
+            calls[0] = 0
+            _, n_grad, _ = _reference_simulate(
+                x.copy(), qD.copy(), pD.copy(), qC.copy(), pC.copy(), 1.0,
+                3.0, model, kin, 0.1, ChainRng(seed, 1),
+                lambda j, x_, q_, r: propose_and_delta(j, x_, q_, model, r),
+                [])
+            saved += n_grad - stats.n_grad_evals
+        assert saved > 0
+
+
+class TestNonFiniteRefraction:
+    def _step(self, beta, d_e):
+        model = CoupledModel(3)
+        kin = KineticEnergy(beta)
+        x, qD, pD, qC, pC = _trajectory_start(model, kin, 5)
+        pt, aux = MixedPoint(x, qC), AuxiliaryState(qD, pD, 1.0)
+        events = []
+        new_pt, new_aux, new_p, stats = general_step(
+            pt, aux, pC, 2.0, model, kin, 0.1, ChainRng(5, 1),
+            propose=lambda j, x_, q_, r: (1 - int(x_[j]), d_e),
+            events=events)
+        assert stats.divergent and not stats.accepted
+        assert np.array_equal(new_pt.x, x) and np.array_equal(new_pt.q, qC)
+        assert np.array_equal(new_aux.qD, qD)
+        assert np.array_equal(new_aux.pD, pD)
+        assert np.array_equal(new_p, pC)
+        return events
+
+    @pytest.mark.parametrize("beta,d_e", [
+        (0.5, -np.inf), (1.0, -np.inf), (2.0, -np.inf), (0.5, -1e300),
+        (1.0, -1e300)])
+    def test_divergent_within_a_few_events(self, beta, d_e):
+        """A refraction gaining an infinite energy, or one whose momentum
+        overflows (``1e300 ** 2`` at beta 0.5), ends the trajectory at once;
+        at beta 1 the momentum 1e300 moves its clock at unit speed and the
+        energy error rejects the step.  Beta 2 with -1e300 is the case
+        below."""
+        assert len(self._step(beta, d_e)) <= 12
+
+    def test_fast_clock_hits_event_cap(self, monkeypatch):
+        """At beta 2 a gain of 1e300 leaves the finite momentum 1e150,
+        whose clock crosses the circle every 5e-151 time units: the
+        trajectory runs into the event cap, here lowered to keep it short,
+        and is divergent."""
+        monkeypatch.setattr("mixedhmc.kernels_general._MAX_EVENTS", 1000)
+        assert len(self._step(2.0, -1e300)) == 1001
