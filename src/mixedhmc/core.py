@@ -199,26 +199,24 @@ def leapfrog(x, q, p, h, n, grad_q, mass=None, g=None):
 
     On row stacks (``q``, ``p`` of shape ``(C, n_continuous)``, ``h`` of
     shape ``(C, 1)``, ``grad_q`` taking row stacks) ``n`` may be a ``(C,)``
-    array: row ``r`` then takes ``n[r]`` steps, and rows that are done sit
-    out the later steps and their gradient calls.
+    array: row ``r`` then takes ``n[r]`` steps of size ``h[r]``.  Every row
+    is stepped ``max(n)`` times, making ``max(n)`` gradient calls, and a
+    row that is done takes zero-length steps (its step size is 0 from then
+    on), which leave its ``q``, ``p`` and gradient as they were, so each row
+    ends with the bits of its own int-count call.  A row whose momentum is
+    already non-finite turns NaN there (``0 * inf``); it was divergent
+    either way, and its batch-mates are not touched.
     """
-    half = 0.5 * h
     if g is None:
         g = grad_q(x, q)
     if isinstance(n, (int, np.integer)):
+        half = 0.5 * h
         for _ in range(n):
             g = _leapfrog_step(x, q, p, g, half, h, grad_q, mass)
         return g
-    n_min = int(n.min())
-    for i in range(int(n.max())):
-        if i < n_min:
-            g = _leapfrog_step(x, q, p, g, half, h, grad_q, mass)
-        else:
-            r = np.flatnonzero(n > i)
-            qr, pr = q[r], p[r]
-            g[r] = _leapfrog_step(x[r], qr, pr, g[r], half[r], h[r], grad_q,
-                                  mass)
-            q[r], p[r] = qr, pr
+    hs = np.where(np.arange(int(n.max()))[:, None, None] < n[:, None], h, 0.0)
+    for h_i, half_i in zip(hs, 0.5 * hs):
+        g = _leapfrog_step(x, q, p, g, half_i, h_i, grad_q, mass)
     return g
 
 
@@ -233,17 +231,28 @@ def _leapfrog_step(x, q, p, g, half, h, grad_q, mass):
 def row_method(model, name):
     """``model.<name>`` on row stacks: the method itself when the model is
     ``row_stacked``, else a wrapper that calls it once per row and stacks
-    the results, padding site conditionals of smaller sites with ``+inf``."""
+    the results.  Site conditionals are padded with ``+inf`` to the model's
+    largest site cardinality, as a row-stacked model returns them: a width
+    set by the batch would change a row's sums with its batch-mates."""
     fn = getattr(model, name)
     if model.row_stacked:
         return fn
+    if name == "site_cond_neglogp":
+        width = max((model.site_cardinality(j)
+                     for j in range(model.n_discrete)), default=0)
+
+        def per_row_cond(j, x, q):
+            out = np.full((len(j), width), np.inf)
+            for r, row in enumerate(zip(j, x, q)):
+                v = np.asarray(fn(*row), dtype=np.float64)
+                out[r, :v.size] = v
+            return out
+
+        return per_row_cond
 
     def per_row(*args):
-        out = [np.asarray(fn(*row), dtype=np.float64) for row in zip(*args)]
-        width = max(v.size for v in out)
-        return np.array([
-            np.pad(v, (0, width - v.size), constant_values=np.inf)
-            if v.ndim and v.size < width else v for v in out])
+        return np.array([np.asarray(fn(*row), dtype=np.float64)
+                         for row in zip(*args)])
 
     return per_row
 
@@ -312,6 +321,13 @@ def delta_E(x, x_tilde, q, log_fwd, log_bwd, model) -> float:
             + log_fwd - log_bwd)
 
 
+# log of the smallest normal float: a cost below it was computed from a
+# subnormal normalizer.
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+_ONE_ROW.flags.writeable = False
+
+
 def propose_and_delta(j, x, q, model, rng):
     """Single-site proposal together with its energy cost, one conditional eval.
 
@@ -335,49 +351,53 @@ def propose_and_delta(j, x, q, model, rng):
         return 1 - cur, float(neglogp[1 - cur] - neglogp[cur])
 
     new, delta, ok = informed_rows(np.array([j]), x[None], q[None], model,
-                                   np.asarray(neglogp)[None], rng.uniform(1))
+                                   np.asarray(neglogp)[None], rng.uniform(1),
+                                   _ONE_ROW, x[j:j + 1])
     if not ok[0]:
         raise NonFiniteWeightsError(f"no admissible proposal from value {cur}: "
                                     "conditional weights zero or non-finite")
     return int(new[0]), float(delta[0])
 
 
-def informed_rows(j, x, q, model, neglogp, u):
+def informed_rows(j, x, q, model, neglogp, u, rows, cur):
     """Locally informed proposals at sites ``j`` of the rows of ``x``, ``q``,
     with their energy costs.
 
     ``neglogp`` holds each row's site conditionals (``+inf`` past the site's
-    cardinality) and ``u`` one uniform per row.  Row ``r`` moves to a value
-    ``v != x[r, j[r]]`` with probability proportional to
-    ``exp(-neglogp[r, v])``.  Returns ``(new, delta, ok)``; ``ok`` is False
-    on rows whose weights leave no finite proposal, and their other entries
-    are meaningless.
+    cardinality), ``u`` one uniform per row, ``rows`` is
+    ``np.arange(len(j))`` and ``cur`` the current values ``x[rows, j]``.
+    Row ``r`` moves to a value ``v != cur[r]`` with probability proportional
+    to ``exp(-neglogp[r, v])``.  Returns ``(new, delta, ok)``; ``ok`` is
+    False on rows whose weights leave no finite proposal, and their other
+    entries are meaningless.
     """
-    rows = np.arange(j.size)
-    cur = x[rows, j]
     w = np.array(neglogp, dtype=np.float64)
+    width = w.shape[1]
     w_cur = w[rows, cur]
     w[rows, cur] = np.inf
     shift = w.min(axis=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e = np.exp(shift[:, None] - w)
+        # The weights relative to the largest, in w's buffer.
+        e = np.exp(np.subtract(shift[:, None], w, out=w), out=w)
         acc = e.cumsum(axis=1)
         z_fwd = acc[:, -1]
         new = (acc <= (u * z_fwd)[:, None]).sum(axis=1)
-        if new.max(initial=0) == w.shape[1]:
+        if new.max(initial=0) == width:
             # u * z_fwd rounded up to z_fwd: take the last positive weight.
-            past = new == w.shape[1]
-            new[past] = w.shape[1] - 1 - np.argmax(e[past, ::-1] > 0.0, axis=1)
+            past = new == width
+            new[past] = width - 1 - np.argmax(e[past, ::-1] > 0.0, axis=1)
         # Backward normalizer by exclusion sum (subtracting e[new] from z_fwd
         # would cancel catastrophically when e[new] dominates).
         e[rows, new] = 0.0
         e[rows, cur] = np.exp(shift - w_cur)
         delta = np.log(e.sum(axis=1) / z_fwd)
     ok = np.isfinite(shift)
-    if not np.isfinite(delta).all():
-        # The backward normalizer over- or underflowed: redo the cost in log
+    if not (delta.min() > _LOG_TINY and delta.max() < np.inf):
+        # The backward normalizer overflowed, or fell below the smallest
+        # normal float, where it keeps too few bits: redo the cost in log
         # space.
-        for r in np.flatnonzero(ok & ~np.isfinite(delta)):
+        redo = ~((delta > _LOG_TINY) & (delta < np.inf))
+        for r in np.flatnonzero(ok & redo):
             try:
                 delta[r] = forced_delta(int(j[r]), x[r], q[r], model,
                                         int(new[r]))

@@ -154,7 +154,8 @@ def _simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
     Returns ``(n_accepts, n_grads, ok)``; ``ok`` is False when the trajectory
     degenerated: non-finite weights, a clock whose momentum or velocity is
     not finite or whose velocity is zero (on entry or after a refraction),
-    or a runaway event count.
+    a refraction leaving a clock fast enough to cross the circle more than
+    ``_MAX_EVENTS`` times in time ``T``, or a runaway event count.
     """
     nd = qD.size
     nc = qC.size
@@ -213,7 +214,8 @@ def _simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
                     w = beta * abs(p) ** (beta - 1.0)
                 except (OverflowError, ZeroDivisionError):
                     w = math.nan
-                if not _runs(p, w):
+                # A clock this fast would run into the event cap: diverge now.
+                if not _runs(p, w) or w * T > tau * _MAX_EVENTS:
                     ok = False
                     break
                 pd[j] = p

@@ -194,9 +194,12 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     Row ``r`` of ``x`` (``(C, n_discrete)``) and ``q`` (``(C,
     n_continuous)``) is the state of chain ``r``, which draws only from
     ``rngs[r]``.  Chains share each leapfrog round and each round of
-    discrete updates; a chain whose round needs fewer leapfrog steps sits
-    out the rest.  Returns the new ``(x, q)`` and a :class:`StepStats` of
-    ``(C,)`` arrays.
+    discrete updates; a chain whose round needs fewer leapfrog steps takes
+    zero-length steps for the rest.  A round starts from the gradient the
+    last one ended with, re-evaluated only on the rows whose ``x`` changed
+    in between.  Returns the new ``(x, q)`` and a :class:`StepStats` of
+    ``(C,)`` arrays; ``n_grad_evals`` counts the gradients of each chain's
+    own trajectory, as when it steps alone.
 
     A chain whose conditional weights leave no finite proposal is stuck: it
     moves no further site, is rejected and counted divergent, as are
@@ -224,27 +227,34 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     site_cond = row_method(model, "site_cond_neglogp")
     e0 = potential(x, q) + k.sum(axis=1) + _kinetic(p, mass)
     rounds = np.full(n, L)             # leapfrog rounds each chain ran
-    n_acc = np.zeros(n, dtype=np.int64)
+    took = np.zeros((L * n_d, n), dtype=bool)  # chains taking proposal m
     stuck = np.zeros(n, dtype=bool)    # no finite proposal: moves no more
     any_stuck = False
     rows = np.arange(n)
     xs, qs = x.copy(), q.copy()
     lo, hi = n_steps.min(axis=0).tolist(), n_steps.max(axis=0).tolist()
+    g = None                           # gradient at (xs, qs)
 
     for t in range(L):
         if any_stuck and stuck.all():
             break
         if nc:
+            if t:
+                # The last round's gradient holds where x did not change.
+                r = took[(t - 1) * n_d:t * n_d].any(axis=0).nonzero()[0]
+                if r.size:
+                    g[r] = grad(xs[r], qs[r])
             # An int step count when every chain takes the same number.
-            leapfrog(xs, qs, p, eta[:, t, None],
-                     lo[t] if lo[t] == hi[t] else n_steps[:, t], grad, mass)
+            g = leapfrog(xs, qs, p, eta[:, t, None],
+                         lo[t] if lo[t] == hi[t] else n_steps[:, t], grad,
+                         mass, g)
         for m in range(t * n_d, (t + 1) * n_d) if nd else ():
             j = sites[:, m]
             neglogp = site_cond(j, xs, qs)
             cur = xs[rows, j]
             if all_wide[m]:
                 new, d_e, ok = informed_rows(j, xs, qs, model, neglogp,
-                                             u[:, m])
+                                             u[:, m], rows, cur)
             else:
                 new = 1 - cur
                 d_e = neglogp[rows, new] - neglogp[rows, cur]
@@ -253,7 +263,8 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
                     ok = np.ones(n, dtype=bool)
                     w = np.flatnonzero(at_wide[:, m])
                     new[w], d_e[w], ok[w] = informed_rows(
-                        j[w], xs[w], qs[w], model, neglogp[w], u[w, m])
+                        j[w], xs[w], qs[w], model, neglogp[w], u[w, m],
+                        rows[:w.size], cur[w])
             if ok is not None and not ok.all():
                 rounds[~(ok | stuck)] = t + 1
                 stuck |= ~ok
@@ -266,7 +277,7 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
                 take &= ~stuck
             xs[rows, j] = np.where(take, new, cur)
             k[rows, j] = np.where(take, k_j - d_e, k_j)
-            n_acc += take
+            took[m] = take
 
     err = potential(xs, qs) + k.sum(axis=1) + _kinetic(p, mass) - e0
     divergent = stuck | ~(np.abs(err) <= DIVERGENCE_MAX)
@@ -274,12 +285,18 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     accepted = ~divergent & (u[:, -1] < np.exp(-np.maximum(err, 0.0)))
     x_new = np.where(accepted[:, None], xs, x)
     q_new = np.where(accepted[:, None], qs, q)
-    # Each leapfrog round evaluates the gradient once more than its steps.
-    n_grad = (np.where(np.arange(L) < rounds[:, None], n_steps + 1, 0)
-              .sum(axis=1) if nc else np.zeros(n, dtype=np.int64))
+    # A chain's own gradients: one at the start, one per leapfrog step of
+    # the rounds it ran, and one more for each of those rounds that began
+    # after it moved.
+    ran = np.arange(L) < rounds[:, None]
+    moved = took.reshape(L, n_d, n).any(axis=1).T
+    n_grad = (1 + np.where(ran, n_steps, 0).sum(axis=1)
+              + (ran[:, 1:] & moved[:, :-1]).sum(axis=1)
+              if nc else np.zeros(n, dtype=np.int64))
     return x_new, q_new, StepStats(
-        accepted=accepted, energy_error=energy_error, n_discrete_accepts=n_acc,
-        n_grad_evals=n_grad, divergent=divergent)
+        accepted=accepted, energy_error=energy_error,
+        n_discrete_accepts=took.sum(axis=0), n_grad_evals=n_grad,
+        divergent=divergent)
 
 
 def run_chain_batch(inits, params: LaplaceKernelParams, model: ModelSpec,

@@ -118,12 +118,18 @@ class BlrVarsel(ModelSpec):
 
     def site_cond_neglogp(self, j, x, q) -> np.ndarray:
         # Rank-one update of the linear predictor: only column j toggles.
-        j = np.asarray(j)[..., None]
+        # One state goes through as a one-row stack.
+        one = x.ndim == 1
+        if one:
+            j, x, q = np.array([j]), x[None], q[None]
+        rows = np.arange(x.shape[0])
         t = self._predictor(x, q)
-        col = self._Xt[j[..., 0]] * np.take_along_axis(q, j, axis=-1)
-        t_off = t - np.take_along_axis(x, j, axis=-1) * col
-        both = np.stack([t_off, t_off + col], axis=-2)
-        return self._prior(q)[..., None] + self._nll(both)
+        col = self._Xt[j] * q[rows, j, None]
+        both = np.empty((x.shape[0], 2, t.shape[1]))
+        np.subtract(t, x[rows, j, None] * col, out=both[:, 0])
+        np.add(both[:, 0], col, out=both[:, 1])
+        out = self._prior(q)[:, None] + self._nll(both)
+        return out[0] if one else out
 
     def initial_point(self, rng: ChainRng) -> MixedPoint:
         gamma = (rng.uniform(self._d) < 0.5).astype(np.int64)

@@ -28,8 +28,10 @@ KERNELS = {"laplace": LaplaceKernelParams, "general": GeneralParams,
            "naive": NaiveParams, "gibbs": GibbsParams}
 
 # Fewest chains per Laplace worker.  A lockstep round costs numpy's per-call
-# overhead once for the whole batch, so one chain alone pays 3-4x what it
-# pays in a batch of 4; below that size a worker costs more CPU per chain
+# overhead once for the whole batch, so one chain alone pays 2.5-4x what it
+# pays in a batch of 4 (on a 2-vCPU x86 host, µs per chain-iteration at
+# C = 1, 2, 4, 8: gmm1d 494, 246, 126, 67; BLR 784, 482, 299, 202; gmm24
+# 2486, 1297, 683, 373); below that size a worker costs more CPU per chain
 # than it saves in wall time.
 LAPLACE_MIN_BATCH = 4
 

@@ -495,6 +495,18 @@ class TestBenchmarkTracer:
         assert out.returncode == 0, out.stderr
 
 
+class TestSamplesHashTool:
+    def test_one_config(self):
+        """tools/samples_hash.py runs a config at one and two workers and
+        prints its name and one sha256."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "samples_hash.py"),
+             "blr_n_d2"], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert re.fullmatch(r"blr_n_d2 [0-9a-f]{64}\n", out.stdout)
+
+
 class TestThreads:
     def test_resolution_order(self, monkeypatch):
         monkeypatch.delenv("MHMC_THREADS", raising=False)

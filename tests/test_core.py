@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedhmc import (
     ChainRng,
@@ -14,8 +16,9 @@ from mixedhmc import (
     delta_E,
 )
 from mixedhmc.core import (NonFiniteWeightsError, forced_delta,
-                           informed_rows, propose_and_delta)
-from mixedhmc.models import gmm1d_preset, random_binary_quadratic
+                           informed_rows, leapfrog, propose_and_delta)
+from mixedhmc.models import (GaussianMixture, GmmSpec, gmm1d_preset,
+                             random_binary_quadratic)
 
 
 class UniformSites(ModelSpec):
@@ -308,7 +311,8 @@ class TestFastPaths:
         q = np.array([[0.3], [0.3]])
         neglogp = np.array([[0.0, np.inf, np.inf], [0.0, 0.5, 1.0]])
         new, delta, ok = informed_rows(np.zeros(2, dtype=np.int64), x, q,
-                                       model, neglogp, np.array([0.5, 0.5]))
+                                       model, neglogp, np.array([0.5, 0.5]),
+                                       np.arange(2), np.zeros(2, dtype=int))
         assert ok.tolist() == [False, True]
         assert new[1] in (1, 2) and np.isfinite(delta[1])
 
@@ -363,3 +367,204 @@ class TestModelContract:
                 lhs = w[x[j]] - w[v]
                 rhs = m.potential(x, q) - m.potential(xv, q)
                 assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+class RimBowl(ModelSpec):
+    """Harmonic well on row stacks whose gradient is ``+inf`` wherever some
+    coordinate passes 2."""
+
+    row_stacked = True
+    n_discrete = 0
+    n_continuous = 3
+
+    def site_cardinality(self, j):
+        return 2
+
+    def potential(self, x, q):
+        return 0.5 * np.einsum("...d,...d->...", q, q)
+
+    def grad_q(self, x, q):
+        return np.where(np.abs(q).max(axis=-1, keepdims=True) > 2.0, np.inf,
+                        q * np.array([1.0, 2.0, 0.5]))
+
+
+class TestLeapfrogRows:
+    @pytest.mark.parametrize("mass", [None, np.array([0.5, 2.0, 1.3])],
+                             ids=["unit", "mass"])
+    @pytest.mark.parametrize("pass_g", [False, True], ids=["eval_g", "pass_g"])
+    def test_row_counts_match_int_calls(self, mass, pass_g):
+        """Each row of a call with a (C,) step count gets the bits of its own
+        one-row int-count call; rows done early take zero-length steps."""
+        model = GaussianMixture(GmmSpec(
+            weights=[0.3, 0.7], means=[[0.0, 1.0, -1.0], [2.0, -0.5, 0.3]],
+            variances=[[1.0, 0.5, 2.0], [0.3, 1.5, 0.8]]))
+        rng = np.random.default_rng(3)
+        n = np.array([1, 6, 3, 6, 1])
+        x = np.array([[0], [1], [1], [0], [1]])
+        q = rng.normal(size=(5, 3))
+        p = rng.normal(size=(5, 3))
+        h = rng.uniform(0.05, 0.3, size=(5, 1))
+        g = model.grad_q(x, q) if pass_g else None
+        qb, pb = q.copy(), p.copy()
+        gb = leapfrog(x, qb, pb, h, n, model.grad_q, mass,
+                      None if g is None else g.copy())
+        for r in range(5):
+            qr, pr = q[r:r + 1].copy(), p[r:r + 1].copy()
+            gr = leapfrog(x[r:r + 1], qr, pr, h[r:r + 1], int(n[r]),
+                          model.grad_q, mass,
+                          None if g is None else g[r:r + 1].copy())
+            assert np.array_equal(qb[r], qr[0])
+            assert np.array_equal(pb[r], pr[0])
+            assert np.array_equal(gb[r], gr[0])
+
+    def test_non_finite_row_leaves_batch_mates(self):
+        """A short row whose gradient turns infinite changes no bit of its
+        batch-mates and ends with a non-finite momentum, so its step is
+        divergent, as when it steps alone."""
+        model = RimBowl()
+        x = np.zeros((3, 0), dtype=np.int64)
+        q = np.array([[0.1, 0.2, -0.3], [1.9, 0.0, 0.0], [-0.4, 0.5, 0.2]])
+        p = np.array([[0.3, -0.2, 0.1], [2.0, 0.0, 0.0], [0.1, 0.1, -0.6]])
+        h = np.full((3, 1), 0.1)
+        n = np.array([6, 2, 6])
+        qb, pb = q.copy(), p.copy()
+        gb = leapfrog(x, qb, pb, h, n, model.grad_q)
+        for r in range(3):
+            qr, pr = q[r:r + 1].copy(), p[r:r + 1].copy()
+            gr = leapfrog(x[r:r + 1], qr, pr, h[r:r + 1], int(n[r]),
+                          model.grad_q)
+            if r == 1:
+                assert not np.isfinite(pr).all()
+                assert not np.isfinite(pb[r]).all()
+                assert not np.isfinite(gb[r]).all()
+            else:
+                assert np.isfinite(pr).all()
+                assert np.array_equal(qb[r], qr[0])
+                assert np.array_equal(pb[r], pr[0])
+                assert np.array_equal(gb[r], gr[0])
+
+
+class TableSite(ModelSpec):
+    """One site whose weights are a fixed table, ``U(x) = w[x]``; with
+    ``rows``, a table per row, picked by ``q[0]``, for row-stacked calls."""
+
+    n_discrete = 1
+    n_continuous = 1
+
+    def __init__(self, w):
+        self.w = np.asarray(w, dtype=np.float64)
+
+    def site_cardinality(self, j):
+        return self.w.shape[-1]
+
+    def potential(self, x, q):
+        w = self.w if self.w.ndim == 1 else self.w[int(q[0])]
+        return float(w[x[0]])
+
+    def grad_q(self, x, q):
+        return np.zeros(1)
+
+    def site_cond_neglogp(self, j, x, q):
+        return (self.w if self.w.ndim == 1 else self.w[int(q[0])]).copy()
+
+
+# One site's weights: moderate, or spread past the float range of exp, or
+# +inf (zero weight).
+_WEIGHT = st.one_of(st.floats(-30.0, 30.0), st.floats(-2000.0, 2000.0),
+                    st.just(np.inf))
+
+
+@st.composite
+def _site_rows(draw):
+    """Rows of a stacked call: sites of 3-20 values, weights padded with
+    +inf to the widest, current values and uniforms."""
+    n_rows = draw(st.integers(1, 5))
+    cards = [draw(st.integers(3, 20)) for _ in range(n_rows)]
+    width = max(cards)
+    table = np.full((n_rows, width), np.inf)
+    cur = np.zeros(n_rows, dtype=np.int64)
+    for r, card in enumerate(cards):
+        table[r, :card] = draw(st.lists(_WEIGHT, min_size=card,
+                                        max_size=card))
+        cur[r] = draw(st.integers(0, card - 1))
+        # The chain is in the support: its current value has finite weight.
+        table[r, cur[r]] = draw(st.floats(-30.0, 30.0))
+        # Past the float range of exp, the backward normalizer overflows
+        # when the current value outweighs the rest, and can underflow when
+        # the rest outweigh it.
+        spread = draw(st.sampled_from(["none", "over", "under"]))
+        others = np.delete(table[r, :card], cur[r])
+        gap = draw(st.floats(710.0, 2000.0))
+        if spread == "over":
+            table[r, cur[r]] = others.min() - gap
+        elif spread == "under" and np.isfinite(others).any():
+            table[r, cur[r]] = others[np.isfinite(others)].max() + gap
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=n_rows,
+                          max_size=n_rows))
+    return cards, table, cur, seeds
+
+
+class TestInformedRowsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_site_rows())
+    def test_matches_public_ops(self, rows_drawn):
+        """Each row draws the value default_proposal_sample draws from the
+        same uniform, with the energy cost delta_E gives, including rows
+        that need the log-space fallback; a row with no finite alternative
+        is not ok, and only that row.  Each row's result is bit-identical
+        alone and in the stack."""
+        cards, table, cur, seeds = rows_drawn
+        n_rows = len(cards)
+        model = TableSite(table)
+        j = np.zeros(n_rows, dtype=np.int64)
+        x = cur[:, None].copy()
+        q = np.arange(n_rows, dtype=np.float64)[:, None]
+        u = np.array([ChainRng(s, 0).uniform() for s in seeds])
+        rows = np.arange(n_rows)
+        new, delta, ok = informed_rows(j, x, q, model, table, u, rows, cur)
+        for r in range(n_rows):
+            one = TableSite(table[r, :cards[r]])
+            xr, qr = x[r].copy(), np.zeros(1)
+            try:
+                xt, lf, lb = default_proposal_sample(0, xr, qr, one,
+                                                     ChainRng(seeds[r], 0))
+            except NonFiniteWeightsError:
+                assert not ok[r]
+            else:
+                assert ok[r]
+                assert new[r] == xt[0]
+                want = delta_E(xr, xt, qr, lf, lb, one)
+                assert delta[r] == pytest.approx(want, rel=1e-12, abs=1e-9)
+            n1, d1, ok1 = informed_rows(j[r:r + 1], x[r:r + 1], q[r:r + 1],
+                                        model, table[r:r + 1], u[r:r + 1],
+                                        rows[:1], cur[r:r + 1])
+            assert ok1[0] == ok[r]
+            if ok[r]:
+                assert n1[0] == new[r]
+                assert np.array_equal(d1[0], delta[r])
+
+    def test_fallback_and_stuck_rows(self):
+        """Fixed cases: the forced fallback on overflow and on underflow of
+        the backward normalizer, and a row with no finite alternative in
+        the middle of a stack."""
+        table = np.array([[0.0, 800.0, 801.0, np.inf],
+                          [1000.0, 0.0, 800.0, np.inf],
+                          [0.0, np.inf, np.inf, np.inf],
+                          [0.3, 0.1, -0.2, 0.5]])
+        cur = np.array([0, 0, 0, 3])
+        n_rows = len(table)
+        model = TableSite(table)
+        x = cur[:, None].copy()
+        q = np.arange(n_rows, dtype=np.float64)[:, None]
+        with mock.patch("mixedhmc.core.forced_delta",
+                        wraps=forced_delta) as fallback:
+            new, delta, ok = informed_rows(
+                np.zeros(n_rows, dtype=np.int64), x, q, model, table,
+                np.full(n_rows, 0.5), np.arange(n_rows), cur)
+        assert ok.tolist() == [True, True, False, True]
+        assert fallback.call_count == 2
+        # 0 -> 1 costs U(1) - U(0) + log Q(1 | 0) - log Q(0 | 1).
+        assert new[0] == 1 and delta[0] == pytest.approx(
+            800.0 - np.log1p(np.exp(-1.0)), abs=1e-9)
+        assert new[1] == 1 and delta[1] == pytest.approx(-800.0, abs=1e-9)
+        assert np.isfinite(delta[3])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,29 @@ class CliffWell(ModelSpec):
         return 0.5 * q[0] ** 2 + 0.3 * np.arange(3.0)
 
 
+class RimWell(ModelSpec):
+    """Harmonic well with a 3-value site, called one row at a time, that
+    ends at |q| = 1.5: beyond it the potential and gradient are +inf, so a
+    chain that gets there takes non-finite leapfrog steps."""
+
+    @property
+    def n_discrete(self):
+        return 1
+
+    @property
+    def n_continuous(self):
+        return 1
+
+    def site_cardinality(self, j):
+        return 3
+
+    def potential(self, x, q):
+        return np.inf if abs(q[0]) > 1.5 else 0.5 * q[0] ** 2 + 0.3 * x[0]
+
+    def grad_q(self, x, q):
+        return np.array([np.inf]) if abs(q[0]) > 1.5 else q.copy()
+
+
 class WallModel(ModelSpec):
     """Flat in ``q`` with a 3-value site, called one row at a time; its
     conditional weights are all zero (``+inf``) for ``q > 0``, equal
@@ -187,6 +212,32 @@ class MixedSites(ModelSpec):
     def potential(self, x, q):
         shift = sum(lv[v] for lv, v in zip(self.levels, x))
         return 0.5 * (q[0] - shift) ** 2 + 0.2 * float(x.sum())
+
+    def grad_q(self, x, q):
+        return q - sum(lv[v] for lv, v in zip(self.levels, x))
+
+
+class WideSites(ModelSpec):
+    """Sites of 3, 12 and 20 values coupled to one coordinate, called one
+    row at a time: a batch pads their conditionals to one width, and sums
+    over more than 8 entries depend on that width."""
+
+    levels = tuple(np.sin(1.7 * np.arange(k) + k) for k in (3, 12, 20))
+
+    @property
+    def n_discrete(self):
+        return 3
+
+    @property
+    def n_continuous(self):
+        return 1
+
+    def site_cardinality(self, j):
+        return len(self.levels[j])
+
+    def potential(self, x, q):
+        shift = sum(lv[v] for lv, v in zip(self.levels, x))
+        return 0.5 * (q[0] - shift) ** 2 + 0.05 * float(x.sum())
 
     def grad_q(self, x, q):
         return q - sum(lv[v] for lv, v in zip(self.levels, x))
@@ -414,6 +465,10 @@ BATCH_CASES = [
      LaplaceKernelParams(epsilon=0.3, T=3.0, L=4), True),
     ("mixed_sites", MixedSites(),
      LaplaceKernelParams(epsilon=0.3, T=2.0, L=6, n_D=2), False),
+    ("wide_sites", WideSites(),
+     LaplaceKernelParams(epsilon=0.3, T=2.0, L=6, n_D=2), False),
+    ("rim_well", RimWell(),
+     LaplaceKernelParams(epsilon=0.3, T=3.0, L=4), True),
     ("blr", BlrVarsel(blr_generate(5, n=40, d=6).spec),
      LaplaceKernelParams(epsilon=0.2, T=2.0, L=6, n_D=2), False),
     ("binary", random_binary_quadratic(5, ChainRng(19, 0)),
@@ -537,6 +592,68 @@ class TestStuckChain:
         assert stats.n_discrete_accepts[2] == params.L
         assert stats.n_grad_evals[2] == (sched[2].n_steps + 1).sum()
         assert q[2, 0] == pytest.approx(-50.0 + params.T * p[2], abs=1e-12)
+
+
+def _counting(model):
+    """``model`` with its ``grad_q`` calls counted in ``model.calls``, one
+    entry per call holding the number of rows."""
+    class Counting(type(model)):
+        def grad_q(self, x, q):
+            self.calls.append(len(x) if x.ndim == 2 else 1)
+            return super().grad_q(x, q)
+
+    counted = copy.copy(model)
+    counted.__class__ = Counting
+    counted.calls = []
+    return counted
+
+
+class TestGradientReuse:
+    def test_gmm24_one_call_at_the_start(self):
+        """On gmm24 from exact draws z does not move, so a batch step makes
+        one gradient call at the start and one per leapfrog step of its
+        longest row in each round, L - 1 fewer than one more per round, and
+        each chain counts one plus its own steps."""
+        model = _counting(gmm24_preset())
+        params = LaplaceKernelParams(epsilon=1.7, T=136.0, L=80)
+        n = 4
+        inits = [model.initial_point(ChainRng(30, c)) for c in range(n)]
+        rngs = [ChainRng(31, c) for c in range(n)]
+        x = np.array([p.x for p in inits])
+        q = np.array([p.q for p in inits])
+        for _ in range(3):
+            steps = []
+            for clone in copy.deepcopy(rngs):
+                clone.exponential(1)
+                clone.normal(24)
+                clone.permutation(1)
+                steps.append(get_step_sizes_n_steps(params, 1, clone).n_steps)
+            steps = np.array(steps)
+            model.calls.clear()
+            x, q, stats = laplace_step_batch(x, q, params, model, rngs)
+            assert stats.n_discrete_accepts.tolist() == [0] * n
+            assert len(model.calls) == 1 + steps.max(axis=0).sum()
+            assert np.array_equal(stats.n_grad_evals, 1 + steps.sum(axis=1))
+
+    @pytest.mark.parametrize("name", ["mixed_sites", "blr", "cliff_well"])
+    def test_count_is_calls_alone(self, name):
+        """A chain stepping alone makes exactly the gradient calls its
+        n_grad_evals counts: one at the start, one per leapfrog step, and one
+        for each round that begins after it moved, on a row subset."""
+        case = next(c for c in BATCH_CASES if c[0] == name)
+        model, params = _counting(case[1]), case[2]
+        rng = ChainRng(32, 0)
+        pt = (model.initial_point(ChainRng(33, 0))
+              if hasattr(model, "initial_point")
+              else MixedPoint(np.zeros(model.n_discrete, dtype=np.int64),
+                              np.array([0.3])))
+        moves = 0
+        for _ in range(30):
+            model.calls.clear()
+            pt, stats = laplace_step(pt, params, model, rng)
+            assert sum(model.calls) == stats.n_grad_evals
+            moves += stats.n_discrete_accepts
+        assert moves > 0
 
 
 class TestStationarity:
