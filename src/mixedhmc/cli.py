@@ -185,15 +185,16 @@ def _write_atomic(path, write):
 
 def write_samples_csv(path, outputs, model):
     cols = _column_names(model)
+    # One %-format per row over Python floats; one write per row keeps the
+    # whole file out of memory.
+    line = "%d,%d,%d," + ",".join(["%.17g"] * len(cols)) + "\n"
 
     def write(fh):
         fh.write("chain,iter,accept," + ",".join(cols) + "\n")
         for chain_id, out in enumerate(outputs):
-            for i in range(out.n_samples):
-                row = out.samples[i]
-                fh.write(f"{chain_id},{i},{int(out.accept_trace[i])},")
-                fh.write(",".join(format(v, ".17g") for v in row))
-                fh.write("\n")
+            samples = out.samples
+            for i, accept in enumerate(out.accept_trace.tolist()):
+                fh.write(line % (chain_id, i, accept, *samples[i].tolist()))
 
     _write_atomic(path, write)
 

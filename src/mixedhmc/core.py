@@ -109,6 +109,11 @@ class ModelSpec(abc.ABC):
     vector-matrix product per row (``np.matmul`` on a ``(C, 1, d)``
     stack), never one ``(C, d) @ (d, n)`` product, whose rows change with
     ``C``.  Other models are called once per row by :func:`row_method`.
+
+    Layout rule: parameter arrays are stored C-contiguous, and gathers by
+    site value use ``ndarray.take`` rather than ``a[z]``.  On the small
+    arrays of a batch, broadcasting against a Fortran-ordered array and
+    fancy indexing each cost 2-4x.
     """
 
     row_stacked = False
@@ -198,12 +203,13 @@ def leapfrog(x, q, p, h, n, grad_q, mass=None, g=None):
     gradient evaluations, plus one when ``g`` is None.
 
     On row stacks (``q``, ``p`` of shape ``(C, n_continuous)``, ``h`` of
-    shape ``(C, 1)``, ``grad_q`` taking row stacks) ``n`` may be a ``(C,)``
-    array: row ``r`` then takes ``n[r]`` steps of size ``h[r]``.  Every row
-    is stepped ``max(n)`` times, making ``max(n)`` gradient calls, and a
-    row that is done takes zero-length steps (its step size is 0 from then
-    on), which leave its ``q``, ``p`` and gradient as they were, so each row
-    ends with the bits of its own int-count call.  A row whose momentum is
+    shape ``(C, 1)`` or, cheaper to multiply by, ``(C, n_continuous)``,
+    ``grad_q`` taking row stacks) ``n`` may be a ``(C,)`` array: row ``r``
+    then takes ``n[r]`` steps of size ``h[r]``.  Every row is stepped
+    ``max(n)`` times, making ``max(n)`` gradient calls, and a row that is
+    done takes zero-length steps (its step size is 0 from then on), which
+    leave its ``q``, ``p`` and gradient as they were, so each row ends with
+    the bits of its own int-count call.  A row whose momentum is
     already non-finite turns NaN there (``0 * inf``); it was divergent
     either way, and its batch-mates are not touched.
     """
@@ -371,26 +377,31 @@ def informed_rows(j, x, q, model, neglogp, u, rows, cur):
     False on rows whose weights leave no finite proposal, and their other
     entries are meaningless.
     """
-    w = np.array(neglogp, dtype=np.float64)
-    width = w.shape[1]
-    w_cur = w[rows, cur]
-    w[rows, cur] = np.inf
-    shift = w.min(axis=1)
+    # One column per row: the min, the running sums and the counts below do
+    # not depend on the layout and are cheaper across rows.  The one float
+    # sum over a row's values is taken on the (rows, values) layout, where
+    # a row's sum does not change with the number of rows.
+    w = np.array(neglogp.T, dtype=np.float64, order="C")
+    width, n = w.shape
+    at = cur * n + rows                # flat index of each current value
+    w_cur = w.take(at)
+    w.put(at, np.inf)
+    shift = w.min(axis=0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # The weights relative to the largest, in w's buffer.
-        e = np.exp(np.subtract(shift[:, None], w, out=w), out=w)
-        acc = e.cumsum(axis=1)
-        z_fwd = acc[:, -1]
-        new = (acc <= (u * z_fwd)[:, None]).sum(axis=1)
+        e = np.exp(np.subtract(shift, w, out=w), out=w)
+        acc = np.add.accumulate(e)
+        z_fwd = acc[-1]
+        new = (acc <= u * z_fwd).sum(axis=0)
         if new.max(initial=0) == width:
             # u * z_fwd rounded up to z_fwd: take the last positive weight.
             past = new == width
-            new[past] = width - 1 - np.argmax(e[past, ::-1] > 0.0, axis=1)
+            new[past] = width - 1 - np.argmax(e[::-1, past] > 0.0, axis=0)
         # Backward normalizer by exclusion sum (subtracting e[new] from z_fwd
         # would cancel catastrophically when e[new] dominates).
-        e[rows, new] = 0.0
-        e[rows, cur] = np.exp(shift - w_cur)
-        delta = np.log(e.sum(axis=1) / z_fwd)
+        e.put(new * n + rows, 0.0)
+        e.put(at, np.exp(shift - w_cur))
+        delta = np.log(e.T.copy().sum(axis=1) / z_fwd)
     ok = np.isfinite(shift)
     if not (delta.min() > _LOG_TINY and delta.max() < np.inf):
         # The backward normalizer overflowed, or fell below the smallest

@@ -30,14 +30,15 @@ _SIGNS = np.array([1.0, -1.0])
 
 @dataclass(frozen=True)
 class BinaryQuadraticSpec:
-    """Couplings W (N, N) symmetric with zero diagonal, fields b (N,)."""
+    """Couplings W (N, N) symmetric with zero diagonal, fields b (N,),
+    stored C-contiguous."""
 
     W: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
+        W = np.ascontiguousarray(self.W, dtype=np.float64)
+        b = np.ascontiguousarray(self.b, dtype=np.float64)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
         n = b.size

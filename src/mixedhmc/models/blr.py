@@ -33,15 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlrVarselSpec:
-    """Observed data and prior scale: design X (n, d), responses y (n,)."""
+    """Observed data and prior scale: design X (n, d), responses y (n,),
+    stored C-contiguous."""
 
     X: np.ndarray
     y: np.ndarray
     prior_var: float = 25.0
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
+        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        y = np.ascontiguousarray(self.y, dtype=np.int64)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -122,11 +123,11 @@ class BlrVarsel(ModelSpec):
         one = x.ndim == 1
         if one:
             j, x, q = np.array([j]), x[None], q[None]
-        rows = np.arange(x.shape[0])
+        at = np.arange(x.shape[0]) * self._d + j  # flat index of (r, j[r])
         t = self._predictor(x, q)
-        col = self._Xt[j] * q[rows, j, None]
+        col = self._Xt.take(j, 0) * q.take(at)[:, None]
         both = np.empty((x.shape[0], 2, t.shape[1]))
-        np.subtract(t, x[rows, j, None] * col, out=both[:, 0])
+        np.subtract(t, x.take(at)[:, None] * col, out=both[:, 0])
         np.add(both[:, 0], col, out=both[:, 1])
         out = self._prior(q)[:, None] + self._nll(both)
         return out[0] if one else out

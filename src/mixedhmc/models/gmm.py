@@ -24,16 +24,20 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class GmmSpec:
-    """Mixture parameters: weights (K,), means (K, D), variances (K, D)."""
+    """Mixture parameters: weights (K,), means (K, D), variances (K, D),
+    stored C-contiguous."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        variances = np.atleast_2d(np.asarray(self.variances, dtype=np.float64))
+        object.__setattr__(self, "weights",
+                           np.ascontiguousarray(self.weights, dtype=np.float64))
+        means = np.ascontiguousarray(np.atleast_2d(self.means),
+                                     dtype=np.float64)
+        variances = np.ascontiguousarray(np.atleast_2d(self.variances),
+                                         dtype=np.float64)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
         if self.weights.ndim != 1 or means.shape != variances.shape \
@@ -89,14 +93,14 @@ class GaussianMixture(ModelSpec):
 
     def potential(self, x, q):
         z = x[..., 0]
-        d = q - self.spec.means[z]
-        u = self._const[z] + 0.5 * np.einsum("...d,...d->...", d,
-                                             d * self._inv_var[z])
+        d = q - self.spec.means.take(z, 0)
+        u = self._const.take(z) + 0.5 * np.einsum("...d,...d->...", d,
+                                                  d * self._inv_var.take(z, 0))
         return float(u) if x.ndim == 1 else u
 
     def grad_q(self, x, q) -> np.ndarray:
         z = x[..., 0]
-        return (q - self.spec.means[z]) * self._inv_var[z]
+        return (q - self.spec.means.take(z, 0)) * self._inv_var.take(z, 0)
 
     def site_cond_neglogp(self, j, x, q) -> np.ndarray:
         if self._dim1:

@@ -30,8 +30,8 @@ KERNELS = {"laplace": LaplaceKernelParams, "general": GeneralParams,
 # Fewest chains per Laplace worker.  A lockstep round costs numpy's per-call
 # overhead once for the whole batch, so one chain alone pays 2.5-4x what it
 # pays in a batch of 4 (on a 2-vCPU x86 host, µs per chain-iteration at
-# C = 1, 2, 4, 8: gmm1d 494, 246, 126, 67; BLR 784, 482, 299, 202; gmm24
-# 2486, 1297, 683, 373); below that size a worker costs more CPU per chain
+# C = 1, 2, 4, 8: gmm1d 452, 228, 119, 62; BLR 728, 486, 292, 202; gmm24
+# 1967, 996, 537, 287); below that size a worker costs more CPU per chain
 # than it saves in wall time.
 LAPLACE_MIN_BATCH = 4
 

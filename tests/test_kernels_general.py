@@ -554,3 +554,67 @@ class TestNonFiniteRefraction:
         more often than the event cap allows in time T: the trajectory ends
         as divergent at that refraction, at the default cap."""
         assert len(self._step(2.0, -1e300)) <= 12
+
+
+class TestLoopRefraction:
+    """``_simulate`` refracts inline, on floats, while criterion 8 checks
+    :func:`refract`.  A clock made to cross its boundary once, at a chosen
+    cost, leaves the loop with the momentum ``refract`` gives."""
+
+    @staticmethod
+    def _cross_once(kin, p, d_e):
+        """Momentum of site 0 after one crossing at cost ``d_e``, starting
+        just short of the boundary it moves toward; ``T`` ends the
+        trajectory long before any other clock event."""
+        model = random_binary_quadratic(2, ChainRng(3, 0))
+        qD = np.array([1.0 - 1e-9 if p > 0 else 1e-9, 0.5])
+        pD = np.array([p, 1.0])
+        T = 2.0 * initial_hit_time(qD[0], p, 1.0, kin)
+        sites = []
+
+        def propose(j, x, q, rng):
+            sites.append(j)
+            return 1 - int(x[j]), d_e
+
+        n_acc, n_grad, ok = _simulate(
+            np.zeros(2, dtype=np.int64), qD, pD, np.zeros(0), np.zeros(0),
+            1.0, T, model, kin, 0.1, ChainRng(0, 0), propose, None)
+        assert ok and n_acc == 1 and n_grad == 0 and sites == [0]
+        assert pD[1] == 1.0
+        return pD[0]
+
+    @staticmethod
+    def _cases(kin, seed):
+        """Momenta from ``nu``, each with a cost taking away 90% of its
+        energy, one of 10%, and a gain of half its energy."""
+        p = kin.sample(ChainRng(seed, 0), 100)
+        p = p[np.abs(p) > 1e-3]
+        return [(float(pi), f * float(kin.k(pi)))
+                for pi in p for f in (0.9, 0.1, -0.5)]
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_bit_identical_to_refract(self, beta):
+        """At beta 0.5 and 2 the loop takes the energy ``|p| ** beta`` from
+        libm's ``pow``, and ``KineticEnergy.k`` from numpy's ``sqrt`` or
+        square, which differ in the last bit on about 1 momentum in 1,200:
+        those cases are held to 1 ulp, and the rest to the bit."""
+        kin = KineticEnergy(beta)
+        cases = self._cases(kin, 41)
+        exact = 0
+        for p, d_e in cases:
+            got, want = self._cross_once(kin, p, d_e), refract(p, d_e, kin)
+            if abs(p) ** beta == float(kin.k(np.array(p))):
+                assert got == want, (p, d_e)
+                exact += 1
+            else:
+                assert abs(got - want) <= np.spacing(abs(want)), (p, d_e)
+        assert exact >= 0.95 * len(cases)
+
+    def test_within_a_few_ulp_at_beta_1_5(self):
+        """numpy's array ``pow`` is not libm's: the loop's momentum is held
+        to 4 ulp of :func:`refract`'s."""
+        kin = KineticEnergy(1.5)
+        for p, d_e in self._cases(kin, 43):
+            got, want = self._cross_once(kin, p, d_e), refract(p, d_e, kin)
+            assert np.sign(got) == np.sign(p)
+            assert abs(got - want) <= 4 * np.spacing(abs(want)), (p, d_e)

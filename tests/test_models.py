@@ -10,6 +10,7 @@ from mixedhmc.models import (
     BinaryQuadratic,
     BinaryQuadraticSpec,
     BlrVarsel,
+    BlrVarselSpec,
     GaussianMixture,
     GmmSpec,
     binary_quadratic_enumerate,
@@ -159,6 +160,40 @@ class TestRowStacks:
                     assert got[method].shape == want[rows].shape, method
                     assert np.array_equal(got[method], want[rows]), \
                         (method, c, start)
+
+
+class TestLayout:
+    """The layout rule of ``ModelSpec``: parameter arrays are C-contiguous.
+    gmm24's mean matrix was once a Fortran-ordered transpose, which made
+    each broadcast against it in the site conditionals about 2.6x dearer."""
+
+    PRESETS = [
+        ("gmm1d", gmm1d_preset()),
+        ("gmm24", gmm24_preset()),
+        ("blr", BlrVarsel(blr_generate(0).spec)),
+        ("binary6", random_binary_quadratic(6, ChainRng(2026, 0))),
+    ]
+
+    @pytest.mark.parametrize("name,model", PRESETS)
+    def test_preset_arrays_c_contiguous(self, name, model):
+        arrays = {f"spec.{key}": v for key, v in vars(model.spec).items()
+                  if isinstance(v, np.ndarray)}
+        arrays.update((key, v) for key, v in vars(model).items()
+                      if isinstance(v, np.ndarray))
+        assert len(arrays) >= 2
+        for key, a in arrays.items():
+            assert a.flags.c_contiguous, (name, key)
+
+    def test_specs_copy_fortran_input_to_c_order(self):
+        a = np.asfortranarray(np.arange(12.0).reshape(3, 4) / 100 + 1)
+        gmm = GmmSpec(weights=np.full(3, 1 / 3), means=a, variances=a)
+        blr = blr_generate(0).spec
+        blr = BlrVarselSpec(X=np.asfortranarray(blr.X), y=blr.y)
+        w = np.asfortranarray([[0.0, 0.5], [0.5, 0.0]])
+        binary = BinaryQuadraticSpec(W=w, b=np.zeros(2))
+        for arr in (gmm.means, gmm.variances, blr.X, binary.W):
+            assert arr.flags.c_contiguous
+        assert np.array_equal(gmm.means, a)
 
 
 class TestBlr:

@@ -34,8 +34,17 @@ _BLR = {"type": "blr", "seed": 0, "n": 100, "d": 20}
 _GMM1D_GENERAL = {"type": "general", "T": 4.0, "beta": 2.0, "tau": 1.0,
                   "integrator_eps": 0.4}
 
+# A 12-component mixture on a line, whose site has more than 8 values:
+# past 8, numpy's row sums change their order of additions.  The CSV holds
+# only x and q, so a last-bit change in a proposal's cost shows here only
+# if it flips a decision; summing the costs in another order did not.  The
+# order itself is held by tests/test_core.py::TestInformedRowsProperty.
+_WIDE_GMM1D = {"type": "gmm1d", "weights": [0.05] * 4 + [0.1] * 8,
+               "means": [[m - 5.5] for m in range(12)],
+               "variances": [[0.3]] * 12}
+
 # The benchmark's three workloads, README's example, and the kernel options
-# that they leave out.
+# and site widths that they leave out.
 CONFIGS = {
     "gmm24_laplace": {
         "model": {"type": "gmm24"}, "kernel": _GMM24,
@@ -55,6 +64,11 @@ CONFIGS = {
         "kernel": {"type": "laplace", "epsilon": 0.5, "T": 4.5, "L": 18,
                    "n_D": 1},
         "run": {"chains": 4, "burn_in": 500, "samples": 2000, "seed": 7}},
+    "gmm1d_wide_sites": {
+        "model": _WIDE_GMM1D,
+        "kernel": {"type": "laplace", "epsilon": 0.5, "T": 4.5, "L": 18,
+                   "n_D": 1},
+        "run": {"chains": 4, "burn_in": 200, "samples": 1000, "seed": 11}},
     "laplace_mass_diag": {
         "model": {"type": "gmm24"},
         "kernel": dict(_GMM24, T=13.6, L=8,
