@@ -24,8 +24,6 @@ __all__ = [
     "DegenerateSiteError",
     "NonFiniteWeightsError",
     "check_positive",
-    "default_proposal_sample",
-    "delta_E",
     "leapfrog",
 ]
 
@@ -210,8 +208,9 @@ def leapfrog(x, q, p, h, n, grad_q, mass=None, g=None):
     done takes zero-length steps (its step size is 0 from then on), which
     leave its ``q``, ``p`` and gradient as they were, so each row ends with
     the bits of its own int-count call.  A row whose momentum is
-    already non-finite turns NaN there (``0 * inf``); it was divergent
-    either way, and its batch-mates are not touched.
+    already non-finite turns NaN there (``0 * inf``, with numpy's invalid
+    warning silenced); it was divergent either way, and its batch-mates
+    are not touched.
     """
     if g is None:
         g = grad_q(x, q)
@@ -221,8 +220,9 @@ def leapfrog(x, q, p, h, n, grad_q, mass=None, g=None):
             g = _leapfrog_step(x, q, p, g, half, h, grad_q, mass)
         return g
     hs = np.where(np.arange(int(n.max()))[:, None, None] < n[:, None], h, 0.0)
-    for h_i, half_i in zip(hs, 0.5 * hs):
-        g = _leapfrog_step(x, q, p, g, half_i, h_i, grad_q, mass)
+    with np.errstate(invalid="ignore"):
+        for h_i, half_i in zip(hs, 0.5 * hs):
+            g = _leapfrog_step(x, q, p, g, half_i, h_i, grad_q, mass)
     return g
 
 
@@ -275,58 +275,6 @@ def _masked_logsumexp(neglogp: np.ndarray, skip: int):
     return logits, m + np.log(w.sum()), w
 
 
-def default_proposal_sample(j, x, q, model, rng):
-    """Locally informed single-site proposal that never stays put.
-
-    Draws ``x_tilde`` differing from ``x`` only at site ``j``, with the new
-    value ``v != x[j]`` chosen with probability proportional to its conditional
-    weight ``exp(-site_cond_neglogp(j, x, q)[v])``.
-
-    Returns
-    -------
-    x_tilde : np.ndarray
-        Proposed discrete state.
-    log_fwd : float
-        log Q_j(x_tilde | x).
-    log_bwd : float
-        log Q_j(x | x_tilde), from the same conditional weight vector with the
-        respective current value masked out.
-    """
-    card = model.site_cardinality(j)
-    if card < 2:
-        raise DegenerateSiteError(f"degenerate site {j}: cardinality {card} "
-                                  "admits no move")
-    cur = int(x[j])
-    neglogp = np.asarray(model.site_cond_neglogp(j, x, q), dtype=np.float64)
-
-    if card == 2:
-        # Binary site: the flip is the only legal move, with probability 1.
-        new = 1 - cur
-        log_fwd = 0.0
-        log_bwd = 0.0
-    else:
-        logits, log_z_fwd, w = _masked_logsumexp(neglogp, cur)
-        u = rng.uniform() * w.sum()
-        new = int(np.searchsorted(np.cumsum(w), u, side="right"))
-        log_fwd = logits[new] - log_z_fwd
-        logits_b, log_z_bwd, _ = _masked_logsumexp(neglogp, new)
-        log_bwd = logits_b[cur] - log_z_bwd
-
-    x_tilde = x.copy()
-    x_tilde[j] = new
-    return x_tilde, log_fwd, log_bwd
-
-
-def delta_E(x, x_tilde, q, log_fwd, log_bwd, model) -> float:
-    """Energy cost of the discrete move ``x -> x_tilde`` at location ``q``.
-
-    ``log [ pi(x, q) Q(x_tilde|x) / (pi(x_tilde, q) Q(x|x_tilde)) ]``,
-    i.e. ``U(x_tilde, q) - U(x, q) + log_fwd - log_bwd``.
-    """
-    return (model.potential(x_tilde, q) - model.potential(x, q)
-            + log_fwd - log_bwd)
-
-
 # log of the smallest normal float: a cost below it was computed from a
 # subnormal normalizer.
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
@@ -337,12 +285,11 @@ _ONE_ROW.flags.writeable = False
 def propose_and_delta(j, x, q, model, rng):
     """Single-site proposal together with its energy cost, one conditional eval.
 
-    Fast path used inside kernels.  Equivalent to
-    ``default_proposal_sample`` followed by ``delta_E``: for the locally
-    informed proposal the potential differences and proposal corrections
-    collapse to the log ratio of the two masked normalizers.  Sites with
-    more than 2 values go through the one-row call of
-    :func:`informed_rows`.
+    For the locally informed proposal the potential difference and the
+    proposal correction collapse to the log ratio of the two masked
+    normalizers.  A binary site flips, at the cost of the difference of its
+    two conditionals; a site with more than 2 values goes through the
+    one-row call of :func:`informed_rows`.
 
     Returns ``(new_value, delta_e)`` for site ``j``.
     """

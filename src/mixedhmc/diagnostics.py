@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "ChainOutput",
     "DegenerateDimensionWarning",
+    "StepStats",
     "drive_chains",
     "ess",
     "mress",
@@ -36,7 +37,6 @@ class ChainOutput:
     accept_trace: np.ndarray   # (n_samples,) bool
     wall_time: float = 0.0
     divergence_count: int = 0
-    n_discrete: int = 0        # leading columns holding discrete sites
 
     def __post_init__(self):
         if self.samples.shape[0] != self.accept_trace.shape[0]:
@@ -45,6 +45,19 @@ class ChainOutput:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
+
+
+@dataclass
+class StepStats:
+    """Per-iteration statistics of a kernel step: scalars from
+    ``laplace_step`` and ``general_step``, ``(C,)`` arrays, one entry per
+    chain, from ``laplace_step_batch``."""
+
+    accepted: bool
+    energy_error: float
+    n_discrete_accepts: int
+    n_grad_evals: int
+    divergent: bool = False
 
 
 def drive_chains(step, n_chains: int, n_discrete: int, n_continuous: int,
@@ -75,8 +88,8 @@ def drive_chains(step, n_chains: int, n_discrete: int, n_continuous: int,
     wall = (time.perf_counter() - t_start) / max(n_chains, 1)
 
     return [ChainOutput(samples=samples[c], accept_trace=accepts[c],
-                        wall_time=wall, divergence_count=int(divergences[c]),
-                        n_discrete=nd) for c in range(n_chains)]
+                        wall_time=wall, divergence_count=int(divergences[c]))
+            for c in range(n_chains)]
 
 
 def _autocov(x: np.ndarray) -> np.ndarray:

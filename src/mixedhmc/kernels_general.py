@@ -20,8 +20,7 @@ import numpy as np
 from .core import (DIVERGENCE_MAX, KineticEnergy, MixedPoint, ModelSpec,
                    NonFiniteWeightsError, check_positive, leapfrog,
                    propose_and_delta)
-from .diagnostics import ChainOutput, drive_chains
-from .kernels_laplace import StepStats
+from .diagnostics import ChainOutput, StepStats, drive_chains
 from .rng import ChainRng
 
 __all__ = [

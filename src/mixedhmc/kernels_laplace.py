@@ -22,13 +22,12 @@ from .core import (DIVERGENCE_MAX, DegenerateSiteError, MixedPoint, ModelSpec,
 # Not called here, but perfbench/tracer.py wraps the kernels' proposal by
 # this module attribute.
 from .core import propose_and_delta  # noqa: F401
-from .diagnostics import ChainOutput, drive_chains
+from .diagnostics import ChainOutput, StepStats, drive_chains
 from .rng import ChainRng
 
 __all__ = [
     "LaplaceKernelParams",
     "StepSchedule",
-    "StepStats",
     "get_step_sizes_n_steps",
     "laplace_step",
     "laplace_step_batch",
@@ -80,18 +79,6 @@ class StepSchedule:
 
     eta: np.ndarray      # (L,)
     n_steps: np.ndarray  # (L,) positive ints
-
-
-@dataclass
-class StepStats:
-    """Per-iteration statistics: scalars from :func:`laplace_step`, ``(C,)``
-    arrays, one entry per chain, from :func:`laplace_step_batch`."""
-
-    accepted: bool
-    energy_error: float
-    n_discrete_accepts: int
-    n_grad_evals: int
-    divergent: bool = False
 
 
 def _schedules(params: LaplaceKernelParams, phi: np.ndarray):

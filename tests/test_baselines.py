@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from mixedhmc import (
-    ChainRng,
-    MixedPoint,
-    ModelSpec,
+from mixedhmc import ChainRng, MixedPoint, ModelSpec
+from mixedhmc.baselines import (
     NaiveParams,
     gibbs_mh_sweep,
     naive_mixed_hmc_step,

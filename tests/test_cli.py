@@ -456,6 +456,22 @@ class TestReadme:
                     for f in dataclasses.fields(cls)]
         assert rows == expected
 
+    def test_top_level_exports_match_readme(self):
+        """``mixedhmc.__all__`` is the list README states, and every
+        ``from mixedhmc... import`` line of README's code blocks imports."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            text = fh.read()
+        stated = re.search(r"exports these \d+ names and no others:(.*?)\.\s",
+                           text, re.S).group(1)
+        assert re.findall(r"`(\w+)`", stated) == mixedhmc.__all__
+        blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if re.match(r"from mixedhmc(\.\w+)* import ", line)]
+        assert any(line.startswith("from mixedhmc import ") for line in lines)
+        for line in lines:
+            exec(line, {})
+
 
 class TestCheckCommand:
     def test_gradients_suite_passes(self, capsys):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
-from mixedhmc import ChainRng, ChainOutput, ess, ks_two_sample, mress
-from mixedhmc.diagnostics import DegenerateDimensionWarning
+from mixedhmc import ChainRng, ChainOutput
+from mixedhmc.diagnostics import (DegenerateDimensionWarning, ess,
+                                  ks_two_sample, mress)
 
 
 def ar1_chain(rho, n, rng):

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from mixedhmc import (
-    AuxiliaryState,
     ChainRng,
     KineticEnergy,
     MixedPoint,
     ModelSpec,
-    general_step,
-    initial_hit_time,
-    refract,
     run_chain_general,
-    sample_auxiliary,
 )
 from mixedhmc.core import forced_delta, leapfrog, propose_and_delta
 from mixedhmc.diagnostics import ess, ks_two_sample
-from mixedhmc.kernels_general import GeneralParams, _float_kinv, _simulate
+from mixedhmc.kernels_general import (
+    AuxiliaryState,
+    GeneralParams,
+    _float_kinv,
+    _simulate,
+    general_step,
+    initial_hit_time,
+    refract,
+    sample_auxiliary,
+)
 from mixedhmc.models import (
     binary_quadratic_enumerate,
     gmm1d_preset,

@@ -5,17 +5,17 @@ import pytest
 
 from mixedhmc import (
     ChainRng,
-    DegenerateSiteError,
     KineticEnergy,
     LaplaceKernelParams,
     MixedPoint,
     ModelSpec,
     get_step_sizes_n_steps,
-    laplace_step,
     run_chain,
     run_chain_general,
 )
-from mixedhmc.kernels_laplace import laplace_step_batch, run_chain_batch
+from mixedhmc.core import DegenerateSiteError
+from mixedhmc.kernels_laplace import (laplace_step, laplace_step_batch,
+                                      run_chain_batch)
 from mixedhmc.diagnostics import ks_two_sample
 from mixedhmc.models import (
     BlrVarsel,
