@@ -153,14 +153,15 @@ def gibbs_mh_sweep(point: MixedPoint, model: ModelSpec, rw_scale: float,
     return MixedPoint(x, q)
 
 
-def run_gibbs_chain(init: MixedPoint, model: ModelSpec, rw_scale: float,
+def run_gibbs_chain(init: MixedPoint, params: GibbsParams, model: ModelSpec,
                     n_burn: int, n_samples: int, rng: ChainRng) -> ChainOutput:
+    """Iterate ``gibbs_mh_sweep`` with ``params.rw_scale``."""
     init.validate(model)
     pt = init.copy()
 
     def step():
         nonlocal pt
-        pt = gibbs_mh_sweep(pt, model, rw_scale, rng)
+        pt = gibbs_mh_sweep(pt, model, params.rw_scale, rng)
         return pt.x, pt.q, True, False  # sweeps always advance
 
     return drive_chains(step, 1, model.n_discrete, model.n_continuous, n_burn,

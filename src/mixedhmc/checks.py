@@ -8,11 +8,13 @@ The same checks back the heavier acceptance tests.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .core import KineticEnergy, leapfrog
-from .kernels_general import initial_hit_time, refract, run_chain_general
+from .kernels_general import (GeneralParams, initial_hit_time, refract,
+                              run_chain_general)
 from .models import (
     BlrVarsel,
     blr_generate,
@@ -132,9 +134,8 @@ def check_exactness(seed: int = 20242, n_iters: int = 100_000,
     model = random_binary_quadratic(6, rng)
     exact, _ = binary_quadratic_enumerate(model.spec)
     init = model.initial_point(rng)
-    out = run_chain_general(init, T=1.0, model=model, kinetic=KineticEnergy(1.0),
-                            tau=1.0, integrator_eps=0.1, n_burn=1000,
-                            n_samples=n_iters, rng=rng)
+    params = GeneralParams(T=1.0, tau=1.0, integrator_eps=0.1)
+    out = run_chain_general(init, params, model, 1000, n_iters, rng)
     err = float(np.abs(out.samples.mean(axis=0) - exact).max())
     return [CheckResult("exactness", "binary6_marginals_vs_enumeration",
                         err <= tol, err, tol)]
@@ -170,7 +171,8 @@ def check_distributions(seed: int = 20243, n_draws: int = 100_000,
         energy = kin_b.k(p)
         d_e = rng.uniform(p.size) * energy  # always below k(p)
         keep = energy > d_e
-        out = refract(p[keep], d_e[keep], kin_b)
+        out = np.array(list(map(refract, p[keep].tolist(),
+                                d_e[keep].tolist(), repeat(kin_b))))
         err = float(np.abs(kin_b.k(out) - (energy[keep] - d_e[keep])).max())
         results.append(CheckResult("distributions",
                                    f"refract_energy_identity_beta_{beta:.4g}",

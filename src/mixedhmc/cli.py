@@ -33,7 +33,7 @@ from .models import (
     random_binary_quadratic,
 )
 from .rng import ChainRng
-from .runner import KERNELS, kernel_params, resolve_threads, run_chains
+from .runner import KERNELS, kernel_params, run_chains
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -279,17 +279,13 @@ def cmd_run(args) -> int:
             os.path.join(out_dir, _get(out, "output", key, str, default=name))
             for key, name in (("samples_path", "samples.csv"),
                               ("summary_path", "summary.json")))
-        try:
-            threads = resolve_threads(args.threads, chains)
-        except ValueError as exc:  # a bad MHMC_THREADS
-            raise ConfigError(str(exc)) from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
     t_start = time.perf_counter()
     outputs = run_chains(kind, model, params, chains, burn_in, samples, seed,
-                         threads=threads)
+                         threads=args.threads)
     wall = time.perf_counter() - t_start
 
     summary = build_summary(config, model, outputs, seed, wall)
@@ -341,7 +337,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--chains", type=int, default=None,
                        help="override run.chains")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: MHMC_THREADS or cores)")
+                       help="worker processes (default: cores)")
     p_run.add_argument("--out-dir", default=None,
                        help="directory for output files (default: cwd)")
     p_run.set_defaults(func=cmd_run)

@@ -40,7 +40,12 @@ _MAX_EVENTS = 10_000_000
 class GeneralParams:
     """Settings of :func:`run_chain_general`: travel time ``T``, clock
     kinetic energy ``|p|^beta``, circumference ``tau``, largest leapfrog
-    step ``integrator_eps``, and whether clocks are redrawn each step."""
+    step ``integrator_eps``, and whether clocks are redrawn each step.
+
+    ``resample_positions=True`` redraws the clock positions every
+    iteration; False keeps them across iterations (momenta are always
+    redrawn), the variant under which the binary HMC samplers arise.
+    """
 
     T: float
     beta: float = 1.0
@@ -90,19 +95,18 @@ def initial_hit_time(qd, pd, tau: float, kinetic: KineticEnergy):
     return t if t.ndim else float(t)
 
 
-def refract(pd, delta_e, kinetic: KineticEnergy):
+def refract(pd: float, delta_e: float, kinetic: KineticEnergy) -> float:
     """Pass through a boundary, paying ``delta_e`` out of the kinetic energy.
 
-    Returns ``sign(pd) * kinv(k(pd) - delta_e)``; requires ``k(pd) > delta_e``
-    (callers must reflect otherwise).  Sign is preserved and the new kinetic
-    energy is exactly the old minus ``delta_e``.
+    Returns ``sign(pd) * kinv(k(pd) - delta_e)`` on floats, by the event
+    loop's own refraction; requires ``k(pd) > delta_e`` (callers must
+    reflect otherwise).  Sign is preserved and the new kinetic energy is
+    the old minus ``delta_e``.
     """
-    pd = np.asarray(pd, dtype=np.float64)
-    energy = kinetic.k(pd)
-    if not np.all(energy > delta_e):
+    energy = float(kinetic.k(pd))
+    if not energy > delta_e:
         raise ValueError("refract requires k(p) > delta_e; reflect instead")
-    out = np.sign(pd) * kinetic.kinv(energy - delta_e)
-    return out if out.ndim else float(out)
+    return _refracted(pd, energy, delta_e, _float_kinv(kinetic))
 
 
 def _integrate(x, q, p, duration, max_step, model, g):
@@ -129,6 +133,14 @@ def _float_kinv(kinetic: KineticEnergy):
     if r == 0.5:
         return math.sqrt
     return lambda e: float(kinetic.kinv(e))
+
+
+def _refracted(p, energy, delta_e, kinv):
+    """The momentum ``p`` of kinetic energy ``energy > delta_e`` after
+    paying ``delta_e``: ``sign(p) * kinv(energy - delta_e)``, with ``kinv``
+    from :func:`_float_kinv`."""
+    mag = kinv(energy - delta_e)
+    return mag if p > 0.0 else -mag
 
 
 def _runs(p, v) -> bool:
@@ -207,8 +219,7 @@ def _simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
                 x[j] = new
                 g = None
                 qd[j] = tau - qd[j]
-                mag = kinv(energy - d_e)
-                p = mag if p > 0.0 else -mag
+                p = _refracted(p, energy, d_e, kinv)
                 try:
                     w = beta * abs(p) ** (beta - 1.0)
                 except (OverflowError, ZeroDivisionError):
@@ -300,32 +311,28 @@ def sample_auxiliary(n_sites: int, tau: float, kinetic: KineticEnergy,
     return AuxiliaryState(np.atleast_1d(qD), np.atleast_1d(pD), tau)
 
 
-def run_chain_general(init: MixedPoint, T: float, model: ModelSpec,
-                      kinetic: KineticEnergy, tau: float,
-                      integrator_eps: float, n_burn: int, n_samples: int,
-                      rng: ChainRng, resample_positions: bool = True
-                      ) -> ChainOutput:
-    """Iterate the event-driven kernel.
-
-    ``resample_positions=True`` redraws the clock positions every iteration;
-    False keeps them across iterations (momenta are always redrawn), the
-    variant under which the binary HMC samplers arise.
-    """
+def run_chain_general(init: MixedPoint, params: GeneralParams,
+                      model: ModelSpec, n_burn: int, n_samples: int,
+                      rng: ChainRng) -> ChainOutput:
+    """Iterate the event-driven kernel, discarding ``n_burn`` steps and
+    recording the rest; the clocks' kinetic energy is
+    ``KineticEnergy(params.beta)``."""
     init.validate(model)
     nd, nc = model.n_discrete, model.n_continuous
+    kinetic = KineticEnergy(params.beta)
     pt = init.copy()
-    aux = sample_auxiliary(nd, tau, kinetic, rng)
+    aux = sample_auxiliary(nd, params.tau, kinetic, rng)
     no_momentum = np.zeros(0)
 
     def step():
         nonlocal pt, aux
         if nd:
-            if resample_positions:
-                aux.qD = rng.uniform(nd) * tau
+            if params.resample_positions:
+                aux.qD = rng.uniform(nd) * params.tau
             aux.pD = kinetic.sample(rng, nd)
         pC = rng.normal(nc) if nc else no_momentum
-        pt, aux, _, stats = general_step(pt, aux, pC, T, model, kinetic,
-                                         integrator_eps, rng)
+        pt, aux, _, stats = general_step(pt, aux, pC, params.T, model, kinetic,
+                                         params.integrator_eps, rng)
         return pt.x, pt.q, stats.accepted, stats.divergent
 
     return drive_chains(step, 1, nd, nc, n_burn, n_samples)[0]

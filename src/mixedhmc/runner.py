@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import (GibbsParams, NaiveParams, run_gibbs_chain,
                         run_naive_chain)
-from .core import KineticEnergy, MixedPoint, ModelSpec
+from .core import MixedPoint, ModelSpec
 from .kernels_general import GeneralParams, run_chain_general
 from .kernels_laplace import LaplaceKernelParams, run_chain_batch
 from .models import GaussianMixture
@@ -74,6 +74,12 @@ def kernel_params(kind: str, model: ModelSpec, settings):
     return params
 
 
+# The chain runner of each kind that runs its chains one at a time; each
+# takes (init, params, model, n_burn, n_samples, rng), as ``run_chain`` does.
+_CHAIN_RUNNERS = {GeneralParams: run_chain_general, NaiveParams: run_naive_chain,
+                  GibbsParams: run_gibbs_chain}
+
+
 def _batch_task(args):
     """Run the chains of one worker: Laplace-kernel chains in one lockstep
     batch, the other kernels' chains one after another."""
@@ -82,31 +88,16 @@ def _batch_task(args):
     inits = [default_init(model, rng) for rng in rngs]
     if isinstance(params, LaplaceKernelParams):
         return run_chain_batch(inits, params, model, n_burn, n_samples, rngs)
-    return [_chain(params, model, n_burn, n_samples, init, rng)
+    run = _CHAIN_RUNNERS[type(params)]
+    return [run(init, params, model, n_burn, n_samples, rng)
             for init, rng in zip(inits, rngs)]
 
 
-def _chain(params, model, n_burn, n_samples, init, rng):
-    if isinstance(params, GeneralParams):
-        return run_chain_general(
-            init, params.T, model, KineticEnergy(params.beta), params.tau,
-            params.integrator_eps, n_burn, n_samples, rng,
-            resample_positions=params.resample_positions)
-    if isinstance(params, NaiveParams):
-        return run_naive_chain(init, params, model, n_burn, n_samples, rng)
-    return run_gibbs_chain(init, model, params.rw_scale, n_burn, n_samples,
-                           rng)
-
-
 def resolve_threads(requested=None, n_chains: int = 1) -> int:
-    """--threads flag > MHMC_THREADS env > available cores, capped at chains."""
+    """The worker count: ``requested`` (the --threads flag) if given, else
+    the core count, capped at the chain count."""
     if requested is None:
-        env = os.environ.get("MHMC_THREADS")
-        try:
-            requested = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise ValueError(f"MHMC_THREADS: expected an integer, got {env!r}"
-                             ) from None
+        requested = os.cpu_count() or 1
     return max(1, min(int(requested), n_chains))
 
 

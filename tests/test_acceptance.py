@@ -15,7 +15,6 @@ from scipy import signal
 
 from mixedhmc import (
     ChainRng,
-    KineticEnergy,
     LaplaceKernelParams,
     get_step_sizes_n_steps,
     run_chain_general,
@@ -27,6 +26,7 @@ from mixedhmc.checks import (
 )
 from mixedhmc.cli import main as cli_main
 from mixedhmc.diagnostics import ess, ks_two_sample, mress
+from mixedhmc.kernels_general import GeneralParams
 from mixedhmc.models import (
     binary_quadratic_enumerate,
     gmm1d_preset,
@@ -73,10 +73,9 @@ def test_criterion_01_exactness():
     rng = ChainRng(SEED, 0)
     model = random_binary_quadratic(6, rng)
     exact, _ = binary_quadratic_enumerate(model.spec)
-    out = run_chain_general(model.initial_point(rng), T=1.0, model=model,
-                            kinetic=KineticEnergy(1.0), tau=1.0,
-                            integrator_eps=0.1, n_burn=1000,
-                            n_samples=100_000, rng=rng)
+    out = run_chain_general(model.initial_point(rng),
+                            GeneralParams(T=1.0, tau=1.0, integrator_eps=0.1),
+                            model, 1000, 100_000, rng)
     err = float(np.abs(out.samples.mean(axis=0) - exact).max())
     wall = time.perf_counter() - t_start
     assert err < 0.01

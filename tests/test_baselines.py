@@ -3,6 +3,7 @@ import pytest
 
 from mixedhmc import ChainRng, MixedPoint, ModelSpec
 from mixedhmc.baselines import (
+    GibbsParams,
     NaiveParams,
     gibbs_mh_sweep,
     naive_mixed_hmc_step,
@@ -122,21 +123,22 @@ class TestNaiveLaplaceAgreement:
         """The tracked-energy naive loop is the single-site specialization of
         the scheduled kernel; their outputs agree distributionally (K-S gated
         by effective sample sizes)."""
-        from mixedhmc import LaplaceKernelParams, run_chain
+        from mixedhmc import LaplaceKernelParams
+        from mixedhmc.kernels_laplace import run_chain_batch
 
         model = gmm1d_preset()
         n_chains, n = 6, 4000
-        qs_naive, qs_laplace = [], []
+        qs_naive = []
         for c in range(n_chains):
             rng = ChainRng(7, c)
             out = run_naive_chain(model.initial_point(rng), NAIVE, model,
                                   200, n, rng)
             qs_naive.append(out.samples[:, 1])
-            rng2 = ChainRng(8, c)
-            out2 = run_chain(model.initial_point(rng2),
-                             LaplaceKernelParams(epsilon=0.5, T=4.5, L=18),
-                             model, 200, n, rng2)
-            qs_laplace.append(out2.samples[:, 1])
+        rngs = [ChainRng(8, c) for c in range(n_chains)]
+        outs = run_chain_batch([model.initial_point(r) for r in rngs],
+                               LaplaceKernelParams(epsilon=0.5, T=4.5, L=18),
+                               model, 200, n, rngs)
+        qs_laplace = [o.samples[:, 1] for o in outs]
         a = np.concatenate(qs_naive)
         b = np.concatenate(qs_laplace)
         crit = 1.628 * np.sqrt(1.0 / ess(qs_naive) + 1.0 / ess(qs_laplace))
@@ -157,7 +159,8 @@ class TestGibbs:
         model = random_binary_quadratic(6, ChainRng(10, 0))
         exact, _ = binary_quadratic_enumerate(model.spec)
         rng = ChainRng(11, 0)
-        out = run_gibbs_chain(model.initial_point(rng), model, 1.0, 500,
+        out = run_gibbs_chain(model.initial_point(rng),
+                              GibbsParams(rw_scale=1.0), model, 500,
                               100_000, rng)
         err = np.abs(out.samples.mean(axis=0) - exact).max()
         assert err < 0.01

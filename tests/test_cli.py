@@ -11,8 +11,11 @@ import pytest
 import mixedhmc
 import mixedhmc.models
 import mixedhmc.runner as runner
+from mixedhmc import ChainRng, run_chain_general
+from mixedhmc.baselines import run_gibbs_chain, run_naive_chain
 from mixedhmc.cli import main, write_samples_csv
-from mixedhmc.runner import KERNELS, chain_batches, resolve_threads, run_chains
+from mixedhmc.runner import (KERNELS, chain_batches, default_init,
+                             resolve_threads, run_chains)
 
 
 def write_config(tmp_path, **overrides):
@@ -416,6 +419,26 @@ class TestKernelParams:
         for a, b in zip(*runs):
             assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("kind", [k for k in KERNELS if k != "laplace"])
+    def test_chain_runner_takes_the_shared_arguments(self, kind):
+        """Every kind that runs its chains one at a time is run as
+        ``runner(init, params, model, n_burn, n_samples, rng)``, chain ``c``
+        on ``ChainRng(seed, c)`` from its ``default_init``."""
+        chain_runner = {"general": run_chain_general,
+                        "naive": run_naive_chain,
+                        "gibbs": run_gibbs_chain}[kind]
+        settings = {"general": {"T": 1.0}, "naive": {"epsilon": 0.45, "L": 10},
+                    "gibbs": {"rw_scale": 1.0}}[kind]
+        model = mixedhmc.models.gmm1d_preset()
+        params = KERNELS[kind](**settings)
+        outputs = run_chains(kind, model, settings, 2, 5, 40, 3, threads=1)
+        for c, out in enumerate(outputs):
+            rng = ChainRng(3, c)
+            want = chain_runner(default_init(model, rng), params, model, 5, 40,
+                                rng)
+            assert np.array_equal(out.samples, want.samples)
+            assert np.array_equal(out.accept_trace, want.accept_trace)
+
     @pytest.mark.parametrize("kind,model,kernel,error", [
         ("laplace", "gmm1d", {"epsilon": -0.5, "T": 1.0, "L": 2}, ValueError),
         ("laplace", "gmm1d", {"epsilon": 0.5, "T": 1.0, "L": 2, "n_D": 3},
@@ -524,24 +547,11 @@ class TestSamplesHashTool:
 
 
 class TestThreads:
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv("MHMC_THREADS", raising=False)
+    def test_resolution_order(self):
         assert resolve_threads(4, 8) == 4
         assert resolve_threads(4, 2) == 2
-        monkeypatch.setenv("MHMC_THREADS", "3")
-        assert resolve_threads(None, 8) == 3
         assert resolve_threads(1, 8) == 1
-
-    def test_non_integer_env_names_it(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MHMC_THREADS", "abc")
-        with pytest.raises(ValueError, match="MHMC_THREADS"):
-            resolve_threads(None, 8)
-        assert resolve_threads(2, 8) == 2  # the flag wins, unread
-        cfg = write_config(tmp_path)
-        out = os.path.join(tmp_path, "out")
-        assert main(["run", "--config", cfg, "--out-dir", out]) == 2
-        assert "MHMC_THREADS" in capsys.readouterr().err
-        assert not os.path.exists(out)
+        assert resolve_threads(None, 8) == min(os.cpu_count() or 1, 8)
 
     def test_laplace_batches_hold_at_least_four_chains(self):
         assert chain_batches("laplace", 4, 4) == [[0, 1, 2, 3]]

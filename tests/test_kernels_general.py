@@ -287,8 +287,8 @@ class TestExactness:
         model = random_binary_quadratic(6, ChainRng(5, 0))
         exact, _ = binary_quadratic_enumerate(model.spec)
         rng = ChainRng(6, 0)
-        out = run_chain_general(model.initial_point(rng), 1.0, model,
-                                KineticEnergy(1.0), 1.0, 0.1, 500, 30_000, rng)
+        out = run_chain_general(model.initial_point(rng), GeneralParams(T=1.0),
+                                model, 500, 30_000, rng)
         assert np.abs(out.samples.mean(axis=0) - exact).max() < 0.02
 
     def test_keep_positions_variant_also_exact(self):
@@ -296,9 +296,9 @@ class TestExactness:
         model = random_binary_quadratic(5, ChainRng(7, 0))
         exact, _ = binary_quadratic_enumerate(model.spec)
         rng = ChainRng(8, 0)
-        out = run_chain_general(model.initial_point(rng), 1.0, model,
-                                KineticEnergy(1.0), 1.0, 0.1, 500, 30_000, rng,
-                                resample_positions=False)
+        params = GeneralParams(T=1.0, resample_positions=False)
+        out = run_chain_general(model.initial_point(rng), params, model, 500,
+                                30_000, rng)
         assert np.abs(out.samples.mean(axis=0) - exact).max() < 0.02
 
 
@@ -307,21 +307,23 @@ class TestLaplaceSpecialization:
         """Laplace-momentum event kernel and the scheduled kernel target the
         same distribution; compare pooled continuous marginals with a K-S
         threshold scaled by the estimated effective sample sizes."""
-        from mixedhmc import LaplaceKernelParams, run_chain
+        from mixedhmc import LaplaceKernelParams
+        from mixedhmc.kernels_laplace import run_chain_batch
 
         model = gmm1d_preset()
         n_chains, n = 6, 4000
-        qs_general, qs_laplace = [], []
+        qs_general = []
         for c in range(n_chains):
             rng = ChainRng(9, c)
-            out = run_chain_general(model.initial_point(rng), 4.0, model,
-                                    KineticEnergy(1.0), 1.0, 0.4, 200, n, rng)
+            out = run_chain_general(model.initial_point(rng),
+                                    GeneralParams(T=4.0, integrator_eps=0.4),
+                                    model, 200, n, rng)
             qs_general.append(out.samples[:, 1])
-            rng2 = ChainRng(10, c)
-            out2 = run_chain(model.initial_point(rng2),
-                             LaplaceKernelParams(epsilon=0.45, T=4.0, L=20),
-                             model, 200, n, rng2)
-            qs_laplace.append(out2.samples[:, 1])
+        rngs = [ChainRng(10, c) for c in range(n_chains)]
+        outs = run_chain_batch([model.initial_point(r) for r in rngs],
+                               LaplaceKernelParams(epsilon=0.45, T=4.0, L=20),
+                               model, 200, n, rngs)
+        qs_laplace = [o.samples[:, 1] for o in outs]
         a = np.concatenate(qs_general)
         b = np.concatenate(qs_laplace)
         n_eff_a = ess(qs_general)
@@ -561,9 +563,9 @@ class TestNonFiniteRefraction:
 
 
 class TestLoopRefraction:
-    """``_simulate`` refracts inline, on floats, while criterion 8 checks
-    :func:`refract`.  A clock made to cross its boundary once, at a chosen
-    cost, leaves the loop with the momentum ``refract`` gives."""
+    """``_simulate`` refracts through the float helper that :func:`refract`
+    wraps and criterion 8 checks.  A clock made to cross its boundary once,
+    at a chosen cost, leaves the loop with the momentum ``refract`` gives."""
 
     @staticmethod
     def _cross_once(kin, p, d_e):

@@ -5,7 +5,6 @@ import pytest
 
 from mixedhmc import (
     ChainRng,
-    KineticEnergy,
     LaplaceKernelParams,
     MixedPoint,
     ModelSpec,
@@ -17,6 +16,7 @@ from mixedhmc.core import DegenerateSiteError
 from mixedhmc.kernels_laplace import (laplace_step, laplace_step_batch,
                                       run_chain_batch)
 from mixedhmc.diagnostics import ks_two_sample
+from mixedhmc.kernels_general import GeneralParams
 from mixedhmc.models import (
     BlrVarsel,
     GaussianMixture,
@@ -454,8 +454,8 @@ class TestRunChain:
             run_chain(init, LaplaceKernelParams(epsilon=1.7, T=13.6, L=8),
                       model, 0, 50, rng)
         with pytest.raises(ValueError, match="broadcast"):
-            run_chain_general(init, 1.0, model, KineticEnergy(1.0), 1.0, 0.5,
-                              0, 50, rng)
+            run_chain_general(init, GeneralParams(T=1.0, integrator_eps=0.5),
+                              model, 0, 50, rng)
 
 
 BATCH_CASES = [
@@ -666,13 +666,12 @@ class TestStationarity:
         steps = 50
         rng_init = ChainRng(14, 0)
         init_rows = model.exact_sample(rng_init, n_points)
-        finals = np.empty(n_points)
-        for i in range(n_points):
-            pt = MixedPoint(np.array([int(init_rows[i, 0])]), init_rows[i, 1:])
-            rng = ChainRng(15, i)
-            for _ in range(steps):
-                pt, _ = laplace_step(pt, params, model, rng)
-            finals[i] = pt.q[0]
+        x = init_rows[:, :1].astype(np.int64)
+        q = init_rows[:, 1:]
+        rngs = [ChainRng(15, i) for i in range(n_points)]
+        for _ in range(steps):
+            x, q, _ = laplace_step_batch(x, q, params, model, rngs)
+        finals = q[:, 0]
         ref = model.exact_sample(ChainRng(16, 0), 20_000)[:, 1]
         crit = 1.628 * np.sqrt((n_points + ref.size) / (n_points * ref.size))
         d_init = ks_two_sample(init_rows[:, 1], ref)
