@@ -8,10 +8,16 @@ only the per-site kinetic energies (initially Exponential(1)) need tracking.
 Each discrete proposal is accepted iff its energy cost fits in the site's
 remaining kinetic energy, which is then reduced by that cost; a standard
 Metropolis test on the total energy closes the iteration.
+
+A locally informed proposal from ``cur`` at a site with ``K`` values costs
+at least ``min_{v != cur} w_v - w_cur - log(K - 1)``, for conditionals
+``w``; one whose bound exceeds its site's energy is sure to be rejected,
+and is not drawn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -174,6 +180,19 @@ def _kinetic(p, mass):
     return 0.5 * np.einsum("cd,cd->c", p, p if mass is None else p / mass)
 
 
+def _sure_rejections(neglogp, rows, cur, k_j):
+    """Rows whose proposal is sure to be rejected: its cost bound (module
+    docstring) is finite and exceeds ``k_j + 1e-6 * (1 + k_j)``."""
+    w = np.array(neglogp, dtype=np.float64, order="C")
+    at = rows * w.shape[1] + cur
+    w_cur = w.take(at)
+    w.put(at, np.inf)
+    shift = w.min(axis=1)  # NaN below where no alternative is finite
+    bound = np.where(np.isfinite(shift), shift, np.nan) - w_cur
+    return (bound < np.inf) & (
+        bound > k_j * (1 + 1e-6) + (1e-6 + math.log(w.shape[1] - 1)))
+
+
 def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
                        rngs):
     """One mixed-HMC iteration of each of a batch of chains, in lockstep.
@@ -193,6 +212,11 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     non-finite or huge energy errors, and is still evaluated with its
     batch-mates for the rest of the trajectory.  Any other model error
     raises.  Each row's result does not depend on the other rows.
+
+    A proposal at a site with more than 2 values is skipped when every row
+    that is not stuck has a finite cost bound above its site energy: each
+    row would reject it, leaving ``x``, ``k`` and the stats as they are, and
+    its uniform was drawn up front, so the samples do not change.
     """
     nd, nc = model.n_discrete, model.n_continuous
     mass, L, n_d = params.mass_diag, params.L, params.n_D
@@ -242,7 +266,11 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
             j = sites[:, m]
             neglogp = site_cond(j, xs, qs)
             cur = xs[rows, j]
+            k_j = k[rows, j]
             if all_wide[m]:
+                sure = _sure_rejections(neglogp, rows, cur, k_j)
+                if (sure | stuck).all():
+                    continue
                 new, d_e, ok = informed_rows(j, xs, qs, model, neglogp,
                                              u[:, m], rows, cur)
             else:
@@ -259,7 +287,6 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
                 rounds[~(ok | stuck)] = t + 1
                 stuck |= ~ok
                 any_stuck = True
-            k_j = k[rows, j]
             # A move is accepted iff its cost fits in the site's energy,
             # which then stays positive.
             take = k_j > d_e

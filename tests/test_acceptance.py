@@ -155,9 +155,14 @@ def test_criterion_06_step_schedule_contract():
            "max eta <= epsilon in all 10^4 draws")
 
 
-def test_criterion_07_clock_distributions():
-    results = check_distributions(seed=SEED)
-    by_name = {r.name: r for r in results}
+@pytest.fixture(scope="module")
+def distributions():
+    """check_distributions' results, shared by criteria 7 and 8."""
+    return check_distributions(seed=SEED)
+
+
+def test_criterion_07_clock_distributions(distributions):
+    by_name = {r.name: r for r in distributions}
     t_check = by_name["hit_time_uniform_pvalue"]
     k_check = by_name["energy_exponential_pvalue"]
     assert t_check.passed, f"hit-time K-S p-value {t_check.value}"
@@ -167,9 +172,8 @@ def test_criterion_07_clock_distributions():
            "both >= 0.01")
 
 
-def test_criterion_08_refraction_energy_identity():
-    results = check_distributions(seed=SEED)
-    refr = [r for r in results if r.name.startswith("refract_energy")]
+def test_criterion_08_refraction_energy_identity(distributions):
+    refr = [r for r in distributions if r.name.startswith("refract_energy")]
     assert len(refr) == 3
     for r in refr:
         assert r.passed, f"{r.name}: {r.value}"
@@ -179,11 +183,23 @@ def test_criterion_08_refraction_energy_identity():
            "for beta in {2/3, 1, 2}")
 
 
+def residual_ess(outputs, spec):
+    """min_d ESS((q_d - mu_{z,d})^2 / var_{z,d}) over all draws: mixing
+    within a component, which the sampler's moves drive even where z does
+    not move."""
+    draws = np.stack([o.samples for o in outputs])
+    z = draws[..., 0].astype(int)
+    r = draws[..., 1:] - spec.means[z]
+    sq = r * r / spec.variances[z]
+    return min(ess(sq[..., d]) for d in range(sq.shape[-1]))
+
+
 def test_criterion_09_efficiency_vs_gibbs():
     """24D mixture with the hand-tuned kernel settings vs the sweep baseline
     given a matched per-chain time budget (sweep count from measured costs,
-    clamped to [2000, 20000]): the mixed kernel's MRESS is at least twice
-    the baseline's."""
+    clamped to [2000, 20000]): the mixed kernel's MRESS, and its ESS of the
+    squared within-component residual over all draws, are each at least
+    twice the baseline's."""
     t_start = time.perf_counter()
     model = gmm24_preset()
     dims = list(range(1, 25))
@@ -201,14 +217,19 @@ def test_criterion_09_efficiency_vs_gibbs():
     outputs_g = run_chains("gibbs", model, {"rw_scale": 0.8}, 48, 100,
                            n_sweeps, SEED, threads=2)
     mress_gibbs = mress(outputs_g, dims)
+    resid_mixed = residual_ess(outputs, model.spec)
+    resid_gibbs = residual_ess(outputs_g, model.spec)
     wall = time.perf_counter() - t_start
 
     assert mress_mixed >= 2.0 * mress_gibbs
+    assert resid_mixed >= 2.0 * resid_gibbs
     assert wall < 600.0
     report(9, "efficiency vs sweep baseline",
            f"MRESS {mress_mixed:.4f} >= 2 x {mress_gibbs:.6f} "
-           f"(ratio {mress_mixed / mress_gibbs:.1f}; {n_sweeps} sweeps at "
-           f"matched budget), runtime {wall:.0f}s < 600s")
+           f"(ratio {mress_mixed / mress_gibbs:.2f}); residual ESS "
+           f"{resid_mixed:.0f} >= 2 x {resid_gibbs:.0f} (ratio "
+           f"{resid_mixed / resid_gibbs:.2f}); {n_sweeps} sweeps at "
+           f"matched budget, runtime {wall:.0f}s < 600s")
 
 
 def test_criterion_10_ess_estimator():

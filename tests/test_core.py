@@ -10,6 +10,7 @@ from mixedhmc import ChainRng, KineticEnergy, MixedPoint, ModelSpec
 from mixedhmc.core import (DegenerateSiteError, NonFiniteWeightsError,
                            forced_delta, informed_rows, leapfrog,
                            propose_and_delta)
+from mixedhmc.kernels_laplace import _sure_rejections
 from mixedhmc.models import (GaussianMixture, GmmSpec, gmm1d_preset,
                              random_binary_quadratic)
 from oracle import default_proposal_sample, delta_E
@@ -562,3 +563,44 @@ class TestInformedRowsProperty:
             800.0 - np.log1p(np.exp(-1.0)), abs=1e-9)
         assert new[1] == 1 and delta[1] == pytest.approx(-800.0, abs=1e-9)
         assert np.isfinite(delta[3])
+
+
+class TestSureRejections:
+    @settings(max_examples=300, deadline=None)
+    @given(_site_rows(), st.data())
+    def test_sure_rows_are_rejected(self, rows_drawn, data):
+        """Where the Laplace kernel's skip test says a proposal is sure to
+        be rejected, informed_rows returns ok and a cost of at least the
+        site energy, also on rows that need the log-space fallback; the
+        test never holds for a row with no finite alternative."""
+        cards, table, cur, seeds = rows_drawn
+        n_rows = len(cards)
+        rows = np.arange(n_rows)
+        table = table.copy()
+        k = []
+        for r in rows:
+            alt = float(np.delete(table[r], cur[r]).min())
+            if data.draw(st.booleans()):
+                # Equal alternatives at every value: on a site of the full
+                # width the bound is then tight.
+                table[r, :cards[r]] = np.where(
+                    np.arange(cards[r]) == cur[r], table[r, cur[r]], alt)
+            bound = alt - float(table[r, cur[r]]) - math.log(table.shape[1] - 1)
+            if math.isfinite(bound) and data.draw(st.booleans()):
+                # Near the bound, where the margin and log(K - 1) decide.
+                k.append(max(bound + data.draw(st.floats(-1.0, 0.1)), 0.0))
+            else:
+                k.append(data.draw(st.floats(0.0, 4000.0)))
+        k = np.array(k)
+        sure = _sure_rejections(table, rows, cur, k)
+        u = np.array([ChainRng(s, 0).uniform() for s in seeds])
+        _, delta, ok = informed_rows(
+            np.zeros(n_rows, dtype=np.int64), cur[:, None].copy(),
+            np.arange(n_rows, dtype=np.float64)[:, None], TableSite(table),
+            table, u, rows, cur)
+        for r in np.flatnonzero(sure):
+            assert ok[r]
+            assert delta[r] >= k[r]
+        for r in rows:
+            if np.isinf(np.delete(table[r], cur[r])).all():
+                assert not sure[r]

@@ -1,4 +1,5 @@
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mixedhmc import (
     run_chain,
     run_chain_general,
 )
-from mixedhmc.core import DegenerateSiteError
+from mixedhmc.core import DegenerateSiteError, informed_rows
 from mixedhmc.kernels_laplace import (laplace_step, laplace_step_batch,
                                       run_chain_batch)
 from mixedhmc.diagnostics import ks_two_sample
@@ -654,6 +655,24 @@ class TestGradientReuse:
             assert sum(model.calls) == stats.n_grad_evals
             moves += stats.n_discrete_accepts
         assert moves > 0
+
+
+class TestSureRejections:
+    def test_gmm24_calls_no_informed_rows(self):
+        """On gmm24 from exact draws every four-value proposal costs far more
+        than its site energy, so the lockstep steps skip them all without
+        drawing a proposal."""
+        model = gmm24_preset()
+        params = LaplaceKernelParams(epsilon=1.7, T=13.6, L=8)
+        start = model.exact_sample(ChainRng(34, 0), 48)
+        x, q = start[:, :1].astype(np.int64), start[:, 1:]
+        rngs = [ChainRng(35, c) for c in range(48)]
+        with mock.patch("mixedhmc.kernels_laplace.informed_rows",
+                        wraps=informed_rows) as proposals:
+            for _ in range(5):
+                x, q, stats = laplace_step_batch(x, q, params, model, rngs)
+                assert stats.accepted.any()
+        assert proposals.call_count == 0
 
 
 class TestStationarity:
