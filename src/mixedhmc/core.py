@@ -25,6 +25,8 @@ __all__ = [
     "NonFiniteWeightsError",
     "check_positive",
     "leapfrog",
+    "propose_and_delta",
+    "informed_rows",
 ]
 
 # Energy errors beyond this mark a trajectory divergent and reject the step.
@@ -278,8 +280,6 @@ def _masked_logsumexp(neglogp: np.ndarray, skip: int):
 # log of the smallest normal float: a cost below it was computed from a
 # subnormal normalizer.
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
-_ONE_ROW = np.zeros(1, dtype=np.intp)
-_ONE_ROW.flags.writeable = False
 
 
 def propose_and_delta(j, x, q, model, rng):
@@ -289,7 +289,7 @@ def propose_and_delta(j, x, q, model, rng):
     proposal correction collapse to the log ratio of the two masked
     normalizers.  A binary site flips, at the cost of the difference of its
     two conditionals; a site with more than 2 values goes through the
-    one-row call of :func:`informed_rows`.
+    one-row call of :func:`informed_rows`, which makes no further model call.
 
     Returns ``(new_value, delta_e)`` for site ``j``.
     """
@@ -303,26 +303,25 @@ def propose_and_delta(j, x, q, model, rng):
     if card == 2:
         return 1 - cur, float(neglogp[1 - cur] - neglogp[cur])
 
-    new, delta, ok = informed_rows(np.array([j]), x[None], q[None], model,
-                                   np.asarray(neglogp)[None], rng.uniform(1),
-                                   _ONE_ROW, x[j:j + 1])
+    new, delta, ok = informed_rows(np.asarray(neglogp)[None], x[j:j + 1],
+                                   rng.uniform(1))
     if not ok[0]:
         raise NonFiniteWeightsError(f"no admissible proposal from value {cur}: "
                                     "conditional weights zero or non-finite")
     return int(new[0]), float(delta[0])
 
 
-def informed_rows(j, x, q, model, neglogp, u, rows, cur):
-    """Locally informed proposals at sites ``j`` of the rows of ``x``, ``q``,
-    with their energy costs.
+def informed_rows(neglogp, cur, u):
+    """Locally informed proposals, with their energy costs, from the site
+    conditionals alone: no model is called.
 
-    ``neglogp`` holds each row's site conditionals (``+inf`` past the site's
-    cardinality), ``u`` one uniform per row, ``rows`` is
-    ``np.arange(len(j))`` and ``cur`` the current values ``x[rows, j]``.
-    Row ``r`` moves to a value ``v != cur[r]`` with probability proportional
-    to ``exp(-neglogp[r, v])``.  Returns ``(new, delta, ok)``; ``ok`` is
-    False on rows whose weights leave no finite proposal, and their other
-    entries are meaningless.
+    Row ``r`` of ``neglogp`` holds a site's conditionals (``+inf`` past the
+    site's cardinality), ``cur[r]`` its current value and ``u[r]`` a
+    uniform.  Row ``r`` moves to a value ``v != cur[r]`` with probability
+    proportional to ``exp(-neglogp[r, v])``, at the cost ``log(Z_back /
+    Z_fwd)`` of the normalizers with ``v`` and ``cur[r]`` masked out.
+    Returns ``(new, delta, ok)``; ``ok`` is False on rows whose weights
+    leave no finite proposal, and their other entries are meaningless.
     """
     # One column per row: the min, the running sums and the counts below do
     # not depend on the layout and are cheaper across rows.  The one float
@@ -330,6 +329,7 @@ def informed_rows(j, x, q, model, neglogp, u, rows, cur):
     # a row's sum does not change with the number of rows.
     w = np.array(neglogp.T, dtype=np.float64, order="C")
     width, n = w.shape
+    rows = np.arange(n)
     at = cur * n + rows                # flat index of each current value
     w_cur = w.take(at)
     w.put(at, np.inf)
@@ -353,29 +353,21 @@ def informed_rows(j, x, q, model, neglogp, u, rows, cur):
     if not (delta.min() > _LOG_TINY and delta.max() < np.inf):
         # The backward normalizer overflowed, or fell below the smallest
         # normal float, where it keeps too few bits: redo the cost in log
-        # space.
+        # space, from the row in hand.
         redo = ~((delta > _LOG_TINY) & (delta < np.inf))
         for r in np.flatnonzero(ok & redo):
             try:
-                delta[r] = forced_delta(int(j[r]), x[r], q[r], model,
-                                        int(new[r]))
+                delta[r] = _log_space_delta(neglogp[r], int(cur[r]),
+                                            int(new[r]))
             except NonFiniteWeightsError:
                 ok[r] = False
     return new, delta, ok
 
 
-def forced_delta(j, x, q, model, new_value) -> float:
-    """Energy cost of moving site ``j`` to ``new_value`` under the locally
-    informed proposal, with both normalizers evaluated in log space.
-
-    Used to replay recorded proposal sequences and for deterministic moves.
-    """
-    cur = int(x[j])
-    if new_value == cur:
-        raise ValueError("forced proposal must differ from the current value")
-    neglogp = np.asarray(model.site_cond_neglogp(j, x, q), dtype=np.float64)
-    if neglogp.size == 2:
-        return float(neglogp[new_value] - neglogp[cur])
-    _, log_z_new, _ = _masked_logsumexp(neglogp, new_value)
+def _log_space_delta(neglogp, cur, new) -> float:
+    """The cost :func:`informed_rows` gives the move ``cur -> new`` at a site
+    with conditionals ``neglogp``, with both normalizers in log space."""
+    neglogp = np.asarray(neglogp, dtype=np.float64)
+    _, log_z_new, _ = _masked_logsumexp(neglogp, new)
     _, log_z_cur, _ = _masked_logsumexp(neglogp, cur)
     return float(log_z_new - log_z_cur)

@@ -267,32 +267,25 @@ def general_step(point: MixedPoint, aux: AuxiliaryState, pC: np.ndarray,
     pD = aux.pD.copy()
     p = np.array(pC, dtype=np.float64, copy=True)
 
-    e0 = model.potential(x, qC) + float(np.sum(kinetic.k(pD))) \
-        + 0.5 * float(p @ p)
-
+    e0 = _energy(model, kinetic, x, qC, pD, p)
     n_acc, n_grad, ok = _simulate(x, qD, pD, qC, p, aux.tau, T, model, kinetic,
                                   integrator_eps, rng, propose, events)
-
-    if ok:
-        err = model.potential(x, qC) + float(np.sum(kinetic.k(pD))) \
-            + 0.5 * float(p @ p) - e0
-        if not math.isfinite(err) or abs(err) > DIVERGENCE_MAX:
-            ok = False
-
-    if not ok:
-        stats = StepStats(accepted=False, energy_error=np.nan,
-                          n_discrete_accepts=n_acc,
-                          n_grad_evals=n_grad, divergent=True)
-        return point, aux, pC, stats
-
-    u = rng.uniform()
-    if err <= 0.0 or u < np.exp(-err):
-        stats = StepStats(accepted=True, energy_error=err,
-                          n_discrete_accepts=n_acc, n_grad_evals=n_grad)
+    err = _energy(model, kinetic, x, qC, pD, p) - e0 if ok else np.nan
+    ok = bool(abs(err) <= DIVERGENCE_MAX)  # False on NaN
+    # Every trajectory that did not diverge draws the Metropolis uniform.
+    u = rng.uniform() if ok else 1.0
+    accepted = ok and (err <= 0.0 or bool(u < np.exp(-err)))
+    stats = StepStats(accepted=accepted, energy_error=err if ok else np.nan,
+                      n_discrete_accepts=n_acc, n_grad_evals=n_grad,
+                      divergent=not ok)
+    if accepted:
         return MixedPoint(x, qC), _unchecked_aux(qD, -pD, aux.tau), -p, stats
-    stats = StepStats(accepted=False, energy_error=err,
-                      n_discrete_accepts=n_acc, n_grad_evals=n_grad)
     return point, aux, pC, stats
+
+
+def _energy(model, kinetic, x, q, pD, p):
+    return (model.potential(x, q) + float(np.sum(kinetic.k(pD)))
+            + 0.5 * float(p @ p))
 
 
 def _unchecked_aux(qD, pD, tau) -> AuxiliaryState:

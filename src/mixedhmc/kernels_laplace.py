@@ -180,11 +180,12 @@ def _kinetic(p, mass):
     return 0.5 * np.einsum("cd,cd->c", p, p if mass is None else p / mass)
 
 
-def _sure_rejections(neglogp, rows, cur, k_j):
-    """Rows whose proposal is sure to be rejected: its cost bound (module
-    docstring) is finite and exceeds ``k_j + 1e-6 * (1 + k_j)``."""
+def _sure_rejections(neglogp, cur, k_j):
+    """Rows of site conditionals ``neglogp`` whose proposal from ``cur`` is
+    sure to be rejected: its cost bound (module docstring) is finite and
+    exceeds the site energy ``k_j`` by more than ``1e-6 * (1 + k_j)``."""
     w = np.array(neglogp, dtype=np.float64, order="C")
-    at = rows * w.shape[1] + cur
+    at = np.arange(len(cur)) * w.shape[1] + cur
     w_cur = w.take(at)
     w.put(at, np.inf)
     shift = w.min(axis=1)  # NaN below where no alternative is finite
@@ -268,11 +269,10 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
             cur = xs[rows, j]
             k_j = k[rows, j]
             if all_wide[m]:
-                sure = _sure_rejections(neglogp, rows, cur, k_j)
+                sure = _sure_rejections(neglogp, cur, k_j)
                 if (sure | stuck).all():
                     continue
-                new, d_e, ok = informed_rows(j, xs, qs, model, neglogp,
-                                             u[:, m], rows, cur)
+                new, d_e, ok = informed_rows(neglogp, cur, u[:, m])
             else:
                 new = 1 - cur
                 d_e = neglogp[rows, new] - neglogp[rows, cur]
@@ -280,9 +280,8 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
                 if any_wide[m]:
                     ok = np.ones(n, dtype=bool)
                     w = np.flatnonzero(at_wide[:, m])
-                    new[w], d_e[w], ok[w] = informed_rows(
-                        j[w], xs[w], qs[w], model, neglogp[w], u[w, m],
-                        rows[:w.size], cur[w])
+                    new[w], d_e[w], ok[w] = informed_rows(neglogp[w], cur[w],
+                                                          u[w, m])
             if ok is not None and not ok.all():
                 rounds[~(ok | stuck)] = t + 1
                 stuck |= ~ok

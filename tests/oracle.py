@@ -1,5 +1,6 @@
 """Reference locally informed proposal, in two steps: draw the move, then
-price it from the potential.  The kernels use ``core.informed_rows``; the
+price it from the potential, or price a given move from a fresh evaluation
+of the site's conditionals.  The kernels use ``core.informed_rows``; the
 tests check it against these."""
 
 import numpy as np
@@ -57,3 +58,20 @@ def delta_E(x, x_tilde, q, log_fwd, log_bwd, model) -> float:
     """
     return (model.potential(x_tilde, q) - model.potential(x, q)
             + log_fwd - log_bwd)
+
+
+def forced_delta(j, x, q, model, new_value) -> float:
+    """Energy cost of moving site ``j`` to ``new_value`` under the locally
+    informed proposal, with both normalizers evaluated in log space.
+
+    Used to replay recorded proposal sequences and for deterministic moves.
+    """
+    cur = int(x[j])
+    if new_value == cur:
+        raise ValueError("forced proposal must differ from the current value")
+    neglogp = np.asarray(model.site_cond_neglogp(j, x, q), dtype=np.float64)
+    if neglogp.size == 2:
+        return float(neglogp[new_value] - neglogp[cur])
+    _, log_z_new, _ = _masked_logsumexp(neglogp, new_value)
+    _, log_z_cur, _ = _masked_logsumexp(neglogp, cur)
+    return float(log_z_new - log_z_cur)

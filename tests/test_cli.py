@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -494,6 +495,21 @@ class TestReadme:
         assert any(line.startswith("from mixedhmc import ") for line in lines)
         for line in lines:
             exec(line, {})
+
+    def test_module_bullets_are_exported(self):
+        """Every name README's per-module bullets give is in that module's
+        ``__all__``."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            text = fh.read()
+        start = text.index("imported from its own module:")
+        bullets = re.findall(r"^- `(mixedhmc\.\w+)`: (.*?)(?=^- |^$)",
+                             text[start:], re.S | re.M)
+        assert "mixedhmc.core" in dict(bullets)
+        for mod, names in bullets:
+            missing = (set(re.findall(r"`(\w+)`", names))
+                       - set(importlib.import_module(mod).__all__))
+            assert not missing, (mod, missing)
 
 
 class TestCheckCommand:

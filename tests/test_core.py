@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from mixedhmc import ChainRng, KineticEnergy, MixedPoint, ModelSpec
 from mixedhmc.core import (DegenerateSiteError, NonFiniteWeightsError,
-                           forced_delta, informed_rows, leapfrog,
+                           _log_space_delta, informed_rows, leapfrog,
                            propose_and_delta)
 from mixedhmc.kernels_laplace import _sure_rejections
 from mixedhmc.models import (GaussianMixture, GmmSpec, gmm1d_preset,
                              random_binary_quadratic)
-from oracle import default_proposal_sample, delta_E
+from oracle import default_proposal_sample, delta_E, forced_delta
 
 
 class UniformSites(ModelSpec):
@@ -279,13 +279,17 @@ class TestFastPaths:
 
         # The current value outweighs both alternatives by e^800, beyond the
         # float range, so the backward normalizer overflows and the cost
-        # comes from forced_delta.
+        # comes from the log-space fallback, priced from the one
+        # conditional evaluation.
         model = ShiftingSite([0.0, 40.0, 41.0], [0.0, 0.0, 0.0])
         x, q = np.array([0]), np.array([0.0])
-        with mock.patch("mixedhmc.core.forced_delta",
-                        wraps=forced_delta) as fallback:
+        with mock.patch("mixedhmc.core._log_space_delta",
+                        wraps=_log_space_delta) as fallback, \
+                mock.patch.object(model, "site_cond_neglogp",
+                                  wraps=model.site_cond_neglogp) as cond:
             new, d_fast = propose_and_delta(0, x, q, model, ChainRng(0, 1))
         assert fallback.call_count == 1
+        assert cond.call_count == 1
         xt, lf, lb = default_proposal_sample(0, x, q, model, ChainRng(0, 1))
         assert xt[0] == new
         d_ref = delta_E(x, xt, q, lf, lb, model)
@@ -301,13 +305,9 @@ class TestFastPaths:
             with pytest.raises(NonFiniteWeightsError):
                 propose_and_delta(0, np.array([0]), np.array([0.3]), model,
                                   ChainRng(0, 2))
-        model = ShiftingSite([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-        x = np.array([[0], [0]])
-        q = np.array([[0.3], [0.3]])
         neglogp = np.array([[0.0, np.inf, np.inf], [0.0, 0.5, 1.0]])
-        new, delta, ok = informed_rows(np.zeros(2, dtype=np.int64), x, q,
-                                       model, neglogp, np.array([0.5, 0.5]),
-                                       np.arange(2), np.zeros(2, dtype=int))
+        new, delta, ok = informed_rows(neglogp, np.zeros(2, dtype=int),
+                                       np.array([0.5, 0.5]))
         assert ok.tolist() == [False, True]
         assert new[1] in (1, 2) and np.isfinite(delta[1])
 
@@ -510,16 +510,11 @@ class TestInformedRowsProperty:
         alone and in the stack."""
         cards, table, cur, seeds = rows_drawn
         n_rows = len(cards)
-        model = TableSite(table)
-        j = np.zeros(n_rows, dtype=np.int64)
-        x = cur[:, None].copy()
-        q = np.arange(n_rows, dtype=np.float64)[:, None]
         u = np.array([ChainRng(s, 0).uniform() for s in seeds])
-        rows = np.arange(n_rows)
-        new, delta, ok = informed_rows(j, x, q, model, table, u, rows, cur)
+        new, delta, ok = informed_rows(table, cur, u)
         for r in range(n_rows):
             one = TableSite(table[r, :cards[r]])
-            xr, qr = x[r].copy(), np.zeros(1)
+            xr, qr = cur[r:r + 1].copy(), np.zeros(1)
             try:
                 xt, lf, lb = default_proposal_sample(0, xr, qr, one,
                                                      ChainRng(seeds[r], 0))
@@ -530,9 +525,8 @@ class TestInformedRowsProperty:
                 assert new[r] == xt[0]
                 want = delta_E(xr, xt, qr, lf, lb, one)
                 assert delta[r] == pytest.approx(want, rel=1e-12, abs=1e-9)
-            n1, d1, ok1 = informed_rows(j[r:r + 1], x[r:r + 1], q[r:r + 1],
-                                        model, table[r:r + 1], u[r:r + 1],
-                                        rows[:1], cur[r:r + 1])
+            n1, d1, ok1 = informed_rows(table[r:r + 1], cur[r:r + 1],
+                                        u[r:r + 1])
             assert ok1[0] == ok[r]
             if ok[r]:
                 assert n1[0] == new[r]
@@ -551,13 +545,15 @@ class TestInformedRowsProperty:
         model = TableSite(table)
         x = cur[:, None].copy()
         q = np.arange(n_rows, dtype=np.float64)[:, None]
-        with mock.patch("mixedhmc.core.forced_delta",
-                        wraps=forced_delta) as fallback:
-            new, delta, ok = informed_rows(
-                np.zeros(n_rows, dtype=np.int64), x, q, model, table,
-                np.full(n_rows, 0.5), np.arange(n_rows), cur)
+        with mock.patch("mixedhmc.core._log_space_delta",
+                        wraps=_log_space_delta) as fallback:
+            new, delta, ok = informed_rows(table, cur, np.full(n_rows, 0.5))
         assert ok.tolist() == [True, True, False, True]
         assert fallback.call_count == 2
+        # The fallback's cost is, bit for bit, that of the oracle, which
+        # evaluates the site's conditionals afresh.
+        for r in (0, 1):
+            assert delta[r] == forced_delta(0, x[r], q[r], model, int(new[r]))
         # 0 -> 1 costs U(1) - U(0) + log Q(1 | 0) - log Q(0 | 1).
         assert new[0] == 1 and delta[0] == pytest.approx(
             800.0 - np.log1p(np.exp(-1.0)), abs=1e-9)
@@ -592,12 +588,9 @@ class TestSureRejections:
             else:
                 k.append(data.draw(st.floats(0.0, 4000.0)))
         k = np.array(k)
-        sure = _sure_rejections(table, rows, cur, k)
+        sure = _sure_rejections(table, cur, k)
         u = np.array([ChainRng(s, 0).uniform() for s in seeds])
-        _, delta, ok = informed_rows(
-            np.zeros(n_rows, dtype=np.int64), cur[:, None].copy(),
-            np.arange(n_rows, dtype=np.float64)[:, None], TableSite(table),
-            table, u, rows, cur)
+        _, delta, ok = informed_rows(table, cur, u)
         for r in np.flatnonzero(sure):
             assert ok[r]
             assert delta[r] >= k[r]

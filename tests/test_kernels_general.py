@@ -8,7 +8,7 @@ from mixedhmc import (
     ModelSpec,
     run_chain_general,
 )
-from mixedhmc.core import forced_delta, leapfrog, propose_and_delta
+from mixedhmc.core import leapfrog, propose_and_delta
 from mixedhmc.diagnostics import ess, ks_two_sample
 from mixedhmc.kernels_general import (
     AuxiliaryState,
@@ -25,6 +25,7 @@ from mixedhmc.models import (
     gmm1d_preset,
     random_binary_quadratic,
 )
+from oracle import forced_delta
 
 
 class Gauss(ModelSpec):
