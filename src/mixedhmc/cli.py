@@ -279,9 +279,14 @@ def cmd_run(args) -> int:
             os.path.join(out_dir, _get(out, "output", key, str, default=name))
             for key, name in (("samples_path", "samples.csv"),
                               ("summary_path", "summary.json")))
+        for path in (samples_path, summary_path):  # fail before sampling
+            os.makedirs(os.path.dirname(path), exist_ok=True)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
     t_start = time.perf_counter()
     outputs = run_chains(kind, model, params, chains, burn_in, samples, seed,
@@ -290,7 +295,6 @@ def cmd_run(args) -> int:
 
     summary = build_summary(config, model, outputs, seed, wall)
     try:
-        os.makedirs(out_dir, exist_ok=True)
         write_samples_csv(samples_path, outputs, model)
         write_summary_json(summary_path, summary)
     except OSError as exc:

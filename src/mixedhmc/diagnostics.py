@@ -2,8 +2,8 @@
 
 Effective sample size follows the split-chain estimator with Geyer's
 initial-positive / initial-monotone truncation of the pooled autocorrelation
-sequence.  The headline efficiency measure is MRESS: the minimum ESS across
-selected dimensions divided by total recorded samples.
+sequence, one dimension per call.  The headline efficiency measure is MRESS:
+the minimum ESS across selected dimensions divided by total recorded samples.
 """
 
 from __future__ import annotations
@@ -92,29 +92,18 @@ def drive_chains(step, n_chains: int, n_discrete: int, n_continuous: int,
             for c in range(n_chains)]
 
 
-def _autocov(x: np.ndarray) -> np.ndarray:
-    """Biased autocovariance of a 1D series via FFT (divides by n)."""
-    n = x.size
-    x = x - x.mean()
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:n]
-    return acov / n
-
-
-def _split_chains(chains: np.ndarray) -> np.ndarray:
-    """Split each row in half; drops the middle draw of odd-length chains."""
-    n = chains.shape[1]
-    half = n // 2
-    return np.vstack([chains[:, :half], chains[:, n - half:]])
-
-
 def ess(chains) -> float:
     """Multi-chain effective sample size of one dimension.
 
+    The chains' centred halves (an odd length drops its middle draw) share
+    one FFT; the inverse of their mean power spectrum is their mean biased
+    autocovariance.  Autocorrelations are summed in lag pairs (0, 1), (2, 3),
+    ...: pair 0 is kept, a later one if every pair up to it sums to >= 0,
+    and the kept sums are made non-increasing.
+
     Parameters
     ----------
-    chains : sequence of 1D arrays
+    chains : sequence of 1D arrays, or array of shape (chains, length)
         Per-chain sample vectors, equal lengths >= 8.
 
     Returns
@@ -124,8 +113,8 @@ def ess(chains) -> float:
         emits :class:`DegenerateDimensionWarning`.
     """
     arr = np.atleast_2d(np.asarray(chains, dtype=np.float64))
-    if arr.shape[1] < 8:
-        raise ValueError("ess requires chains of length >= 8")
+    if arr.ndim != 2 or arr.shape[1] < 8:
+        raise ValueError(f"ess takes (chains, length >= 8), got {arr.shape}")
     n_total = arr.size
 
     if np.all(arr == arr.flat[0]):
@@ -133,50 +122,32 @@ def ess(chains) -> float:
                       DegenerateDimensionWarning)
         return float(n_total)
 
-    arr = _split_chains(arr)
-    m, n = arr.shape
-
-    acov = np.vstack([_autocov(arr[c]) for c in range(m)])
-    chain_means = arr.mean(axis=1)
-    mean_var = acov[:, 0].mean() * n / (n - 1.0)
-    var_plus = mean_var * (n - 1.0) / n
-    if m > 1:
-        var_plus += np.var(chain_means, ddof=1)
+    n = arr.shape[1] // 2
+    halves = np.concatenate([arr[:, :n], arr[:, -n:]])
+    means = halves.mean(axis=1, keepdims=True)
+    halves -= means
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(halves, nfft)
+    # Mean power spectrum re² + im², with no temporary of f's size.
+    power = (np.einsum("ij,ij->j", f.real, f.real)
+             + np.einsum("ij,ij->j", f.imag, f.imag)) / len(f)
+    acov = np.fft.irfft(power, nfft)[:n] / n
+    mean_var = acov[0] * n / (n - 1.0)
+    var_plus = acov[0] + np.var(means, ddof=1)
     if var_plus <= 0 or not np.isfinite(var_plus):
         warnings.warn("zero-variance dimension, ESS set to total draw count",
                       DegenerateDimensionWarning)
         return float(n_total)
 
-    mean_acov = acov.mean(axis=0)
-    rho = np.zeros(n)
+    rho = 1.0 - (mean_var - acov[:2 * (n // 2)]) / var_plus
     rho[0] = 1.0
-    rho[1] = 1.0 - (mean_var - mean_acov[1]) / var_plus
-
-    # Geyer initial positive sequence: keep pairs while their sum stays >= 0.
-    t = 1
-    rho_even, rho_odd = rho[0], rho[1]
-    while t < n - 2 and (rho_even + rho_odd) >= 0.0:
-        rho_even = 1.0 - (mean_var - mean_acov[t + 1]) / var_plus
-        rho_odd = 1.0 - (mean_var - mean_acov[t + 2]) / var_plus
-        if rho_even + rho_odd >= 0.0:
-            rho[t + 1] = rho_even
-            rho[t + 2] = rho_odd
-        t += 2
-    max_t = t
-
-    # Geyer initial monotone sequence: pair sums must not increase.
-    t = 1
-    while t <= max_t - 2:
-        if rho[t + 1] + rho[t + 2] > rho[t - 1] + rho[t]:
-            rho[t + 1] = (rho[t - 1] + rho[t]) / 2.0
-            rho[t + 2] = rho[t + 1]
-        t += 2
-
-    tau = -1.0 + 2.0 * float(rho[: max_t + 1].sum())
+    pairs = rho[0::2] + rho[1::2]
+    kept = max(1, int(np.cumprod(pairs >= 0.0).sum()))
+    tau = -1.0 + 2.0 * float(np.minimum.accumulate(pairs[:kept]).sum())
     # Antithetic chains can push tau toward 0 or below; floor it so ESS stays
     # finite and positive (draws * log10(draws) is the resulting cap).
     tau = max(tau, 1.0 / np.log10(n_total))
-    return n_total / tau
+    return float(n_total / tau)
 
 
 def mress(outputs, dims) -> float:

@@ -28,11 +28,11 @@ KERNELS = {"laplace": LaplaceKernelParams, "general": GeneralParams,
            "naive": NaiveParams, "gibbs": GibbsParams}
 
 # Fewest chains per Laplace worker.  A lockstep round costs numpy's per-call
-# overhead once for the whole batch, so one chain alone pays 2.5-4x what it
-# pays in a batch of 4 (on a 2-vCPU x86 host, µs per chain-iteration at
-# C = 1, 2, 4, 8: gmm1d 452, 228, 119, 62; BLR 728, 486, 292, 202; gmm24
-# 1967, 996, 537, 287); below that size a worker costs more CPU per chain
-# than it saves in wall time.
+# overhead once for the whole batch, so one chain alone pays 2.5-3.9x what it
+# pays in a batch of 4 (``laplace_step_batch`` on a 2-vCPU x86 host, µs per
+# chain-iteration at C = 1, 2, 4, 8: gmm1d 311, 154, 80, 44; BLR 684, 445,
+# 277, 188; gmm24 1382, 713, 367, 204); below that size a worker costs more
+# CPU per chain than it saves in wall time.
 LAPLACE_MIN_BATCH = 4
 
 

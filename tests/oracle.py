@@ -1,11 +1,18 @@
-"""Reference locally informed proposal, in two steps: draw the move, then
-price it from the potential, or price a given move from a fresh evaluation
-of the site's conditionals.  The kernels use ``core.informed_rows``; the
-tests check it against these."""
+"""Reference implementations the tests check the package against.
+
+The locally informed proposal in two steps: draw the move, then price it
+from the potential, or price a given move from a fresh evaluation of the
+site's conditionals (the kernels use ``core.informed_rows``).  And
+``ess_reference``, the effective sample size one transform per half chain
+with Geyer's truncation stepped lag by lag (the package uses
+``diagnostics.ess``)."""
+
+import warnings
 
 import numpy as np
 
 from mixedhmc.core import DegenerateSiteError, _masked_logsumexp
+from mixedhmc.diagnostics import DegenerateDimensionWarning
 
 
 def default_proposal_sample(j, x, q, model, rng):
@@ -75,3 +82,90 @@ def forced_delta(j, x, q, model, new_value) -> float:
     _, log_z_new, _ = _masked_logsumexp(neglogp, new_value)
     _, log_z_cur, _ = _masked_logsumexp(neglogp, cur)
     return float(log_z_new - log_z_cur)
+
+
+def _autocov(x: np.ndarray) -> np.ndarray:
+    """Biased autocovariance of a 1D series via FFT (divides by n)."""
+    n = x.size
+    x = x - x.mean()
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[:n]
+    return acov / n
+
+
+def _split_chains(chains: np.ndarray) -> np.ndarray:
+    """Split each row in half; drops the middle draw of odd-length chains."""
+    n = chains.shape[1]
+    half = n // 2
+    return np.vstack([chains[:, :half], chains[:, n - half:]])
+
+
+def ess_reference(chains) -> float:
+    """Multi-chain effective sample size of one dimension.
+
+    Parameters
+    ----------
+    chains : sequence of 1D arrays
+        Per-chain sample vectors, equal lengths >= 8.
+
+    Returns
+    -------
+    float
+        Estimated ESS.  Zero-variance input returns ``chains * length`` and
+        emits :class:`DegenerateDimensionWarning`.
+    """
+    arr = np.atleast_2d(np.asarray(chains, dtype=np.float64))
+    if arr.shape[1] < 8:
+        raise ValueError("ess requires chains of length >= 8")
+    n_total = arr.size
+
+    if np.all(arr == arr.flat[0]):
+        warnings.warn("zero-variance dimension, ESS set to total draw count",
+                      DegenerateDimensionWarning)
+        return float(n_total)
+
+    arr = _split_chains(arr)
+    m, n = arr.shape
+
+    acov = np.vstack([_autocov(arr[c]) for c in range(m)])
+    chain_means = arr.mean(axis=1)
+    mean_var = acov[:, 0].mean() * n / (n - 1.0)
+    var_plus = mean_var * (n - 1.0) / n
+    if m > 1:
+        var_plus += np.var(chain_means, ddof=1)
+    if var_plus <= 0 or not np.isfinite(var_plus):
+        warnings.warn("zero-variance dimension, ESS set to total draw count",
+                      DegenerateDimensionWarning)
+        return float(n_total)
+
+    mean_acov = acov.mean(axis=0)
+    rho = np.zeros(n)
+    rho[0] = 1.0
+    rho[1] = 1.0 - (mean_var - mean_acov[1]) / var_plus
+
+    # Geyer initial positive sequence: keep pairs while their sum stays >= 0.
+    t = 1
+    rho_even, rho_odd = rho[0], rho[1]
+    while t < n - 2 and (rho_even + rho_odd) >= 0.0:
+        rho_even = 1.0 - (mean_var - mean_acov[t + 1]) / var_plus
+        rho_odd = 1.0 - (mean_var - mean_acov[t + 2]) / var_plus
+        if rho_even + rho_odd >= 0.0:
+            rho[t + 1] = rho_even
+            rho[t + 2] = rho_odd
+        t += 2
+    max_t = t
+
+    # Geyer initial monotone sequence: pair sums must not increase.
+    t = 1
+    while t <= max_t - 2:
+        if rho[t + 1] + rho[t + 2] > rho[t - 1] + rho[t]:
+            rho[t + 1] = (rho[t - 1] + rho[t]) / 2.0
+            rho[t + 2] = rho[t + 1]
+        t += 2
+
+    tau = -1.0 + 2.0 * float(rho[: max_t + 1].sum())
+    # Antithetic chains can push tau toward 0 or below; floor it so ESS stays
+    # finite and positive (draws * log10(draws) is the resulting cap).
+    tau = max(tau, 1.0 / np.log10(n_total))
+    return n_total / tau

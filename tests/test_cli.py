@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mixedhmc
+import mixedhmc.cli
 import mixedhmc.models
 import mixedhmc.runner as runner
 from mixedhmc import ChainRng, run_chain_general
@@ -224,6 +225,34 @@ class TestAtomicWrites:
         assert "disk full" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["samples.csv"]
         assert len(read_rows(os.path.join(out, "samples.csv"))) == 11
+
+
+class TestOutputPaths:
+    def test_out_dir_that_is_a_file_fails_before_sampling(
+            self, tmp_path, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the output check")
+
+        monkeypatch.setattr(mixedhmc.cli, "run_chains", no_sampling)
+        cfg = write_config(tmp_path)
+        out = os.path.join(tmp_path, "taken")
+        with open(out, "w") as fh:
+            fh.write("a file\n")
+        assert main(["run", "--config", cfg, "--out-dir", out,
+                     "--threads", "1"]) == 1
+        assert "cannot write outputs" in capsys.readouterr().err
+
+    def test_nested_samples_path_is_written(self, tmp_path):
+        cfg = write_config(tmp_path,
+                           run={"chains": 1, "burn_in": 0, "samples": 10,
+                                "seed": 1},
+                           output={"samples_path": "sub/deeper/s.csv"})
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--out-dir", out,
+                     "--threads", "1"]) == 0
+        assert len(read_rows(os.path.join(out, "sub", "deeper",
+                                          "s.csv"))) == 11
+        assert os.path.exists(os.path.join(out, "summary.json"))
 
 
 class TestConfigValidation:

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal, stats
 
 from mixedhmc import ChainRng, ChainOutput
 from mixedhmc.diagnostics import (DegenerateDimensionWarning, ess,
                                   ks_two_sample, mress)
+from oracle import ess_reference
 
 
 def ar1_chain(rho, n, rng):
@@ -57,6 +62,76 @@ class TestEss:
     def test_short_chain_rejected(self):
         with pytest.raises(ValueError):
             ess([np.arange(4.0)])
+
+    def test_columns_rejected(self):
+        """A (chains, length, columns) array is not one dimension."""
+        draws = ChainRng(11, 0).normal((4, 100, 3))
+        with pytest.raises(ValueError, match=r"got \(4, 100, 3\)"):
+            ess(draws)
+
+
+@st.composite
+def _chains(draw):
+    """1-9 chains of one length in 8-400, of one of six kinds."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(8, 400))
+    kind = draw(st.sampled_from(["ar1", "antithetic", "random_walk", "iid",
+                                 "constant", "three_values"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ar1":
+        rho = draw(st.floats(-0.95, 0.99))
+        e = rng.normal(size=(m, n)) * np.sqrt(1.0 - rho * rho)
+        e[:, 0] = rng.normal(size=m)
+        return signal.lfilter([1.0], [1.0, -rho], e, axis=1)
+    if kind == "antithetic":
+        x = np.abs(rng.normal(size=(m, n))) + 1.0
+        x[:, 1::2] *= -1.0
+        return x
+    if kind == "random_walk":
+        return rng.normal(size=(m, n)).cumsum(axis=1)
+    if kind == "iid":
+        return rng.normal(size=(m, n)) * 10.0 ** draw(st.floats(-8.0, 8.0))
+    if kind == "constant":  # each chain at its own value
+        return np.repeat(rng.normal(size=(m, 1)) * 100.0, n, axis=1)
+    return rng.integers(0, 3, size=(m, n)).astype(float)
+
+
+def _ess_and_warned(estimator, chains):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateDimensionWarning)
+        value = estimator(chains)
+    return value, any(issubclass(w.category, DegenerateDimensionWarning)
+                      for w in caught)
+
+
+class TestEssMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_chains())
+    def test_same_estimate(self, chains):
+        """The array form gives the loop form's ESS: the same split, the
+        same truncation after the first negative pair, the same monotone
+        pair sums; either both warn of a zero-variance dimension or
+        neither does."""
+        got, got_warned = _ess_and_warned(ess, chains)
+        want, want_warned = _ess_and_warned(ess_reference, chains)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got_warned == want_warned
+
+    @pytest.mark.parametrize("m, n", [(1, 8), (3, 9), (9, 400)])
+    def test_all_constant(self, m, n):
+        chains = np.full((m, n), -2.5)
+        for estimator in (ess, ess_reference):
+            with pytest.warns(DegenerateDimensionWarning):
+                assert estimator(chains) == m * n
+
+    def test_constant_halves(self):
+        """An odd chain whose only differing draw is the middle one, which
+        the split drops: the second zero-variance check warns."""
+        chains = np.ones((2, 9))
+        chains[0, 4] = 5.0
+        for estimator in (ess, ess_reference):
+            with pytest.warns(DegenerateDimensionWarning):
+                assert estimator(chains) == 18.0
 
 
 class TestMress:
