@@ -24,6 +24,7 @@ __all__ = [
     "DegenerateSiteError",
     "NonFiniteWeightsError",
     "check_positive",
+    "kinetic_energy",
     "leapfrog",
     "propose_and_delta",
     "informed_rows",
@@ -193,6 +194,14 @@ class KineticEnergy:
         mag = g ** (1.0 / self.beta)
         sign = np.where(rng.uniform(size) < 0.5, -1.0, 1.0)
         return sign * mag
+
+
+def kinetic_energy(p, mass=None):
+    """``0.5 * sum_d p_d^2 / m_d`` of each row of the ``(C, n)`` momentum
+    stack ``p``, with diagonal ``mass`` (identity when None).  A row's value
+    does not depend on the other rows, so a chain stepped alone (as a
+    one-row stack) and in a batch gets the same bits at any ``n``."""
+    return 0.5 * np.einsum("cd,cd->c", p, p if mass is None else p / mass)
 
 
 def leapfrog(x, q, p, h, n, grad_q, mass=None, g=None):

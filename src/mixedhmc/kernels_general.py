@@ -8,6 +8,12 @@ cost out of that site's kinetic energy) or bounced off (reflection, momentum
 negated) depending on whether enough kinetic energy is available.  The
 continuous coordinates evolve by leapfrog between events.  A Metropolis test
 on the total energy ends the iteration, negating all momenta on acceptance.
+
+At beta 1 every clock moves at unit speed, so the events of a batch of
+chains can be handled in lockstep, the m-th event of every chain in one
+call on the row stack (:func:`general_step_batch`,
+:func:`run_chain_general_batch`); each chain's samples are those of the
+float loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DIVERGENCE_MAX, KineticEnergy, MixedPoint, ModelSpec,
-                   NonFiniteWeightsError, check_positive, leapfrog,
-                   propose_and_delta)
+from .core import (DIVERGENCE_MAX, DegenerateSiteError, KineticEnergy,
+                   MixedPoint, ModelSpec, NonFiniteWeightsError, check_positive,
+                   informed_rows, kinetic_energy, leapfrog, propose_and_delta,
+                   row_method)
 from .diagnostics import ChainOutput, StepStats, drive_chains
 from .rng import ChainRng
 
@@ -29,8 +36,10 @@ __all__ = [
     "initial_hit_time",
     "refract",
     "general_step",
+    "general_step_batch",
     "sample_auxiliary",
     "run_chain_general",
+    "run_chain_general_batch",
 ]
 
 _MAX_EVENTS = 10_000_000
@@ -284,8 +293,10 @@ def general_step(point: MixedPoint, aux: AuxiliaryState, pC: np.ndarray,
 
 
 def _energy(model, kinetic, x, q, pD, p):
-    return (model.potential(x, q) + float(np.sum(kinetic.k(pD)))
-            + 0.5 * float(p @ p))
+    e = model.potential(x, q) + float(np.sum(kinetic.k(pD)))
+    # The continuous momenta as a one-row stack, as the lockstep path sums
+    # them; with none, the term is 0.
+    return e + float(kinetic_energy(p[None])[0]) if p.size else e
 
 
 def _unchecked_aux(qD, pD, tau) -> AuxiliaryState:
@@ -329,3 +340,310 @@ def run_chain_general(init: MixedPoint, params: GeneralParams,
         return pt.x, pt.q, stats.accepted, stats.divergent
 
     return drive_chains(step, 1, nd, nc, n_burn, n_samples)[0]
+
+
+def _draw_iteration(qD, params, nd, nc, rngs):
+    """Each chain's draws at the start of an iteration, from its own stream
+    in the order of ``run_chain_general``: clock positions (when
+    ``params.resample_positions``), then the ``gamma(1)`` and uniform draws
+    of ``KineticEnergy(1).sample``, then ``normal(nc)``.  Returns the
+    positions (a copy of ``qD`` when kept), the clocks' kinetic energies
+    ``|pD| = g ** 1 = g``, the uniforms that sign the momenta (negative
+    below 0.5) and the continuous momenta, as row stacks."""
+    n = len(rngs)
+    resample = params.resample_positions and nd
+    qd = np.empty((n, nd)) if resample else qD.copy()
+    g, u = np.empty((n, nd)), np.empty((n, nd))
+    pC = np.empty((n, nc))
+    for r, rng in enumerate(rngs):
+        if nd:
+            if resample:
+                rng.uniform(out=qd[r])
+            rng.gamma(1.0, out=g[r])
+            rng.uniform(out=u[r])
+        if nc:
+            rng.normal(out=pC[r])
+    if resample:
+        qd *= params.tau
+    return qd, g, u, pC
+
+
+def _informed(neglogp, cur, u, widths):
+    """:func:`informed_rows` on each row's own site width ``widths``: a
+    one-site proposal sums over its site's values only, and past 8 values
+    numpy's sums change with the number of summands."""
+    distinct = set(widths.tolist())
+    if len(distinct) == 1:
+        return informed_rows(neglogp[:, :distinct.pop()], cur, u)
+    new = np.zeros(cur.size, dtype=np.int64)
+    delta, ok = np.zeros(cur.size), np.zeros(cur.size, dtype=bool)
+    for width in distinct:
+        r = np.flatnonzero(widths == width)
+        new[r], delta[r], ok[r] = informed_rows(neglogp[r, :width], cur[r],
+                                                u[r])
+    return new, delta, ok
+
+
+_FLIP_SIGN = np.array([1.0, -1.0])
+
+
+def _flip_costs(neglogp, cur):
+    """The cost of flipping each row's binary site from value ``cur``:
+    ``neglogp[1] - neglogp[0]`` from 0, and its negation, bit for bit,
+    from 1.  Rows at wider sites get a meaningless value."""
+    return ((neglogp[:, 1] - neglogp[:, 0])
+            * _FLIP_SIGN.take(cur, mode="clip"))
+
+
+def _proposals(neglogp, cur, j, event, rngs, cards):
+    """The proposals and costs of the events at sites with any number of
+    values ``cards``: a flip at a binary site, a locally informed move at a
+    wider one, drawing one uniform from the row's own stream.  Returns
+    ``(new, delta, found)``; ``found`` is False on event rows whose weights
+    leave no finite proposal."""
+    widths = cards.take(j)
+    w = np.flatnonzero(event & (widths > 2))
+    u = np.array([rngs[r].uniform() for r in w])
+    if w.size == cur.size:
+        return _informed(neglogp, cur, u, widths)
+    new = 1 - cur
+    # The flip costs of rows at wider sites, which may be inf - inf, are
+    # replaced below.
+    with np.errstate(invalid="ignore"):
+        delta = _flip_costs(neglogp, cur)
+    found = np.ones(cur.size, dtype=bool)
+    if w.size:
+        new[w], delta[w], found[w] = _informed(neglogp[w], cur[w], u,
+                                               widths[w])
+    return new, delta, found
+
+
+def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
+                       rngs, potential=None):
+    """One iteration of the event-driven kernel at beta 1 for each of a
+    batch of chains, in lockstep.
+
+    Row ``r`` of ``x`` (``(C, n_discrete)``), ``q`` (``(C, n_continuous)``)
+    and ``qD`` (``(C, n_discrete)``, the clock positions kept from the last
+    iteration) is the state of chain ``r``, which draws only from
+    ``rngs[r]``: its momenta and, when ``params.resample_positions``, its
+    clock positions first, as :func:`run_chain_general` does, then one
+    uniform at each event at a site with more than 2 values, then the
+    Metropolis uniform unless it diverged.  ``potential`` holds ``U`` at
+    each row's ``(x, q)``, evaluated when None.  Returns ``(x, q, qD,
+    potential)`` for the next iteration (``qD`` is read only when positions
+    are kept) and a :class:`StepStats` of ``(C,)`` arrays.  Each row's
+    result is that of :func:`general_step` on its own, bit for bit.
+
+    Under beta 1 every clock moves at unit speed whatever happens at its
+    events, so each chain's next event is read off its clocks' hit times,
+    and the ``m``-th events of all chains are handled together: one
+    ``site_cond_neglogp`` call on the row stack and a few whole-row
+    operations.  Hit times and the time left are stepped with the loop's
+    own float arithmetic, and so are the clock positions and directions
+    whenever they decide anything: when positions are kept across
+    iterations, or when a clock may reach its boundary a second time within
+    ``T``.  Otherwise a clock needs only its kinetic energy ``|p|``, which
+    a refraction lowers and a reflection keeps.  Between events the
+    continuous coordinates take one leapfrog segment per chain, a chain
+    whose segment needs fewer steps taking zero-length steps for the rest;
+    a segment starts from the gradient the last one ended with unless a
+    refraction came in between.  A chain diverges, with the loop, on a
+    non-finite or zero clock momentum on entry, at a proposal with no
+    finite weights, at a refraction to a non-finite momentum or one that
+    would run into the event cap, past the event cap, and on an energy
+    error above ``DIVERGENCE_MAX``; it then takes no further step or draw
+    and is rejected.
+    """
+    if params.beta != 1.0:
+        raise ValueError("beta: chains step in lockstep only at beta 1")
+    nd, nc, n = model.n_discrete, model.n_continuous, len(rngs)
+    tau, T, eps = params.tau, params.T, params.integrator_eps
+    resample = params.resample_positions
+    cards = [model.site_cardinality(j) for j in range(nd)]
+    if min(cards, default=2) < 2:
+        degenerate = [j for j, card in enumerate(cards) if card < 2]
+        raise DegenerateSiteError(f"degenerate sites {degenerate}: "
+                                  "cardinality 1 admits no move")
+    flips_only = max(cards, default=2) == 2
+    if not flips_only:
+        cards = np.array(cards, dtype=np.int64)
+    pot = row_method(model, "potential")
+    grad = row_method(model, "grad_q")
+    site_cond = row_method(model, "site_cond_neglogp")
+
+    qd, k, u, pC = _draw_iteration(qD, params, nd, nc, rngs)
+    if potential is None:
+        potential = pot(x, q)
+    e0 = potential + k.sum(axis=1)
+    if nc:
+        e0 += kinetic_energy(pC)
+    # A clock runs when its momentum is finite, as gamma draws are, and
+    # nonzero; its velocity is then the momentum's sign.  A chain with a
+    # clock that does not run diverges.
+    ok = k.min(axis=1, initial=np.inf) > 0.0
+    t_rem = ok * T
+    # The loop's hit time (2 tau [v > 0] - 2 qD) / (2 v) at the velocity
+    # v = -1 (where u < 0.5) or +1 is qD or tau - qD, bit for bit: scaling
+    # by 2 is exact.
+    hit = np.where(u < 0.5, qd, tau - qd)
+    # A clock reaches its boundary again about tau after an event, so in
+    # time T only after an event before about T - tau.  When no clock
+    # starts that close to its boundary and positions are redrawn, they
+    # decide nothing and are not stepped, nor are the clocks' directions:
+    # with each clock firing at most once, the event times drift by an ulp
+    # or so per event, far inside the margin of 1e-6 tau.
+    track = (not resample
+             or hit.min(initial=np.inf) <= T - tau * (1.0 - 1e-6))
+    if track:
+        qd_start = qd.copy()
+        v = np.where(u < 0.5, -1.0, 1.0)
+    # A refraction leaves a clock at unit speed, which the loop ends as
+    # divergent when unit speed would run into the event cap in time T.
+    refraction_diverges = 1.0 * T > tau * _MAX_EVENTS
+
+    xs, qs = x.copy(), q.copy()
+    offsets = np.arange(n) * nd
+    accepts = []                       # each event round's refractions
+    n_grad = np.zeros(n, dtype=np.int64)
+    if nc:
+        g = np.zeros((n, nc))          # gradient at (xs, qs) where not stale
+        stale = np.ones(n, dtype=bool)
+    n_events = 0
+    while True:
+        # Finished and divergent rows have t_rem 0, so their step is 0.
+        live = t_rem > 0.0
+        if nd:
+            j = hit.argmin(axis=1)     # the first of equal times, as the loop
+            at = offsets + j
+            h = hit.take(at)
+            event = live & (h <= t_rem)
+            step = np.minimum(h, t_rem)
+            more = np.count_nonzero(event)
+            if not (more or nc or track):
+                break                  # the last segment moves nothing read
+            col = step[:, None]
+            if track and (more or not resample):
+                qd += col * v
+                np.maximum(qd, 0.0, out=qd)
+                np.minimum(qd, tau, out=qd)
+            # No hit time is below the smallest: none needs clipping.
+            hit -= col
+        else:
+            step, more = t_rem.copy(), 0
+        t_rem -= step
+        if nc:
+            seg = step > 0.0
+            steps = np.maximum(np.ceil(step / eps), 1.0)
+            counts = np.where(seg, steps, 0.0).astype(np.int64)
+            fresh = stale & seg
+            if np.count_nonzero(fresh):
+                r = np.flatnonzero(fresh)
+                g[r] = grad(xs[r], qs[r])
+                stale &= ~seg
+            n_grad += counts + fresh
+            lo, hi = counts.min(), counts.max()
+            g = leapfrog(xs, qs, pC, np.repeat((step / steps)[:, None], nc,
+                                               axis=1),
+                         int(lo) if lo == hi else counts, grad, g=g)
+        if not more:
+            break
+        n_events += 1
+
+        neglogp = site_cond(j, xs, qs)
+        cur = xs.take(at)
+        if flips_only:
+            d_e = _flip_costs(neglogp, cur)
+        else:
+            new, d_e, found = _proposals(neglogp, cur, j, event, rngs, cards)
+            stuck = event & ~found
+            if np.count_nonzero(stuck):
+                ok &= ~stuck
+                event &= ~stuck
+                t_rem[stuck] = 0.0
+        # A refraction pays the cost out of the clock's kinetic energy |p|;
+        # a reflection negates p, keeping |p|.
+        e = k.take(at)
+        mag = e - d_e
+        acc = event & (mag > 0.0)
+        xs.put(at, cur ^ acc if flips_only else np.where(acc, new, cur))
+        k.put(at, np.where(acc, mag, e))
+        if track:
+            # A refraction mirrors the clock; a reflection turns it round.
+            # Either way the loop's next hit time, from the new position and
+            # velocity, is a if the clock moved up and tau - a otherwise,
+            # bit for bit.
+            w = v.take(at)
+            a = qd.take(at)
+            far = tau - a
+            qd.put(at, np.where(acc, far, a))
+            hit.put(at, np.where(w > 0.0, a, far))
+            v.put(at, np.where(event & ~acc, -w, w))
+        else:
+            hit.put(at, np.inf)
+        accepts.append(acc)
+        if nc:
+            stale |= acc
+        if (refraction_diverges or n_events > _MAX_EVENTS
+                or math.inf in mag.tolist()):
+            diverged = acc if refraction_diverges else acc & (mag == np.inf)
+            accepts[-1] = acc & ~diverged
+            if n_events > _MAX_EVENTS:
+                diverged = diverged | event
+            ok &= ~diverged
+            t_rem[diverged] = 0.0
+            k[diverged] = 1.0          # no whole-row operation sees inf
+
+    u_end = pot(xs, qs)
+    # Divergent rows may hold non-finite energies; the loop's float
+    # arithmetic on them raises no warning either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = u_end + k.sum(axis=1)
+        if nc:
+            err += kinetic_energy(pC)
+        err -= e0
+    ok &= np.abs(err) <= DIVERGENCE_MAX  # False on NaN
+    u = np.array([rng.uniform() if run else 1.0
+                  for rng, run in zip(rngs, ok.tolist())])
+    accepted = ok & (u < np.exp(-np.maximum(err, 0.0)))
+    keep = accepted[:, None]
+    if track:
+        qd = np.where(keep, qd, qd_start)
+    n_acc = (np.add.reduce(accepts, dtype=np.int64) if accepts
+             else np.zeros(n, dtype=np.int64))
+    stats = StepStats(accepted=accepted,
+                      energy_error=np.where(ok, err, np.nan),
+                      n_discrete_accepts=n_acc, n_grad_evals=n_grad,
+                      divergent=~ok)
+    return (np.where(keep, xs, x), np.where(keep, qs, q) if nc else q, qd,
+            np.where(accepted, u_end, potential), stats)
+
+
+def run_chain_general_batch(inits, params: GeneralParams, model: ModelSpec,
+                            n_burn: int, n_samples: int, rngs) -> list:
+    """Iterate :func:`general_step_batch` on a batch of chains at beta 1,
+    chain ``r`` starting at ``inits[r]`` and drawing from ``rngs[r]``;
+    returns one :class:`ChainOutput` per chain, in order, each that of
+    :func:`run_chain_general` on the same stream.
+
+    A chain's start potential is carried from one iteration to the next,
+    so each iteration makes one ``potential`` call on the stack."""
+    if params.beta != 1.0:
+        raise ValueError("beta: chains step in lockstep only at beta 1")
+    for init in inits:
+        init.validate(model)
+    n, nd, nc = len(inits), model.n_discrete, model.n_continuous
+    x = np.array([init.x for init in inits], dtype=np.int64).reshape(n, nd)
+    q = np.array([init.q for init in inits], dtype=np.float64).reshape(n, nc)
+    kinetic = KineticEnergy(1.0)
+    qD = np.array([sample_auxiliary(nd, params.tau, kinetic, rng).qD
+                   for rng in rngs]).reshape(n, nd)
+    potential = None
+
+    def step():
+        nonlocal x, q, qD, potential
+        x, q, qD, potential, stats = general_step_batch(
+            x, q, qD, params, model, rngs, potential)
+        return x, q, stats.accepted, stats.divergent
+
+    return drive_chains(step, n, nd, nc, n_burn, n_samples)

@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (DIVERGENCE_MAX, DegenerateSiteError, MixedPoint, ModelSpec,
-                   check_positive, informed_rows, leapfrog, row_method)
+                   check_positive, informed_rows, kinetic_energy, leapfrog,
+                   row_method)
 # Not called here, but perfbench/tracer.py wraps the kernels' proposal by
 # this module attribute.
 from .core import propose_and_delta  # noqa: F401
@@ -176,10 +177,6 @@ def _noise(params, model, rngs, wide):
     return k, p, sites, at_wide, _schedules(params, phi), u
 
 
-def _kinetic(p, mass):
-    return 0.5 * np.einsum("cd,cd->c", p, p if mass is None else p / mass)
-
-
 def _sure_rejections(neglogp, cur, k_j):
     """Rows of site conditionals ``neglogp`` whose proposal from ``cur`` is
     sure to be rejected: its cost bound (module docstring) is finite and
@@ -237,7 +234,7 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     potential = row_method(model, "potential")
     grad = row_method(model, "grad_q")
     site_cond = row_method(model, "site_cond_neglogp")
-    e0 = potential(x, q) + k.sum(axis=1) + _kinetic(p, mass)
+    e0 = potential(x, q) + k.sum(axis=1) + kinetic_energy(p, mass)
     rounds = np.full(n, L)             # leapfrog rounds each chain ran
     took = np.zeros((L * n_d, n), dtype=bool)  # chains taking proposal m
     stuck = np.zeros(n, dtype=bool)    # no finite proposal: moves no more
@@ -297,7 +294,7 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
                 took[m] = take
                 moved = True
 
-    err = potential(xs, qs) + k.sum(axis=1) + _kinetic(p, mass) - e0
+    err = potential(xs, qs) + k.sum(axis=1) + kinetic_energy(p, mass) - e0
     divergent = stuck | ~(np.abs(err) <= DIVERGENCE_MAX)
     energy_error = np.where(divergent, np.nan, err)
     accepted = ~divergent & (u[:, -1] < np.exp(-np.maximum(err, 0.0)))

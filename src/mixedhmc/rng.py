@@ -36,21 +36,23 @@ class ChainRng:
     def __repr__(self):
         return f"ChainRng(seed={self.seed}, stream={self.stream})"
 
-    def uniform(self, size=None):
-        """Uniform(0, 1) draw(s)."""
-        return self.gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Uniform(0, 1) draw(s); with ``out``, as many as it holds, written
+        into it."""
+        return self.gen.random(size, out=out)
 
-    def normal(self, size=None):
-        """Standard normal draw(s)."""
-        return self.gen.standard_normal(size)
+    def normal(self, size=None, out=None):
+        """Standard normal draw(s); ``out`` as for :meth:`uniform`."""
+        return self.gen.standard_normal(size, out=out)
 
     def exponential(self, size=None):
         """Exponential(1) draw(s)."""
         return self.gen.standard_exponential(size)
 
-    def gamma(self, shape, size=None):
-        """Gamma(shape, scale=1) draw(s); used by power-family momenta."""
-        return self.gen.standard_gamma(shape, size)
+    def gamma(self, shape, size=None, out=None):
+        """Gamma(shape, scale=1) draw(s); used by power-family momenta.
+        ``out`` as for :meth:`uniform`."""
+        return self.gen.standard_gamma(shape, size, out=out)
 
     def categorical(self, weights) -> int:
         """Index drawn with probability proportional to ``weights``.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from mixedhmc.kernels_general import (
     _float_kinv,
     _simulate,
     general_step,
+    general_step_batch,
     initial_hit_time,
     refract,
+    run_chain_general_batch,
     sample_auxiliary,
 )
 from mixedhmc.models import (
@@ -25,6 +29,7 @@ from mixedhmc.models import (
     gmm1d_preset,
     random_binary_quadratic,
 )
+from mixedhmc.runner import default_init
 from oracle import forced_delta
 
 
@@ -625,3 +630,198 @@ class TestLoopRefraction:
             got, want = self._cross_once(kin, p, d_e), refract(p, d_e, kin)
             assert np.sign(got) == np.sign(p)
             assert abs(got - want) <= 4 * np.spacing(abs(want)), (p, d_e)
+
+
+class WalledSites(ModelSpec):
+    """Two 3-value sites pulling one coordinate towards half their sum.
+    Above q = 1 every state with a nonzero site has zero weight, so a chain
+    at x = 0 there has no finite proposal at either site: it is stuck."""
+
+    @property
+    def n_discrete(self):
+        return 2
+
+    @property
+    def n_continuous(self):
+        return 1
+
+    def site_cardinality(self, j):
+        return 3
+
+    def potential(self, x, q):
+        if q[0] > 1.0 and x.any():
+            return math.inf
+        return 0.5 * (q[0] - 0.5 * float(x.sum())) ** 2
+
+    def grad_q(self, x, q):
+        return np.array([q[0] - 0.5 * float(x.sum())])
+
+
+class MixedWidths(ModelSpec):
+    """Sites of 2, 5, 17 and 7 values pulling one coordinate.  Conditionals
+    padded to the widest site would sum in another order past 8 values, and
+    the costs of informed proposals would change in the last bits.  Above
+    q = 1.5, value 1 of the binary site has zero weight: a chain that a
+    leapfrog segment carries there gains an infinite energy by flipping the
+    site back, and diverges."""
+
+    _cards = (2, 5, 17, 7)
+
+    def __init__(self):
+        self.w = [0.7 * ChainRng(16, j).normal(card)
+                  for j, card in enumerate(self._cards)]
+
+    @property
+    def n_discrete(self):
+        return 4
+
+    @property
+    def n_continuous(self):
+        return 1
+
+    def site_cardinality(self, j):
+        return self._cards[j]
+
+    def _mean(self, x):
+        return 0.3 * sum(int(v) / card for v, card in zip(x, self._cards))
+
+    def potential(self, x, q):
+        if q[0] > 1.5 and x[0] == 1:
+            return math.inf
+        return (sum(float(w[v]) for w, v in zip(self.w, x))
+                + 0.5 * (q[0] - self._mean(x)) ** 2)
+
+    def grad_q(self, x, q):
+        return np.array([q[0] - self._mean(x)])
+
+
+# Model, settings and seed of each lockstep case; every chain must give the
+# float loop's samples on its own stream.
+_LOCKSTEP_CASES = {
+    "binary6_T_tau": (lambda: random_binary_quadratic(6, ChainRng(2026, 0)),
+                      GeneralParams(T=1.0), 7),
+    "binary_T_2.5_tau": (lambda: random_binary_quadratic(
+        4, ChainRng(12, 0), coupling_scale=0.8),
+        GeneralParams(T=2.0, tau=0.8), 8),
+    "gmm1d": (gmm1d_preset, GeneralParams(T=2.5, integrator_eps=0.3), 9),
+    "kept_positions": (lambda: random_binary_quadratic(6, ChainRng(2026, 0)),
+                       GeneralParams(T=1.7, tau=1.3,
+                                     resample_positions=False), 10),
+    "stuck_3_value_sites": (WalledSites,
+                            GeneralParams(T=2.0, integrator_eps=0.2), 11),
+    "mixed_widths": (MixedWidths, GeneralParams(T=2.4, integrator_eps=0.2),
+                     16),
+}
+
+
+def _loop_step(model, params, x, q, qD, rng, events=None):
+    """One iteration of ``run_chain_general`` from ``(x, q)`` with clock
+    positions ``qD``: its draws, then ``general_step``, which appends its
+    events to ``events``."""
+    nd, nc = model.n_discrete, model.n_continuous
+    kin = KineticEnergy(1.0)
+    if params.resample_positions:
+        qD = rng.uniform(nd) * params.tau
+    aux = AuxiliaryState(qD, kin.sample(rng, nd), params.tau)
+    pC = rng.normal(nc) if nc else np.zeros(0)
+    pt, aux, _, stats = general_step(MixedPoint(x, q), aux, pC, params.T,
+                                     model, kin, params.integrator_eps, rng,
+                                     events=events)
+    return pt, aux, stats
+
+
+_STATS_FIELDS = ("accepted", "energy_error", "n_discrete_accepts",
+                 "n_grad_evals", "divergent")
+
+
+class TestLockstepMatchesLoop:
+    @pytest.mark.parametrize("name", list(_LOCKSTEP_CASES))
+    def test_each_chain_equals_the_loop(self, name):
+        """Each chain of a 3-chain lockstep run gives the samples, accept
+        trace and divergence count of ``run_chain_general`` on its stream,
+        bit for bit."""
+        make_model, params, seed = _LOCKSTEP_CASES[name]
+        model = make_model()
+        rngs = [ChainRng(seed, c) for c in range(3)]
+        inits = [default_init(model, rng) for rng in rngs]
+        outs = run_chain_general_batch(inits, params, model, 20, 250, rngs)
+        divergences = 0
+        for c, out in enumerate(outs):
+            rng = ChainRng(seed, c)
+            ref = run_chain_general(default_init(model, rng), params, model,
+                                    20, 250, rng)
+            assert np.array_equal(out.samples, ref.samples), c
+            assert np.array_equal(out.accept_trace, ref.accept_trace), c
+            assert out.divergence_count == ref.divergence_count, c
+            divergences += ref.divergence_count
+        if name == "stuck_3_value_sites":
+            assert divergences > 0, "no chain got stuck"
+
+    @pytest.mark.parametrize("name", list(_LOCKSTEP_CASES))
+    def test_steps_and_stats_equal_the_loop(self, name):
+        """Stepped 30 times, each row of a batch of 3, and each row alone,
+        keeps the state (clock positions too, when kept) of the loop's step
+        on its own stream, and every ``StepStats`` field: energy errors,
+        accepts and gradient counts, bit for bit."""
+        make_model, params, seed = _LOCKSTEP_CASES[name]
+        model = make_model()
+        nd, nc = model.n_discrete, model.n_continuous
+        kept = not params.resample_positions
+        rngs = [ChainRng(seed, c) for c in range(3)]
+        alone = [ChainRng(seed, c) for c in range(3)]
+        loop = [ChainRng(seed, c) for c in range(3)]
+        pts = [default_init(model, ChainRng(seed + 1, c)) for c in range(3)]
+        x = np.array([pt.x for pt in pts])
+        q = np.array([pt.q for pt in pts]).reshape(3, nc)
+        qD = np.array([ChainRng(seed + 2, c).uniform(nd) for c in range(3)])
+        for _ in range(30):
+            bx, bq, bqD, _, stats = general_step_batch(x, q, qD, params,
+                                                       model, rngs)
+            for c in range(3):
+                ax, aq, aqD, _, solo = general_step_batch(
+                    x[c:c + 1], q[c:c + 1], qD[c:c + 1], params, model,
+                    [alone[c]])
+                pt, aux, ref = _loop_step(model, params, x[c], q[c], qD[c],
+                                          loop[c])
+                for got, want in ((bx[c], pt.x), (ax[0], pt.x),
+                                  (bq[c], pt.q), (aq[0], pt.q)):
+                    assert np.array_equal(got, want)
+                if kept:
+                    assert np.array_equal(bqD[c], aux.qD)
+                    assert np.array_equal(aqD[0], aux.qD)
+                for field in _STATS_FIELDS:
+                    want = getattr(ref, field)
+                    assert np.array_equal(getattr(stats, field)[c], want,
+                                          equal_nan=True), field
+                    assert np.array_equal(getattr(solo, field)[0], want,
+                                          equal_nan=True), field
+            x, q, qD = bx, bq, bqD
+
+    def test_clocks_tied_at_the_end_time(self):
+        """Clocks kept at tau / 2 all hit their boundary at T = tau / 2,
+        whichever way they move: the first event uses up the time, and the
+        loop stops there, with the tied clocks at hit time 0."""
+        model = random_binary_quadratic(4, ChainRng(15, 0))
+        params = GeneralParams(T=0.5, tau=1.0, resample_positions=False)
+        rngs = [ChainRng(15, c) for c in range(3)]
+        x = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
+        qD = np.full((3, 4), 0.5)
+        new_x, _, new_qD, _, stats = general_step_batch(
+            x, np.zeros((3, 0)), qD, params, model, rngs)
+        for c in range(3):
+            events = []
+            pt, aux, ref = _loop_step(model, params, x[c], np.zeros(0),
+                                      qD[c], ChainRng(15, c), events)
+            assert len(events) == 1
+            assert np.array_equal(new_x[c], pt.x)
+            assert np.array_equal(new_qD[c], aux.qD)
+            for field in _STATS_FIELDS:
+                assert np.array_equal(getattr(stats, field)[c],
+                                      getattr(ref, field), equal_nan=True)
+
+    def test_other_beta_refused(self):
+        model = gmm1d_preset()
+        with pytest.raises(ValueError, match="^beta: "):
+            run_chain_general_batch([model.initial_point(ChainRng(0, 0))],
+                                    GeneralParams(T=1.0, beta=2.0), model,
+                                    0, 1, [ChainRng(0, 0)])

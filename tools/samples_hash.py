@@ -43,8 +43,8 @@ _WIDE_GMM1D = {"type": "gmm1d", "weights": [0.05] * 4 + [0.1] * 8,
                "means": [[m - 5.5] for m in range(12)],
                "variances": [[0.3]] * 12}
 
-# The benchmark's three workloads, README's example, and the kernel options
-# and site widths that they leave out.
+# The benchmark's three workloads, README's example, and the kernel options,
+# site widths and chain drivers that they leave out.
 CONFIGS = {
     "gmm24_laplace": {
         "model": {"type": "gmm24"}, "kernel": _GMM24,
@@ -86,6 +86,12 @@ CONFIGS = {
         "model": {"type": "gmm1d"},
         "kernel": dict(_GMM1D_GENERAL, beta=0.5, resample_positions=False),
         "run": {"chains": 4, "burn_in": 100, "samples": 800, "seed": 5}},
+    # Chains at beta 1 step in lockstep: one continuous coordinate, a
+    # 4-value site, and event counts that differ between chains.
+    "general_beta1_gmm1d": {
+        "model": {"type": "gmm1d"},
+        "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=2.5, integrator_eps=0.3),
+        "run": {"chains": 4, "burn_in": 100, "samples": 800, "seed": 13}},
 }
 
 
