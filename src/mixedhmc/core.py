@@ -24,10 +24,14 @@ __all__ = [
     "DegenerateSiteError",
     "NonFiniteWeightsError",
     "check_positive",
+    "stack_points",
+    "site_widths",
     "kinetic_energy",
     "leapfrog",
     "propose_and_delta",
+    "flip_costs",
     "informed_rows",
+    "site_proposals",
 ]
 
 # Energy errors beyond this mark a trajectory divergent and reject the step.
@@ -89,6 +93,30 @@ class MixedPoint:
                 )
         if self.q.size and not np.all(np.isfinite(self.q)):
             raise ValueError("q has non-finite entries")
+
+
+def stack_points(points, model: "ModelSpec"):
+    """The row stacks ``x`` (``(C, n_discrete)``) and ``q`` (``(C,
+    n_continuous)``) of the states ``points``, each first checked by
+    :meth:`MixedPoint.validate`."""
+    for point in points:
+        point.validate(model)
+    n = len(points)
+    x = np.array([p.x for p in points], dtype=np.int64)
+    q = np.array([p.q for p in points], dtype=np.float64)
+    return x.reshape(n, model.n_discrete), q.reshape(n, model.n_continuous)
+
+
+def site_widths(model: "ModelSpec") -> np.ndarray:
+    """The cardinality of each of ``model``'s sites, as int64.  A site with
+    a single value admits no move to another value: raises
+    :class:`DegenerateSiteError` naming the first."""
+    widths = np.array([model.site_cardinality(j)
+                       for j in range(model.n_discrete)], dtype=np.int64)
+    if widths.size and widths.min() < 2:
+        j = int(np.argmax(widths < 2))
+        raise DegenerateSiteError(f"site {j} has a single value")
+    return widths
 
 
 class ModelSpec(abc.ABC):
@@ -255,8 +283,7 @@ def row_method(model, name):
     if model.row_stacked:
         return fn
     if name == "site_cond_neglogp":
-        width = max((model.site_cardinality(j)
-                     for j in range(model.n_discrete)), default=0)
+        width = int(site_widths(model).max(initial=0))
 
         def per_row_cond(j, x, q):
             out = np.full((len(j), width), np.inf)
@@ -370,6 +397,48 @@ def informed_rows(neglogp, cur, u):
                                             int(new[r]))
             except NonFiniteWeightsError:
                 ok[r] = False
+    return new, delta, ok
+
+
+_FLIP_SIGN = np.array([1.0, -1.0])
+
+
+def flip_costs(neglogp, cur):
+    """The cost of flipping each row's binary site from value ``cur``:
+    ``neglogp[1] - neglogp[0]`` from 0, and its negation, bit for bit,
+    from 1.  Rows at wider sites get a meaningless value."""
+    return ((neglogp[:, 1] - neglogp[:, 0])
+            * _FLIP_SIGN.take(cur, mode="clip"))
+
+
+def site_proposals(neglogp, cur, widths, u):
+    """The single-site proposals of a row stack, with their energy costs,
+    each priced on its own site's values.
+
+    Row ``r`` of ``neglogp`` holds the conditionals of a site of
+    ``widths[r]`` values (``+inf`` past them), ``cur[r]`` its current value
+    and ``u[r]`` a uniform, read only where ``widths[r] > 2``.  A binary
+    site flips, at the cost :func:`flip_costs` gives; a flip is always
+    proposed, at the cost ``+inf`` when the other value has no weight.  A
+    wider site makes the move of :func:`informed_rows` on
+    ``neglogp[r, :widths[r]]``: past 8 values numpy's sums change with the
+    number of summands, so a width set by the stack would change a row's
+    bits with its stack-mates.  Returns ``(new, delta, ok)`` as
+    :func:`informed_rows` does.
+    """
+    distinct = set(widths.tolist())
+    if len(distinct) == 1 and 2 not in distinct:
+        return informed_rows(neglogp[:, :distinct.pop()], cur, u)
+    new = 1 - cur
+    # Rows at wider sites, whose flip costs may be inf - inf, are replaced
+    # below.
+    with np.errstate(invalid="ignore"):
+        delta = flip_costs(neglogp, cur)
+    ok = np.ones(cur.size, dtype=bool)
+    for width in distinct - {2}:
+        r = np.flatnonzero(widths == width)
+        new[r], delta[r], ok[r] = informed_rows(neglogp[r, :width], cur[r],
+                                                u[r])
     return new, delta, ok
 
 

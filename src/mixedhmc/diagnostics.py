@@ -49,14 +49,8 @@ class ChainOutput:
 
 @dataclass
 class StepStats:
-    """Per-iteration statistics of a kernel step: scalars from
-    ``laplace_step`` and ``general_step``, ``(C,)`` arrays, one entry per
-    chain, from the lockstep steps ``laplace_step_batch`` and
-    ``general_step_batch``.  The runners step chains in lockstep under the
-    Laplace kernel, and under the event-driven kernel at beta 1 when a
-    worker holds 2 or more chains; a lone event-driven chain keeps the
-    float loop, which costs it little more than half what the lockstep
-    path does."""
+    """Per-iteration statistics of a kernel step: scalars from a one-chain
+    step, ``(C,)`` arrays, one entry per chain, from a lockstep step."""
 
     accepted: bool
     energy_error: float

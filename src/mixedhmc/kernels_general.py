@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DIVERGENCE_MAX, DegenerateSiteError, KineticEnergy,
-                   MixedPoint, ModelSpec, NonFiniteWeightsError, check_positive,
-                   informed_rows, kinetic_energy, leapfrog, propose_and_delta,
-                   row_method)
+from .core import (DIVERGENCE_MAX, KineticEnergy, MixedPoint, ModelSpec,
+                   NonFiniteWeightsError, check_positive, flip_costs,
+                   kinetic_energy, leapfrog, propose_and_delta, row_method,
+                   site_proposals, site_widths, stack_points)
 from .diagnostics import ChainOutput, StepStats, drive_chains
 from .rng import ChainRng
 
@@ -368,56 +368,6 @@ def _draw_iteration(qD, params, nd, nc, rngs):
     return qd, g, u, pC
 
 
-def _informed(neglogp, cur, u, widths):
-    """:func:`informed_rows` on each row's own site width ``widths``: a
-    one-site proposal sums over its site's values only, and past 8 values
-    numpy's sums change with the number of summands."""
-    distinct = set(widths.tolist())
-    if len(distinct) == 1:
-        return informed_rows(neglogp[:, :distinct.pop()], cur, u)
-    new = np.zeros(cur.size, dtype=np.int64)
-    delta, ok = np.zeros(cur.size), np.zeros(cur.size, dtype=bool)
-    for width in distinct:
-        r = np.flatnonzero(widths == width)
-        new[r], delta[r], ok[r] = informed_rows(neglogp[r, :width], cur[r],
-                                                u[r])
-    return new, delta, ok
-
-
-_FLIP_SIGN = np.array([1.0, -1.0])
-
-
-def _flip_costs(neglogp, cur):
-    """The cost of flipping each row's binary site from value ``cur``:
-    ``neglogp[1] - neglogp[0]`` from 0, and its negation, bit for bit,
-    from 1.  Rows at wider sites get a meaningless value."""
-    return ((neglogp[:, 1] - neglogp[:, 0])
-            * _FLIP_SIGN.take(cur, mode="clip"))
-
-
-def _proposals(neglogp, cur, j, event, rngs, cards):
-    """The proposals and costs of the events at sites with any number of
-    values ``cards``: a flip at a binary site, a locally informed move at a
-    wider one, drawing one uniform from the row's own stream.  Returns
-    ``(new, delta, found)``; ``found`` is False on event rows whose weights
-    leave no finite proposal."""
-    widths = cards.take(j)
-    w = np.flatnonzero(event & (widths > 2))
-    u = np.array([rngs[r].uniform() for r in w])
-    if w.size == cur.size:
-        return _informed(neglogp, cur, u, widths)
-    new = 1 - cur
-    # The flip costs of rows at wider sites, which may be inf - inf, are
-    # replaced below.
-    with np.errstate(invalid="ignore"):
-        delta = _flip_costs(neglogp, cur)
-    found = np.ones(cur.size, dtype=bool)
-    if w.size:
-        new[w], delta[w], found[w] = _informed(neglogp[w], cur[w], u,
-                                               widths[w])
-    return new, delta, found
-
-
 def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
                        rngs, potential=None):
     """One iteration of the event-driven kernel at beta 1 for each of a
@@ -460,14 +410,8 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
     nd, nc, n = model.n_discrete, model.n_continuous, len(rngs)
     tau, T, eps = params.tau, params.T, params.integrator_eps
     resample = params.resample_positions
-    cards = [model.site_cardinality(j) for j in range(nd)]
-    if min(cards, default=2) < 2:
-        degenerate = [j for j, card in enumerate(cards) if card < 2]
-        raise DegenerateSiteError(f"degenerate sites {degenerate}: "
-                                  "cardinality 1 admits no move")
-    flips_only = max(cards, default=2) == 2
-    if not flips_only:
-        cards = np.array(cards, dtype=np.int64)
+    widths = site_widths(model)
+    flips_only = widths.max(initial=2) == 2
     pot = row_method(model, "potential")
     grad = row_method(model, "grad_q")
     site_cond = row_method(model, "site_cond_neglogp")
@@ -553,9 +497,15 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
         neglogp = site_cond(j, xs, qs)
         cur = xs.take(at)
         if flips_only:
-            d_e = _flip_costs(neglogp, cur)
+            d_e = flip_costs(neglogp, cur)
         else:
-            new, d_e, found = _proposals(neglogp, cur, j, event, rngs, cards)
+            # A locally informed move draws one uniform from its row's own
+            # stream; a flip and a row with no event draw none.
+            width = widths.take(j)
+            u = np.full(n, np.nan)
+            for r in np.flatnonzero(event & (width > 2)).tolist():
+                u[r] = rngs[r].uniform()
+            new, d_e, found = site_proposals(neglogp, cur, width, u)
             stuck = event & ~found
             if np.count_nonzero(stuck):
                 ok &= ~stuck
@@ -630,11 +580,8 @@ def run_chain_general_batch(inits, params: GeneralParams, model: ModelSpec,
     so each iteration makes one ``potential`` call on the stack."""
     if params.beta != 1.0:
         raise ValueError("beta: chains step in lockstep only at beta 1")
-    for init in inits:
-        init.validate(model)
+    x, q = stack_points(inits, model)
     n, nd, nc = len(inits), model.n_discrete, model.n_continuous
-    x = np.array([init.x for init in inits], dtype=np.int64).reshape(n, nd)
-    q = np.array([init.q for init in inits], dtype=np.float64).reshape(n, nc)
     kinetic = KineticEnergy(1.0)
     qD = np.array([sample_auxiliary(nd, params.tau, kinetic, rng).qD
                    for rng in rngs]).reshape(n, nd)

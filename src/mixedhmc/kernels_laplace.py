@@ -23,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DIVERGENCE_MAX, DegenerateSiteError, MixedPoint, ModelSpec,
-                   check_positive, informed_rows, kinetic_energy, leapfrog,
-                   row_method)
+from .core import (DIVERGENCE_MAX, MixedPoint, ModelSpec, check_positive,
+                   flip_costs, kinetic_energy, leapfrog, row_method,
+                   site_proposals, site_widths, stack_points)
 # Not called here, but perfbench/tracer.py wraps the kernels' proposal by
 # this module attribute.
 from .core import propose_and_delta  # noqa: F401
@@ -141,7 +141,7 @@ def laplace_step(point: MixedPoint, params: LaplaceKernelParams,
         divergent=bool(stats.divergent[0]))
 
 
-def _noise(params, model, rngs, wide):
+def _noise(params, model, rngs, widths):
     """Each chain's draws for one iteration, from its own stream, in the
     order the kernel consumes them: site energies, momenta, visiting order,
     schedule, then one uniform per proposal at a site with more than 2
@@ -149,8 +149,8 @@ def _noise(params, model, rngs, wide):
 
     ``u[r, m]`` is chain ``r``'s uniform for proposal ``m`` of the
     trajectory (NaN at 2-value sites), ``u[r, -1]`` its Metropolis uniform;
-    ``at_wide[r, m]`` says whether proposal ``m`` is at a site with more
-    than 2 values.
+    ``width[r, m]`` is the number of values of proposal ``m``'s site, from
+    the sites' ``widths``.
     """
     nd, nc, n = model.n_discrete, model.n_continuous, len(rngs)
     n_prop = params.L * params.n_D if nd else 0
@@ -167,14 +167,14 @@ def _noise(params, model, rngs, wide):
             perm[r] = rng.permutation(nd)
             phi[r] = rng.dirichlet_ones(nd + 1)
     sites = np.take(perm, np.arange(n_prop) % max(nd, 1), axis=1)
-    at_wide = wide[sites]
-    drawn = np.concatenate([at_wide, np.ones((n, 1), dtype=bool)], axis=1)
+    width = widths[sites]
+    drawn = np.concatenate([width > 2, np.ones((n, 1), dtype=bool)], axis=1)
     u = np.full(drawn.shape, np.nan)
     counts = drawn.sum(axis=1)
     u[drawn] = np.concatenate([rng.uniform(c) for rng, c in zip(rngs, counts)])
     if params.mass_diag is not None:
         p *= np.sqrt(params.mass_diag)
-    return k, p, sites, at_wide, _schedules(params, phi), u
+    return k, p, sites, width, _schedules(params, phi), u
 
 
 def _sure_rejections(neglogp, cur, k_j):
@@ -211,25 +211,19 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     batch-mates for the rest of the trajectory.  Any other model error
     raises.  Each row's result does not depend on the other rows.
 
-    A proposal at a site with more than 2 values is skipped when every row
-    that is not stuck has a finite cost bound above its site energy: each
-    row would reject it, leaving ``x``, ``k`` and the stats as they are, and
-    its uniform was drawn up front, so the samples do not change.
+    On a model with a site of more than 2 values, a proposal is skipped
+    when every row that is not stuck has a finite cost bound above its site
+    energy: each row would reject it, leaving ``x``, ``k`` and the stats as
+    they are, and its uniform was drawn up front, so the samples do not
+    change.  On a model of binary sites every proposal is a flip.
     """
-    nd, nc = model.n_discrete, model.n_continuous
+    nc = model.n_continuous
     mass, L, n_d = params.mass_diag, params.L, params.n_D
     n = len(rngs)
-    cards = np.array([model.site_cardinality(j) for j in range(nd)],
-                     dtype=np.int64)
-    if np.any(cards < 2):
-        raise DegenerateSiteError(f"degenerate sites {np.flatnonzero(cards < 2)}"
-                                  ": cardinality 1 admits no move")
-    wide = cards > 2
-    k, p, sites, at_wide, (eta, n_steps), u = _noise(params, model, rngs, wide)
-    # Whether all or any chains, stuck ones included, make proposal m at a
-    # site with more than 2 values.
-    all_wide = at_wide.all(axis=0).tolist()
-    any_wide = at_wide.any(axis=0).tolist()
+    widths = site_widths(model)
+    flips_only = widths.max(initial=2) == 2
+    k, p, sites, width, (eta, n_steps), u = _noise(params, model, rngs,
+                                                   widths)
 
     potential = row_method(model, "potential")
     grad = row_method(model, "grad_q")
@@ -260,29 +254,22 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
             g = leapfrog(xs, qs, p, np.repeat(eta[:, t, None], nc, axis=1),
                          lo[t] if lo[t] == hi[t] else n_steps[:, t], grad,
                          mass, g)
-        for m in range(t * n_d, (t + 1) * n_d) if nd else ():
+        for m in range(t * n_d, (t + 1) * n_d) if widths.size else ():
             j = sites[:, m]
             neglogp = site_cond(j, xs, qs)
             cur = xs[rows, j]
             k_j = k[rows, j]
-            if all_wide[m]:
-                sure = _sure_rejections(neglogp, cur, k_j)
-                if (sure | stuck).all():
-                    continue
-                new, d_e, ok = informed_rows(neglogp, cur, u[:, m])
+            if flips_only:
+                new, d_e = 1 - cur, flip_costs(neglogp, cur)
             else:
-                new = 1 - cur
-                d_e = neglogp[rows, new] - neglogp[rows, cur]
-                ok = None  # flips always propose
-                if any_wide[m]:
-                    ok = np.ones(n, dtype=bool)
-                    w = np.flatnonzero(at_wide[:, m])
-                    new[w], d_e[w], ok[w] = informed_rows(neglogp[w], cur[w],
-                                                          u[w, m])
-            if ok is not None and not ok.all():
-                rounds[~(ok | stuck)] = t + 1
-                stuck |= ~ok
-                any_stuck = True
+                if (_sure_rejections(neglogp, cur, k_j) | stuck).all():
+                    continue
+                new, d_e, ok = site_proposals(neglogp, cur, width[:, m],
+                                              u[:, m])
+                if not ok.all():
+                    rounds[~(ok | stuck)] = t + 1
+                    stuck |= ~ok
+                    any_stuck = True
             # A move is accepted iff its cost fits in the site's energy,
             # which then stays positive.
             take = k_j > d_e
@@ -324,12 +311,7 @@ def run_chain_batch(inits, params: LaplaceKernelParams, model: ModelSpec,
     divergences are counted, never raised.
     """
     params.validate_for(model.n_discrete, model.n_continuous)
-    for init in inits:
-        init.validate(model)
-    x = np.array([init.x for init in inits], dtype=np.int64).reshape(
-        len(inits), model.n_discrete)
-    q = np.array([init.q for init in inits], dtype=np.float64).reshape(
-        len(inits), model.n_continuous)
+    x, q = stack_points(inits, model)
 
     def step():
         nonlocal x, q

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import (GibbsParams, NaiveParams, run_gibbs_chain,
                         run_naive_chain)
-from .core import MixedPoint, ModelSpec
+from .core import DegenerateSiteError, MixedPoint, ModelSpec, site_widths
 from .kernels_general import (GeneralParams, run_chain_general,
                               run_chain_general_batch)
 from .kernels_laplace import LaplaceKernelParams, run_chain_batch
@@ -65,11 +65,11 @@ def kernel_params(kind: str, model: ModelSpec, settings):
         raise ValueError(f"unknown kernel kind {kind!r}")
     cls = KERNELS[kind]
     params = settings if isinstance(settings, cls) else cls(**settings)
-    for j in range(model.n_discrete):
-        if model.site_cardinality(j) < 2:
-            raise ValueError(f"type: site {j} has a single value, and the "
-                             f"{kind} kernel proposes a move to another "
-                             "value at every site")
+    try:
+        site_widths(model)
+    except DegenerateSiteError as exc:
+        raise ValueError(f"type: {exc}, and the {kind} kernel proposes a move "
+                         "to another value at every site") from None
     if isinstance(params, LaplaceKernelParams):
         params.validate_for(model.n_discrete, model.n_continuous)
     if isinstance(params, NaiveParams) and not (

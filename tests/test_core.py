@@ -3,13 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedhmc import ChainRng, KineticEnergy, MixedPoint, ModelSpec
 from mixedhmc.core import (DegenerateSiteError, NonFiniteWeightsError,
                            _log_space_delta, informed_rows, leapfrog,
-                           propose_and_delta)
+                           propose_and_delta, site_proposals)
 from mixedhmc.kernels_laplace import _sure_rejections
 from mixedhmc.models import (GaussianMixture, GmmSpec, gmm1d_preset,
                              random_binary_quadratic)
@@ -470,11 +470,11 @@ _WEIGHT = st.one_of(st.floats(-30.0, 30.0), st.floats(-2000.0, 2000.0),
 
 
 @st.composite
-def _site_rows(draw):
-    """Rows of a stacked call: sites of 3-20 values, weights padded with
-    +inf to the widest, current values and uniforms."""
+def _site_rows(draw, min_card=3):
+    """Rows of a stacked call: sites of ``min_card``-20 values, weights
+    padded with +inf to the widest, current values and uniforms."""
     n_rows = draw(st.integers(1, 5))
-    cards = [draw(st.integers(3, 20)) for _ in range(n_rows)]
+    cards = [draw(st.integers(min_card, 20)) for _ in range(n_rows)]
     width = max(cards)
     table = np.full((n_rows, width), np.inf)
     cur = np.zeros(n_rows, dtype=np.int64)
@@ -559,6 +559,47 @@ class TestInformedRowsProperty:
             800.0 - np.log1p(np.exp(-1.0)), abs=1e-9)
         assert new[1] == 1 and delta[1] == pytest.approx(-800.0, abs=1e-9)
         assert np.isfinite(delta[3])
+
+
+def _mixed_width_stack():
+    """A stack of sites of 2, 12 and 20 values.  The 12-value row's cost
+    differs in its last bits when priced on all 20 columns."""
+    cards = [2, 12, 20]
+    table = np.full((3, 20), np.inf)
+    for r, card in enumerate(cards):
+        table[r, :card] = np.sin(1.7 * np.arange(card) + 2)
+    return cards, table, np.array([1, 2, 7]), [0, 2, 5]
+
+
+class TestSiteProposalsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_site_rows(min_card=2))
+    @example(_mixed_width_stack())
+    def test_rows_match_their_own_calls(self, rows_drawn):
+        """Each row of a stack of sites of 2-20 values gives, bit for bit,
+        its own one-row call: a binary site flips at the exact difference of
+        its two conditionals, and a wider site makes the move of
+        informed_rows on its own values alone.  ok is False exactly on the
+        wider rows with no finite alternative; a flip is always proposed."""
+        cards, table, cur, seeds = rows_drawn
+        u = np.array([ChainRng(s, 0).uniform() for s in seeds])
+        new, delta, ok = site_proposals(table, cur,
+                                        np.array(cards, dtype=np.int64), u)
+        for r, card in enumerate(cards):
+            row = table[r, :card]
+            if card == 2:
+                assert ok[r] and new[r] == 1 - cur[r]
+                # Both weights are +inf where "over" pushed the current one.
+                with np.errstate(invalid="ignore"):
+                    flip = row[1 - cur[r]] - row[cur[r]]
+                assert np.array_equal(delta[r], flip, equal_nan=True)
+                continue
+            assert ok[r] == np.isfinite(np.delete(row, cur[r])).any()
+            n1, d1, ok1 = informed_rows(row[None], cur[r:r + 1], u[r:r + 1])
+            assert ok1[0] == ok[r]
+            if ok[r]:
+                assert n1[0] == new[r]
+                assert np.array_equal(d1[0], delta[r])
 
 
 class TestSureRejections:

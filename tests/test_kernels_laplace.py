@@ -220,8 +220,8 @@ class MixedSites(ModelSpec):
 
 class WideSites(ModelSpec):
     """Sites of 3, 12 and 20 values coupled to one coordinate, called one
-    row at a time: a batch pads their conditionals to one width, and sums
-    over more than 8 entries depend on that width."""
+    row at a time: each proposal sums over its own site's values, and sums
+    over more than 8 entries depend on how many there are."""
 
     levels = tuple(np.sin(1.7 * np.arange(k) + k) for k in (3, 12, 20))
 
@@ -242,6 +242,29 @@ class WideSites(ModelSpec):
 
     def grad_q(self, x, q):
         return q - sum(lv[v] for lv, v in zip(self.levels, x))
+
+
+class StandardGaussian(ModelSpec):
+    """A standard Gaussian in 3 coordinates, with no discrete sites."""
+
+    row_stacked = True
+
+    @property
+    def n_discrete(self):
+        return 0
+
+    @property
+    def n_continuous(self):
+        return 3
+
+    def site_cardinality(self, j):
+        raise IndexError(j)
+
+    def potential(self, x, q):
+        return 0.5 * np.einsum("...d,...d->...", q, q)
+
+    def grad_q(self, x, q):
+        return q.copy()
 
 
 class TestStepSchedule:
@@ -339,6 +362,22 @@ class TestLaplaceStep:
         new_pt, stats = laplace_step(pt, params, model, ChainRng(5, 0))
         assert stats.accepted
         assert np.abs(new_pt.q - 1.5 * p / mass).max() < 1e-12
+
+    def test_mass_matrix_conserves_energy(self):
+        """On a standard Gaussian, leapfrog steps of 0.01 under a diagonal
+        mass matrix keep every energy error below 1e-3; a kinetic energy
+        that multiplied the momenta by the mass, rather than dividing, would
+        miss it by orders of magnitude."""
+        model = StandardGaussian()
+        params = LaplaceKernelParams(epsilon=0.01, T=2.0, L=4,
+                                     mass_diag=np.array([0.5, 1.0, 2.0]))
+        n = 4
+        rngs = [ChainRng(42, c) for c in range(n)]
+        x = np.zeros((n, 0), dtype=np.int64)
+        q = np.array([ChainRng(43, c).normal(3) for c in range(n)])
+        for _ in range(5):
+            x, q, stats = laplace_step_batch(x, q, params, model, rngs)
+            assert np.all(np.abs(stats.energy_error) < 1e-3)
 
     def test_flat_binary_sites_always_accept_discrete(self):
         """Zero move cost means the kinetic test always passes and the total
@@ -667,7 +706,7 @@ class TestSureRejections:
         start = model.exact_sample(ChainRng(34, 0), 48)
         x, q = start[:, :1].astype(np.int64), start[:, 1:]
         rngs = [ChainRng(35, c) for c in range(48)]
-        with mock.patch("mixedhmc.kernels_laplace.informed_rows",
+        with mock.patch("mixedhmc.core.informed_rows",
                         wraps=informed_rows) as proposals:
             for _ in range(5):
                 x, q, stats = laplace_step_batch(x, q, params, model, rngs)

@@ -92,6 +92,15 @@ CONFIGS = {
         "model": {"type": "gmm1d"},
         "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=2.5, integrator_eps=0.3),
         "run": {"chains": 4, "burn_in": 100, "samples": 800, "seed": 13}},
+    # The baselines: Gibbs proposes through core.propose_and_delta.
+    "gibbs_gmm1d": {
+        "model": {"type": "gmm1d"},
+        "kernel": {"type": "gibbs", "rw_scale": 0.5},
+        "run": {"chains": 4, "burn_in": 100, "samples": 2000, "seed": 17}},
+    "naive_gmm1d": {
+        "model": {"type": "gmm1d"},
+        "kernel": {"type": "naive", "epsilon": 0.2, "L": 20},
+        "run": {"chains": 4, "burn_in": 100, "samples": 2000, "seed": 19}},
 }
 
 
