@@ -13,7 +13,8 @@ At beta 1 every clock moves at unit speed, so the events of a batch of
 chains can be handled in lockstep, the m-th event of every chain in one
 call on the row stack (:func:`general_step_batch`,
 :func:`run_chain_general_batch`); each chain's samples are those of the
-float loop, bit for bit.
+float loop, bit for bit.  When no clock can fire twice in an iteration,
+the order of its events comes from one sort of the clocks' hit times.
 """
 
 from __future__ import annotations
@@ -368,6 +369,37 @@ def _draw_iteration(qD, params, nd, nc, rngs):
     return qd, g, u, pC
 
 
+def _event_schedule(hit, T, tau):
+    """The events of one iteration in which every clock fires at most
+    once, from the ``(C, n_discrete)`` hit times: ``(order, hs)`` of shape
+    ``(n_discrete + 1, C)``, column ``r`` holding row ``r``'s hit times
+    and ``T`` in increasing order (``hs``) and their sites (``order``, with
+    ``n_discrete - 1`` standing in for ``T`` and every time after it), or
+    None when rounding may order the events otherwise.
+
+    The per-round loop subtracts each step from every hit time and from the
+    time left ``t_rem = T``, the same floats from all of them, and rounding
+    is monotone: values ``a <= b`` stay ``a' <= b'``.  So the loop fires
+    the clocks in sorted order, exactly those whose hit times are below
+    ``T``, unless a gap closes to a tie that it breaks otherwise.  Each of
+    the at most ``n_discrete`` subtractions moves a value of size at most
+    ``max(T, tau)`` by half an ulp, so a gap shrinks by less than
+    ``n_discrete * eps * max(T, tau)``; every gap between neighbours must
+    exceed four times that.  Iterations that fail the check, a share of
+    order ``C n_discrete^2 1e-15`` when positions are drawn, take the
+    per-round loop.
+    """
+    n, nd = hit.shape
+    times = np.concatenate([hit.T, np.full((1, n), T)])
+    hs = np.sort(times, axis=0)
+    margin = 4.0 * nd * np.finfo(np.float64).eps * max(T, tau)
+    if (hs[1:] - hs[:-1]).min(initial=np.inf) <= margin:
+        return None
+    order = times.argsort(axis=0, kind="stable")
+    np.minimum(order, nd - 1, out=order)
+    return order, hs
+
+
 def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
                        rngs, potential=None):
     """One iteration of the event-driven kernel at beta 1 for each of a
@@ -386,15 +418,19 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
     result is that of :func:`general_step` on its own, bit for bit.
 
     Under beta 1 every clock moves at unit speed whatever happens at its
-    events, so each chain's next event is read off its clocks' hit times,
-    and the ``m``-th events of all chains are handled together: one
+    events, so each chain's events are read off its clocks' hit times, and
+    the ``m``-th events of all chains are handled together: one
     ``site_cond_neglogp`` call on the row stack and a few whole-row
-    operations.  Hit times and the time left are stepped with the loop's
-    own float arithmetic, and so are the clock positions and directions
-    whenever they decide anything: when positions are kept across
-    iterations, or when a clock may reach its boundary a second time within
-    ``T``.  Otherwise a clock needs only its kinetic energy ``|p|``, which
-    a refraction lowers and a reflection keeps.  Between events the
+    operations.  When positions are redrawn and no clock can reach its
+    boundary a second time within ``T``, each clock fires at most once, in
+    the order of its hit time: one sort of the hit times gives every
+    chain's events for the iteration, and a clock needs only its kinetic
+    energy ``|p|``, which a refraction lowers and a reflection keeps.
+    Otherwise, and in the rare iteration where two hit times, or a hit
+    time and ``T``, lie within rounding of each other, each round finds
+    every chain's next event afresh, stepping the hit times, the time left
+    and, when they decide anything, the clock positions and directions
+    with the loop's own float arithmetic.  Between events the
     continuous coordinates take one leapfrog segment per chain, a chain
     whose segment needs fewer steps taking zero-length steps for the rest;
     a segment starts from the gradient the last one ended with unless a
@@ -433,13 +469,21 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
     hit = np.where(u < 0.5, qd, tau - qd)
     # A clock reaches its boundary again about tau after an event, so in
     # time T only after an event before about T - tau.  When no clock
-    # starts that close to its boundary and positions are redrawn, they
-    # decide nothing and are not stepped, nor are the clocks' directions:
-    # with each clock firing at most once, the event times drift by an ulp
-    # or so per event, far inside the margin of 1e-6 tau.
-    track = (not resample
-             or hit.min(initial=np.inf) <= T - tau * (1.0 - 1e-6))
-    if track:
+    # starts that close to its boundary and positions are redrawn, each
+    # clock fires at most once (the event times drift by an ulp or so per
+    # event, far inside the margin of 1e-6 tau), and every row's events
+    # come in the order of its hit times, read off one sort, unless
+    # rounding may decide otherwise.
+    once = nd == 0 or (resample and hit.min() > T - tau * (1.0 - 1e-6))
+    schedule = _event_schedule(hit, T, tau) if once else None
+    offsets = np.arange(n) * nd
+    if schedule is not None:
+        order, hs = schedule
+        fires = hs < T
+        at_m = order + offsets         # flat index of each row's m-th event
+    else:
+        # Each round finds every row's next event afresh, stepping the
+        # clock positions and directions with the loop's own arithmetic.
         qd_start = qd.copy()
         v = np.where(u < 0.5, -1.0, 1.0)
     # A refraction leaves a clock at unit speed, which the loop ends as
@@ -447,7 +491,6 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
     refraction_diverges = 1.0 * T > tau * _MAX_EVENTS
 
     xs, qs = x.copy(), q.copy()
-    offsets = np.arange(n) * nd
     accepts = []                       # each event round's refractions
     n_grad = np.zeros(n, dtype=np.int64)
     if nc:
@@ -455,27 +498,38 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
         stale = np.ones(n, dtype=bool)
     n_events = 0
     while True:
-        # Finished and divergent rows have t_rem 0, so their step is 0.
-        live = t_rem > 0.0
-        if nd:
+        if schedule is not None:
+            # Round m handles each row's m-th event.  Its segment before
+            # the event is the loop's: the sorted hit times are stepped with
+            # the loop's own subtractions.
+            m = n_events
+            j, at = order[m], at_m[m]
+            event = fires[m] & ok      # divergent rows have no more events
+            more = np.count_nonzero(event)
+            if nc:
+                step = np.minimum(hs[m], t_rem)
+                hs[m + 1:] -= step
+                t_rem -= step
+            elif not more:
+                break
+        else:
+            # Finished and divergent rows have t_rem 0, so their step is 0.
+            live = t_rem > 0.0
             j = hit.argmin(axis=1)     # the first of equal times, as the loop
             at = offsets + j
             h = hit.take(at)
             event = live & (h <= t_rem)
             step = np.minimum(h, t_rem)
             more = np.count_nonzero(event)
-            if not (more or nc or track):
-                break                  # the last segment moves nothing read
             col = step[:, None]
-            if track and (more or not resample):
+            # With positions redrawn, the last segment moves nothing read.
+            if more or not resample:
                 qd += col * v
                 np.maximum(qd, 0.0, out=qd)
                 np.minimum(qd, tau, out=qd)
             # No hit time is below the smallest: none needs clipping.
             hit -= col
-        else:
-            step, more = t_rem.copy(), 0
-        t_rem -= step
+            t_rem -= step
         if nc:
             seg = step > 0.0
             steps = np.maximum(np.ceil(step / eps), 1.0)
@@ -518,7 +572,7 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
         acc = event & (mag > 0.0)
         xs.put(at, cur ^ acc if flips_only else np.where(acc, new, cur))
         k.put(at, np.where(acc, mag, e))
-        if track:
+        if schedule is None:
             # A refraction mirrors the clock; a reflection turns it round.
             # Either way the loop's next hit time, from the new position and
             # velocity, is a if the clock moved up and tau - a otherwise,
@@ -529,8 +583,6 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
             qd.put(at, np.where(acc, far, a))
             hit.put(at, np.where(w > 0.0, a, far))
             v.put(at, np.where(event & ~acc, -w, w))
-        else:
-            hit.put(at, np.inf)
         accepts.append(acc)
         if nc:
             stale |= acc
@@ -557,7 +609,7 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
                   for rng, run in zip(rngs, ok.tolist())])
     accepted = ok & (u < np.exp(-np.maximum(err, 0.0)))
     keep = accepted[:, None]
-    if track:
+    if schedule is None:
         qd = np.where(keep, qd, qd_start)
     n_acc = (np.add.reduce(accepts, dtype=np.int64) if accepts
              else np.zeros(n, dtype=np.int64))

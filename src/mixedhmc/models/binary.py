@@ -82,7 +82,14 @@ class BinaryQuadratic(ModelSpec):
         # U(s_j = sigma) = const - sigma * h with local field h = W[j] s + b[j]
         # (the diagonal of W is zero), so values (-1, +1) weigh (h, -h).
         s = 2.0 * x - 1.0
-        h = (self.spec.W[j] * s).sum(axis=-1) + self.spec.b[j]
+        # A stack's sites are gathered with take, by the layout rule; one
+        # site's row, as the float event loop asks for it, is a view.
+        W, b = self.spec.W, self.spec.b
+        if isinstance(j, np.ndarray):
+            w, field = W.take(j, axis=0), b.take(j)
+        else:
+            w, field = W[j], b[j]
+        h = (w * s).sum(axis=-1) + field
         return h[..., None] * _SIGNS
 
     def initial_point(self, rng: ChainRng) -> MixedPoint:

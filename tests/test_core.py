@@ -499,9 +499,22 @@ def _site_rows(draw, min_card=3):
     return cards, table, cur, seeds
 
 
+def _mixed_width_stack():
+    """A stack of sites of 2, 12 and 20 values.  The 12-value row's cost
+    differs in its last bits when priced on all 20 columns, and so do the
+    wide rows' costs when their backward normalizers are summed across the
+    rows of the transposed layout."""
+    cards = [2, 12, 20]
+    table = np.full((3, 20), np.inf)
+    for r, card in enumerate(cards):
+        table[r, :card] = np.sin(1.1 * np.arange(card) + 2)
+    return cards, table, np.array([1, 2, 7]), [0, 2, 5]
+
+
 class TestInformedRowsProperty:
     @settings(max_examples=300, deadline=None)
     @given(_site_rows())
+    @example(_mixed_width_stack())
     def test_matches_public_ops(self, rows_drawn):
         """Each row draws the value default_proposal_sample draws from the
         same uniform, with the energy cost delta_E gives, including rows
@@ -559,16 +572,6 @@ class TestInformedRowsProperty:
             800.0 - np.log1p(np.exp(-1.0)), abs=1e-9)
         assert new[1] == 1 and delta[1] == pytest.approx(-800.0, abs=1e-9)
         assert np.isfinite(delta[3])
-
-
-def _mixed_width_stack():
-    """A stack of sites of 2, 12 and 20 values.  The 12-value row's cost
-    differs in its last bits when priced on all 20 columns."""
-    cards = [2, 12, 20]
-    table = np.full((3, 20), np.inf)
-    for r, card in enumerate(cards):
-        table[r, :card] = np.sin(1.7 * np.arange(card) + 2)
-    return cards, table, np.array([1, 2, 7]), [0, 2, 5]
 
 
 class TestSiteProposalsProperty:

@@ -10,6 +10,7 @@ from mixedhmc import (
     ModelSpec,
     run_chain_general,
 )
+from mixedhmc import kernels_general
 from mixedhmc.core import leapfrog, propose_and_delta
 from mixedhmc.diagnostics import ess, ks_two_sample
 from mixedhmc.kernels_general import (
@@ -711,7 +712,17 @@ _LOCKSTEP_CASES = {
                             GeneralParams(T=2.0, integrator_eps=0.2), 11),
     "mixed_widths": (MixedWidths, GeneralParams(T=2.4, integrator_eps=0.2),
                      16),
+    # T at most tau with positions redrawn: each clock fires at most once,
+    # and the events come from one sort of the hit times.
+    "gmm1d_sorted": (gmm1d_preset, GeneralParams(T=0.9, integrator_eps=0.3),
+                     17),
+    "stuck_sorted": (WalledSites, GeneralParams(T=0.9, integrator_eps=0.2),
+                     18),
+    "mixed_widths_sorted": (MixedWidths,
+                            GeneralParams(T=0.9, integrator_eps=0.2), 19),
 }
+_SORTED_CASES = [name for name, (_, params, _) in _LOCKSTEP_CASES.items()
+                 if params.T <= params.tau and params.resample_positions]
 
 
 def _loop_step(model, params, x, q, qD, rng, events=None):
@@ -734,6 +745,40 @@ _STATS_FIELDS = ("accepted", "energy_error", "n_discrete_accepts",
                  "n_grad_evals", "divergent")
 
 
+class _ScriptedRng(ChainRng):
+    """The stream ``ChainRng(seed, stream)`` with its first uniform draws
+    replaced by the arrays ``uniforms`` and its first gamma draws by
+    ``gammas``, in order; the stream moves on as it would."""
+
+    def __init__(self, seed, stream, uniforms, gammas):
+        super().__init__(seed, stream)
+        self.script = {"uniform": list(uniforms), "gamma": list(gammas)}
+
+    def uniform(self, size=None, out=None):
+        return self._replace("uniform", super().uniform(size, out))
+
+    def gamma(self, shape, size=None, out=None):
+        return self._replace("gamma", super().gamma(shape, size, out))
+
+    def _replace(self, kind, draw):
+        if self.script[kind]:
+            draw[...] = self.script[kind].pop(0)
+        return draw
+
+
+def _spy_schedules(monkeypatch):
+    """Record what each call of ``_event_schedule`` returns."""
+    schedules = []
+    schedule = kernels_general._event_schedule
+
+    def spy(*args):
+        schedules.append(schedule(*args))
+        return schedules[-1]
+
+    monkeypatch.setattr(kernels_general, "_event_schedule", spy)
+    return schedules
+
+
 class TestLockstepMatchesLoop:
     @pytest.mark.parametrize("name", list(_LOCKSTEP_CASES))
     def test_each_chain_equals_the_loop(self, name):
@@ -754,7 +799,7 @@ class TestLockstepMatchesLoop:
             assert np.array_equal(out.accept_trace, ref.accept_trace), c
             assert out.divergence_count == ref.divergence_count, c
             divergences += ref.divergence_count
-        if name == "stuck_3_value_sites":
+        if make_model is WalledSites:
             assert divergences > 0, "no chain got stuck"
 
     @pytest.mark.parametrize("name", list(_LOCKSTEP_CASES))
@@ -815,6 +860,52 @@ class TestLockstepMatchesLoop:
             assert len(events) == 1
             assert np.array_equal(new_x[c], pt.x)
             assert np.array_equal(new_qD[c], aux.qD)
+            for field in _STATS_FIELDS:
+                assert np.array_equal(getattr(stats, field)[c],
+                                      getattr(ref, field), equal_nan=True)
+
+    @pytest.mark.parametrize("name", _SORTED_CASES)
+    def test_short_trajectories_take_one_sort(self, name, monkeypatch):
+        """Where T is at most tau and positions are redrawn, every iteration
+        takes its events from the one sort of its hit times."""
+        make_model, params, seed = _LOCKSTEP_CASES[name]
+        model = make_model()
+        schedules = _spy_schedules(monkeypatch)
+        rngs = [ChainRng(seed, c) for c in range(3)]
+        inits = [default_init(model, rng) for rng in rngs]
+        run_chain_general_batch(inits, params, model, 0, 50, rngs)
+        assert len(schedules) == 50
+        assert all(schedule is not None for schedule in schedules)
+
+    @pytest.mark.parametrize("positions", [
+        [0.5, 0.5, 0.9, 0.1],                       # two clocks tied
+        [0.25, 0.6, 0.8, 0.1],                      # a hit time equal to T
+        [np.nextafter(0.6, 0.0), 0.6, 0.8, 0.1],    # two an ulp apart
+    ], ids=["tied", "at_T", "within_margin"])
+    def test_close_hit_times_take_the_per_round_loop(self, positions,
+                                                     monkeypatch):
+        """Clocks moving up from ``positions`` hit their boundary at 1 minus
+        their position, three of them before T = 0.75 or at it.  Rounding
+        may order such events otherwise than a sort does, so the iteration
+        takes the per-round loop, and each row gives the loop's step on its
+        own stream, bit for bit.  Momenta of energy 50 refract at every
+        event."""
+        model = random_binary_quadratic(4, ChainRng(15, 0))
+        params = GeneralParams(T=0.75)
+        script = ([positions, [0.9] * 4], [[50.0] * 4])
+        x = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]])
+        schedules = _spy_schedules(monkeypatch)
+        new_x, _, _, _, stats = general_step_batch(
+            x, np.zeros((3, 0)), np.zeros((3, 4)), params, model,
+            [_ScriptedRng(23, c, *script) for c in range(3)])
+        assert schedules == [None]
+        for c in range(3):
+            events = []
+            pt, _, ref = _loop_step(model, params, x[c], np.zeros(0),
+                                    np.zeros(4), _ScriptedRng(23, c, *script),
+                                    events)
+            assert [accepted for *_, accepted in events] == [True] * 3
+            assert np.array_equal(new_x[c], pt.x)
             for field in _STATS_FIELDS:
                 assert np.array_equal(getattr(stats, field)[c],
                                       getattr(ref, field), equal_nan=True)

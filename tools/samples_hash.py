@@ -92,6 +92,13 @@ CONFIGS = {
         "model": {"type": "gmm1d"},
         "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=2.5, integrator_eps=0.3),
         "run": {"chains": 4, "burn_in": 100, "samples": 800, "seed": 13}},
+    # With T below tau and positions redrawn, each clock fires at most once
+    # in an iteration, and the lockstep path takes its events from one sort
+    # of the hit times, between leapfrog segments.
+    "general_beta1_sorted_gmm1d": {
+        "model": {"type": "gmm1d"},
+        "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=0.9),
+        "run": {"chains": 4, "burn_in": 100, "samples": 800, "seed": 21}},
     # The baselines: Gibbs proposes through core.propose_and_delta.
     "gibbs_gmm1d": {
         "model": {"type": "gmm1d"},
