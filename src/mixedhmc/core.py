@@ -11,6 +11,7 @@ component, inclusion indicator, spin).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "flip_costs",
     "informed_rows",
     "site_proposals",
+    "RowModel",
 ]
 
 # Energy errors beyond this mark a trajectory divergent and reject the step.
@@ -137,7 +139,7 @@ class ModelSpec(abc.ABC):
     or on ``C``, bit for bit: reduce with row sums, ``np.einsum`` or one
     vector-matrix product per row (``np.matmul`` on a ``(C, 1, d)``
     stack), never one ``(C, d) @ (d, n)`` product, whose rows change with
-    ``C``.  Other models are called once per row by :func:`row_method`.
+    ``C``.  Other models are called once per row by :class:`RowModel`.
 
     Layout rule: parameter arrays are stored C-contiguous, and gathers by
     site value use ``ndarray.take`` rather than ``a[z]``.  On the small
@@ -273,34 +275,6 @@ def _leapfrog_step(x, q, p, g, half, h, grad_q, mass):
     return g
 
 
-def row_method(model, name):
-    """``model.<name>`` on row stacks: the method itself when the model is
-    ``row_stacked``, else a wrapper that calls it once per row and stacks
-    the results.  Site conditionals are padded with ``+inf`` to the model's
-    largest site cardinality, as a row-stacked model returns them: a width
-    set by the batch would change a row's sums with its batch-mates."""
-    fn = getattr(model, name)
-    if model.row_stacked:
-        return fn
-    if name == "site_cond_neglogp":
-        width = int(site_widths(model).max(initial=0))
-
-        def per_row_cond(j, x, q):
-            out = np.full((len(j), width), np.inf)
-            for r, row in enumerate(zip(j, x, q)):
-                v = np.asarray(fn(*row), dtype=np.float64)
-                out[r, :v.size] = v
-            return out
-
-        return per_row_cond
-
-    def per_row(*args):
-        return np.array([np.asarray(fn(*row), dtype=np.float64)
-                         for row in zip(*args)])
-
-    return per_row
-
-
 def _masked_logsumexp(neglogp: np.ndarray, skip: int):
     """log sum_{v != skip} exp(-neglogp[v]) plus the per-value logits."""
     logits = -neglogp
@@ -364,7 +338,7 @@ def informed_rows(neglogp, cur, u):
     # sum over a row's values is taken on the (rows, values) layout, where
     # a row's sum does not change with the number of rows.
     w = np.array(neglogp.T, dtype=np.float64, order="C")
-    width, n = w.shape
+    n = w.shape[1]
     rows = np.arange(n)
     at = cur * n + rows                # flat index of each current value
     w_cur = w.take(at)
@@ -376,10 +350,6 @@ def informed_rows(neglogp, cur, u):
         acc = np.add.accumulate(e)
         z_fwd = acc[-1]
         new = (acc <= u * z_fwd).sum(axis=0)
-        if new.max(initial=0) == width:
-            # u * z_fwd rounded up to z_fwd: take the last positive weight.
-            past = new == width
-            new[past] = width - 1 - np.argmax(e[::-1, past] > 0.0, axis=0)
         # Backward normalizer by exclusion sum (subtracting e[new] from z_fwd
         # would cancel catastrophically when e[new] dominates).
         e.put(new * n + rows, 0.0)
@@ -449,3 +419,98 @@ def _log_space_delta(neglogp, cur, new) -> float:
     _, log_z_new, _ = _masked_logsumexp(neglogp, new)
     _, log_z_cur, _ = _masked_logsumexp(neglogp, cur)
     return float(log_z_new - log_z_cur)
+
+
+def _sure_rejections(neglogp, cur, k_j):
+    """Rows of site conditionals ``neglogp`` whose proposal from ``cur`` is
+    sure to be rejected at the site energy ``k_j``.
+
+    A locally informed proposal from ``cur`` at a site of at most ``K``
+    values (the width of ``neglogp``) costs at least ``min_{v != cur} w_v -
+    w_cur - log(K - 1)``, for conditionals ``w``: its backward normalizer
+    holds ``exp(-w_cur)``, and its forward one is at most ``(K - 1)
+    exp(-min_{v != cur} w_v)``.  A row is sure to be rejected when that
+    bound is finite and exceeds ``k_j`` by more than ``1e-6 * (1 + k_j)``.
+    """
+    w = np.array(neglogp, dtype=np.float64, order="C")
+    at = np.arange(len(cur)) * w.shape[1] + cur
+    w_cur = w.take(at)
+    w.put(at, np.inf)
+    shift = w.min(axis=1)  # NaN below where no alternative is finite
+    bound = np.where(np.isfinite(shift), shift, np.nan) - w_cur
+    return (bound < np.inf) & (
+        bound > k_j * (1 + 1e-6) + (1e-6 + math.log(w.shape[1] - 1)))
+
+
+class RowModel:
+    """A model as the lockstep kernels use it, read once for a run: its
+    ``potential``, ``grad_q`` and ``site_cond_neglogp`` on row stacks
+    (:func:`_on_rows`), its sites' ``widths`` (:func:`site_widths`),
+    ``flips_only``, True when every site is binary, and the M-HMC site
+    update, :meth:`move`."""
+
+    def __init__(self, model: ModelSpec):
+        self.widths = site_widths(model)
+        self.flips_only = bool(self.widths.max(initial=2) == 2)
+        self.potential = _on_rows(model, "potential")
+        self.grad_q = _on_rows(model, "grad_q")
+        self.site_cond_neglogp = _on_rows(model, "site_cond_neglogp",
+                                          int(self.widths.max(initial=0)))
+
+    def move(self, j, at, x, q, k, live, width, u):
+        """One single-site move of each row of the stacks ``x`` and ``q``
+        in ``live``, at site ``j[r]`` (flat index ``at[r]`` into ``x`` and
+        the site energies ``k``, both updated in place), which has
+        ``width[r]`` values; ``u[r]`` is the uniform of an informed
+        proposal.
+
+        A row takes its proposal when the cost fits in its site's energy,
+        which the cost then lowers: ``energy - cost > 0``, the refraction of
+        the event-driven kernel and the Laplace kernel's update alike.  A
+        live row whose weights leave no finite proposal is stuck and does
+        not move.  Returns ``(moved, stuck, energy - cost)``, ``stuck``
+        None when every row found a proposal; or None, leaving ``x`` and
+        ``k`` as they were, when at sites wider than 2 every live row is
+        sure to reject (:func:`_sure_rejections`).
+        """
+        neglogp = self.site_cond_neglogp(j, x, q)
+        cur = x.take(at)
+        energy = k.take(at)
+        stuck = None
+        if self.flips_only:
+            cost = flip_costs(neglogp, cur)
+        else:
+            if _sure_rejections(neglogp, cur, energy).all(where=live):
+                return None
+            new, cost, found = site_proposals(neglogp, cur, width, u)
+            if not found.all():
+                stuck = live & ~found
+                live = live & found
+        left = energy - cost
+        moved = live & (left > 0.0)
+        x.put(at, cur ^ moved if self.flips_only
+              else np.where(moved, new, cur))
+        k.put(at, np.where(moved, left, energy))
+        return moved, stuck, left
+
+
+def _on_rows(model, name, width=None):
+    """``model.<name>`` on row stacks: the method itself when the model is
+    ``row_stacked``, else a wrapper that calls it once per row and stacks
+    the results, each padded with ``+inf`` to ``width`` entries if given,
+    as a row-stacked model pads its site conditionals to its largest site
+    cardinality: a width set by the stack would change a row's sums with
+    its stack-mates."""
+    fn = getattr(model, name)
+    if model.row_stacked:
+        return fn
+
+    def per_row(*args):
+        rows = [np.asarray(fn(*row), dtype=np.float64) for row in zip(*args)]
+        if width is None:
+            return np.array(rows)
+        out = np.full((len(rows), width), np.inf)
+        for r, v in enumerate(rows):
+            out[r, :v.size] = v
+        return out
+    return per_row

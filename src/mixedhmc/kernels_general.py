@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DIVERGENCE_MAX, KineticEnergy, MixedPoint, ModelSpec,
-                   NonFiniteWeightsError, check_positive, flip_costs,
-                   kinetic_energy, leapfrog, propose_and_delta, row_method,
-                   site_proposals, site_widths, stack_points)
+                   NonFiniteWeightsError, RowModel, check_positive,
+                   kinetic_energy, leapfrog, propose_and_delta, stack_points)
 from .diagnostics import ChainOutput, StepStats, drive_chains
 from .rng import ChainRng
 
@@ -421,11 +420,14 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
     events, so each chain's events are read off its clocks' hit times, and
     the ``m``-th events of all chains are handled together: one
     ``site_cond_neglogp`` call on the row stack and a few whole-row
-    operations.  When positions are redrawn and no clock can reach its
-    boundary a second time within ``T``, each clock fires at most once, in
-    the order of its hit time: one sort of the hit times gives every
-    chain's events for the iteration, and a clock needs only its kinetic
-    energy ``|p|``, which a refraction lowers and a reflection keeps.
+    operations (:meth:`~mixedhmc.core.RowModel.move`).  A proposal that
+    every chain with an event is sure to reject is not priced: those
+    chains reflect, their uniforms drawn all the same.  When positions are
+    redrawn and no clock can reach its boundary a second time within
+    ``T``, each clock fires at most once, in the order of its hit time:
+    one sort of the hit times gives every chain's events for the
+    iteration, and a clock needs only its kinetic energy ``|p|``, which a
+    refraction lowers and a reflection keeps.
     Otherwise, and in the rare iteration where two hit times, or a hit
     time and ``T``, lie within rounding of each other, each round finds
     every chain's next event afresh, stepping the hit times, the time left
@@ -443,18 +445,19 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
     """
     if params.beta != 1.0:
         raise ValueError("beta: chains step in lockstep only at beta 1")
-    nd, nc, n = model.n_discrete, model.n_continuous, len(rngs)
+    return _general_step(x, q, qD, params, RowModel(model), rngs, potential)
+
+
+def _general_step(x, q, qD, params, rm, rngs, potential):
+    """:func:`general_step_batch` on the model ``rm`` (a
+    :class:`~mixedhmc.core.RowModel`)."""
+    (n, nd), nc = x.shape, q.shape[1]
     tau, T, eps = params.tau, params.T, params.integrator_eps
     resample = params.resample_positions
-    widths = site_widths(model)
-    flips_only = widths.max(initial=2) == 2
-    pot = row_method(model, "potential")
-    grad = row_method(model, "grad_q")
-    site_cond = row_method(model, "site_cond_neglogp")
 
     qd, k, u, pC = _draw_iteration(qD, params, nd, nc, rngs)
     if potential is None:
-        potential = pot(x, q)
+        potential = rm.potential(x, q)
     e0 = potential + k.sum(axis=1)
     if nc:
         e0 += kinetic_energy(pC)
@@ -537,41 +540,34 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
             fresh = stale & seg
             if np.count_nonzero(fresh):
                 r = np.flatnonzero(fresh)
-                g[r] = grad(xs[r], qs[r])
+                g[r] = rm.grad_q(xs[r], qs[r])
                 stale &= ~seg
             n_grad += counts + fresh
             lo, hi = counts.min(), counts.max()
             g = leapfrog(xs, qs, pC, np.repeat((step / steps)[:, None], nc,
                                                axis=1),
-                         int(lo) if lo == hi else counts, grad, g=g)
+                         int(lo) if lo == hi else counts, rm.grad_q, g=g)
         if not more:
             break
         n_events += 1
 
-        neglogp = site_cond(j, xs, qs)
-        cur = xs.take(at)
-        if flips_only:
-            d_e = flip_costs(neglogp, cur)
-        else:
+        width = u = None
+        if not rm.flips_only:
             # A locally informed move draws one uniform from its row's own
             # stream; a flip and a row with no event draw none.
-            width = widths.take(j)
+            width = rm.widths.take(j)
             u = np.full(n, np.nan)
             for r in np.flatnonzero(event & (width > 2)).tolist():
                 u[r] = rngs[r].uniform()
-            new, d_e, found = site_proposals(neglogp, cur, width, u)
-            stuck = event & ~found
-            if np.count_nonzero(stuck):
-                ok &= ~stuck
-                event &= ~stuck
-                t_rem[stuck] = 0.0
         # A refraction pays the cost out of the clock's kinetic energy |p|;
-        # a reflection negates p, keeping |p|.
-        e = k.take(at)
-        mag = e - d_e
-        acc = event & (mag > 0.0)
-        xs.put(at, cur ^ acc if flips_only else np.where(acc, new, cur))
-        k.put(at, np.where(acc, mag, e))
+        # a reflection negates p, keeping |p|.  A skipped proposal reflects
+        # every row with an event.
+        acc, stuck, left = (rm.move(j, at, xs, qs, k, event, width, u)
+                            or (np.zeros_like(event), None, None))
+        if stuck is not None:
+            ok &= ~stuck
+            event &= ~stuck
+            t_rem[stuck] = 0.0
         if schedule is None:
             # A refraction mirrors the clock; a reflection turns it round.
             # Either way the loop's next hit time, from the new position and
@@ -587,8 +583,8 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
         if nc:
             stale |= acc
         if (refraction_diverges or n_events > _MAX_EVENTS
-                or math.inf in mag.tolist()):
-            diverged = acc if refraction_diverges else acc & (mag == np.inf)
+                or left is not None and math.inf in left.tolist()):
+            diverged = acc if refraction_diverges else acc & (left == np.inf)
             accepts[-1] = acc & ~diverged
             if n_events > _MAX_EVENTS:
                 diverged = diverged | event
@@ -596,7 +592,7 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
             t_rem[diverged] = 0.0
             k[diverged] = 1.0          # no whole-row operation sees inf
 
-    u_end = pot(xs, qs)
+    u_end = rm.potential(xs, qs)
     # Divergent rows may hold non-finite energies; the loop's float
     # arithmetic on them raises no warning either.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -637,12 +633,13 @@ def run_chain_general_batch(inits, params: GeneralParams, model: ModelSpec,
     kinetic = KineticEnergy(1.0)
     qD = np.array([sample_auxiliary(nd, params.tau, kinetic, rng).qD
                    for rng in rngs]).reshape(n, nd)
+    rm = RowModel(model)
     potential = None
 
     def step():
         nonlocal x, q, qD, potential
-        x, q, qD, potential, stats = general_step_batch(
-            x, q, qD, params, model, rngs, potential)
+        x, q, qD, potential, stats = _general_step(
+            x, q, qD, params, rm, rngs, potential)
         return x, q, stats.accepted, stats.divergent
 
     return drive_chains(step, n, nd, nc, n_burn, n_samples)

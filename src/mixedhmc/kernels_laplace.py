@@ -6,26 +6,20 @@ front: a Dirichlet draw fixes the leapfrog time between consecutive rounds of
 discrete updates, a random permutation fixes the site visitation order, and
 only the per-site kinetic energies (initially Exponential(1)) need tracking.
 Each discrete proposal is accepted iff its energy cost fits in the site's
-remaining kinetic energy, which is then reduced by that cost; a standard
-Metropolis test on the total energy closes the iteration.
-
-A locally informed proposal from ``cur`` at a site with ``K`` values costs
-at least ``min_{v != cur} w_v - w_cur - log(K - 1)``, for conditionals
-``w``; one whose bound exceeds its site's energy is sure to be rejected,
-and is not drawn.
+remaining kinetic energy, which is then reduced by that cost
+(:meth:`~mixedhmc.core.RowModel.move`); a standard Metropolis test on the
+total energy closes the iteration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import (DIVERGENCE_MAX, MixedPoint, ModelSpec, check_positive,
-                   flip_costs, kinetic_energy, leapfrog, row_method,
-                   site_proposals, site_widths, stack_points)
+from .core import (DIVERGENCE_MAX, MixedPoint, ModelSpec, RowModel,
+                   check_positive, kinetic_energy, leapfrog, stack_points)
 # Not called here, but perfbench/tracer.py wraps the kernels' proposal by
 # this module attribute.
 from .core import propose_and_delta  # noqa: F401
@@ -141,7 +135,7 @@ def laplace_step(point: MixedPoint, params: LaplaceKernelParams,
         divergent=bool(stats.divergent[0]))
 
 
-def _noise(params, model, rngs, widths):
+def _noise(params, nc, rngs, widths):
     """Each chain's draws for one iteration, from its own stream, in the
     order the kernel consumes them: site energies, momenta, visiting order,
     schedule, then one uniform per proposal at a site with more than 2
@@ -152,7 +146,7 @@ def _noise(params, model, rngs, widths):
     ``width[r, m]`` is the number of values of proposal ``m``'s site, from
     the sites' ``widths``.
     """
-    nd, nc, n = model.n_discrete, model.n_continuous, len(rngs)
+    nd, n = widths.size, len(rngs)
     n_prop = params.L * params.n_D if nd else 0
     k = np.zeros((n, nd))
     p = np.zeros((n, nc))
@@ -177,20 +171,6 @@ def _noise(params, model, rngs, widths):
     return k, p, sites, width, _schedules(params, phi), u
 
 
-def _sure_rejections(neglogp, cur, k_j):
-    """Rows of site conditionals ``neglogp`` whose proposal from ``cur`` is
-    sure to be rejected: its cost bound (module docstring) is finite and
-    exceeds the site energy ``k_j`` by more than ``1e-6 * (1 + k_j)``."""
-    w = np.array(neglogp, dtype=np.float64, order="C")
-    at = np.arange(len(cur)) * w.shape[1] + cur
-    w_cur = w.take(at)
-    w.put(at, np.inf)
-    shift = w.min(axis=1)  # NaN below where no alternative is finite
-    bound = np.where(np.isfinite(shift), shift, np.nan) - w_cur
-    return (bound < np.inf) & (
-        bound > k_j * (1 + 1e-6) + (1e-6 + math.log(w.shape[1] - 1)))
-
-
 def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
                        rngs):
     """One mixed-HMC iteration of each of a batch of chains, in lockstep.
@@ -212,76 +192,66 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     raises.  Each row's result does not depend on the other rows.
 
     On a model with a site of more than 2 values, a proposal is skipped
-    when every row that is not stuck has a finite cost bound above its site
-    energy: each row would reject it, leaving ``x``, ``k`` and the stats as
-    they are, and its uniform was drawn up front, so the samples do not
-    change.  On a model of binary sites every proposal is a flip.
+    when every row that is not stuck is sure to reject it
+    (:meth:`~mixedhmc.core.RowModel.move`): each row's uniform was drawn up
+    front, so the samples do not change.  On a model of binary sites every
+    proposal is a flip.
     """
-    nc = model.n_continuous
+    return _laplace_step(x, q, params, RowModel(model), rngs)
+
+
+def _laplace_step(x, q, params, rm, rngs):
+    """:func:`laplace_step_batch` on the model ``rm`` (a
+    :class:`~mixedhmc.core.RowModel`)."""
+    nc = q.shape[1]
     mass, L, n_d = params.mass_diag, params.L, params.n_D
     n = len(rngs)
-    widths = site_widths(model)
-    flips_only = widths.max(initial=2) == 2
-    k, p, sites, width, (eta, n_steps), u = _noise(params, model, rngs,
-                                                   widths)
+    k, p, sites, width, (eta, n_steps), u = _noise(params, nc, rngs,
+                                                   rm.widths)
+    # The flat index of each proposal's site in x and k.
+    at = sites + (np.arange(n) * rm.widths.size)[:, None]
 
-    potential = row_method(model, "potential")
-    grad = row_method(model, "grad_q")
-    site_cond = row_method(model, "site_cond_neglogp")
-    e0 = potential(x, q) + k.sum(axis=1) + kinetic_energy(p, mass)
+    e0 = rm.potential(x, q) + k.sum(axis=1) + kinetic_energy(p, mass)
     rounds = np.full(n, L)             # leapfrog rounds each chain ran
     took = np.zeros((L * n_d, n), dtype=bool)  # chains taking proposal m
     stuck = np.zeros(n, dtype=bool)    # no finite proposal: moves no more
-    any_stuck = False
-    rows = np.arange(n)
+    live, n_live = ~stuck, n
     xs, qs = x.copy(), q.copy()
     lo, hi = n_steps.min(axis=0).tolist(), n_steps.max(axis=0).tolist()
     g = None                           # gradient at (xs, qs)
     moved = False                      # a chain moved since the last leapfrog
 
     for t in range(L):
-        if any_stuck and stuck.all():
+        if not n_live:
             break
         if nc:
             if moved:
                 # The last round's gradient holds where x did not change.
                 r = took[(t - 1) * n_d:t * n_d].any(axis=0).nonzero()[0]
-                g[r] = grad(xs[r], qs[r])
+                g[r] = rm.grad_q(xs[r], qs[r])
                 moved = False
             # Step sizes repeated along each row: a product with a (C, 1)
             # column broadcasts row by row and costs about 2.5x as much.
             # An int step count when every chain takes the same number.
             g = leapfrog(xs, qs, p, np.repeat(eta[:, t, None], nc, axis=1),
-                         lo[t] if lo[t] == hi[t] else n_steps[:, t], grad,
-                         mass, g)
-        for m in range(t * n_d, (t + 1) * n_d) if widths.size else ():
-            j = sites[:, m]
-            neglogp = site_cond(j, xs, qs)
-            cur = xs[rows, j]
-            k_j = k[rows, j]
-            if flips_only:
-                new, d_e = 1 - cur, flip_costs(neglogp, cur)
-            else:
-                if (_sure_rejections(neglogp, cur, k_j) | stuck).all():
-                    continue
-                new, d_e, ok = site_proposals(neglogp, cur, width[:, m],
-                                              u[:, m])
-                if not ok.all():
-                    rounds[~(ok | stuck)] = t + 1
-                    stuck |= ~ok
-                    any_stuck = True
-            # A move is accepted iff its cost fits in the site's energy,
-            # which then stays positive.
-            take = k_j > d_e
-            if any_stuck:
-                take &= ~stuck
+                         lo[t] if lo[t] == hi[t] else n_steps[:, t],
+                         rm.grad_q, mass, g)
+        for m in range(t * n_d, (t + 1) * n_d) if rm.widths.size else ():
+            result = rm.move(sites[:, m], at[:, m], xs, qs, k, live,
+                             width[:, m], u[:, m])
+            if result is None:
+                continue
+            take, new_stuck, _ = result
+            if new_stuck is not None:
+                rounds[new_stuck] = t + 1
+                stuck |= new_stuck
+                live = ~stuck
+                n_live = np.count_nonzero(live)
             if take.any():
-                xs[rows, j] = np.where(take, new, cur)
-                k[rows, j] = np.where(take, k_j - d_e, k_j)
                 took[m] = take
                 moved = True
 
-    err = potential(xs, qs) + k.sum(axis=1) + kinetic_energy(p, mass) - e0
+    err = rm.potential(xs, qs) + k.sum(axis=1) + kinetic_energy(p, mass) - e0
     divergent = stuck | ~(np.abs(err) <= DIVERGENCE_MAX)
     energy_error = np.where(divergent, np.nan, err)
     accepted = ~divergent & (u[:, -1] < np.exp(-np.maximum(err, 0.0)))
@@ -312,10 +282,11 @@ def run_chain_batch(inits, params: LaplaceKernelParams, model: ModelSpec,
     """
     params.validate_for(model.n_discrete, model.n_continuous)
     x, q = stack_points(inits, model)
+    rm = RowModel(model)
 
     def step():
         nonlocal x, q
-        x, q, stats = laplace_step_batch(x, q, params, model, rngs)
+        x, q, stats = _laplace_step(x, q, params, rm, rngs)
         return x, q, stats.accepted, stats.divergent
 
     return drive_chains(step, len(inits), model.n_discrete, model.n_continuous,

@@ -90,9 +90,10 @@ def _batch_task(args):
     lockstep batch, and so do event-driven chains at beta 1 when the worker
     holds 2 or more; a lone event-driven chain, and any at beta != 1, runs
     the float event loop, as do the baselines' chains, one after another.
-    Alone, a chain costs the lockstep path more than the loop: about 82
-    against 52 µs per iteration on the 6-site binary target (2-vCPU x86
-    host), where 2 chains cost about 41 µs each and 4 about 22.5."""
+    Alone, a chain costs the lockstep path more than the loop: about 91
+    against 63 µs per iteration on the 6-site binary target (2-vCPU x86
+    host, best of 3), where 2 chains cost about 47 µs each and 4 about
+    26."""
     params, model, n_burn, n_samples, seed, streams = args
     rngs = [ChainRng(seed, stream) for stream in streams]
     inits = [default_init(model, rng) for rng in rngs]

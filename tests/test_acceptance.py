@@ -17,22 +17,16 @@ from mixedhmc import (
     ChainRng,
     LaplaceKernelParams,
     get_step_sizes_n_steps,
-    run_chain_general,
 )
 from mixedhmc.checks import (
     check_distributions,
+    check_exactness,
     check_gradients,
     check_reversibility,
 )
 from mixedhmc.cli import main as cli_main
 from mixedhmc.diagnostics import ess, ks_two_sample, mress
-from mixedhmc.kernels_general import GeneralParams
-from mixedhmc.models import (
-    binary_quadratic_enumerate,
-    gmm1d_preset,
-    gmm24_preset,
-    random_binary_quadratic,
-)
+from mixedhmc.models import gmm1d_preset, gmm24_preset
 from mixedhmc.runner import run_chains
 
 SEED = 2026
@@ -68,15 +62,11 @@ def gmm1d_run():
 
 def test_criterion_01_exactness():
     """6-site binary quadratic target, event-driven kernel with unit-power
-    momentum and flip proposals: marginals within 0.01 of enumeration."""
+    momentum and flip proposals: marginals within 0.01 of enumeration, by
+    the check that ``mixedhmc check exactness`` runs."""
     t_start = time.perf_counter()
-    rng = ChainRng(SEED, 0)
-    model = random_binary_quadratic(6, rng)
-    exact, _ = binary_quadratic_enumerate(model.spec)
-    out = run_chain_general(model.initial_point(rng),
-                            GeneralParams(T=1.0, tau=1.0, integrator_eps=0.1),
-                            model, 1000, 100_000, rng)
-    err = float(np.abs(out.samples.mean(axis=0) - exact).max())
+    (result,) = check_exactness(seed=SEED)
+    err = result.value
     wall = time.perf_counter() - t_start
     assert err < 0.01
     assert wall < 30.0

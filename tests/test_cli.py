@@ -372,6 +372,29 @@ class TestConfigValidation:
                          str(tmp_path), "--threads", "1"]) == 2
             assert "model.csv_path" in capsys.readouterr().err
 
+    def test_unreadable_csv_path_names_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model={
+            "type": "blr", "csv_path": os.path.join(tmp_path, "absent.csv")})
+        assert main(["run", "--config", cfg, "--out-dir",
+                     str(tmp_path), "--threads", "1"]) == 2
+        assert "model.csv_path: cannot read" in capsys.readouterr().err
+
+    def test_unknown_kernel_type_names_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, kernel={"type": "nuts"})
+        assert main(["run", "--config", cfg, "--out-dir",
+                     str(tmp_path), "--threads", "1"]) == 2
+        assert "kernel.type: unknown type 'nuts'" in capsys.readouterr().err
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        cfg = os.path.join(tmp_path, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump([{"model": {"type": "gmm1d"}}], fh)
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--out-dir", out]) == 2
+        assert ("config: top level must be a JSON object"
+                in capsys.readouterr().err)
+        assert not os.path.exists(out)
+
     def test_non_numeric_gmm_override_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model={"type": "gmm1d",
                                             "weights": "abc"})
@@ -441,6 +464,10 @@ class TestConfigValidation:
 class TestKernelParams:
     """``runner.run_chains`` builds each kernel's params object once, in
     the parent, from the fields and defaults of its class."""
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown kernel kind 'hmc'"):
+            runner.kernel_params("hmc", mixedhmc.models.gmm1d_preset(), {})
 
     def test_general_defaults_integrator_eps(self):
         model = mixedhmc.models.gmm1d_preset()
@@ -589,6 +616,29 @@ class TestSamplesHashTool:
              "blr_n_d2"], capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert re.fullmatch(r"blr_n_d2 [0-9a-f]{64}\n", out.stdout)
+
+
+class TestCodeLinesTool:
+    def test_counts_code_only(self, tmp_path):
+        """tools/code_lines.py counts no docstring, comment or blank line;
+        a string that is not a docstring counts on each of its lines."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        (tmp_path / "a.py").write_text(
+            '"""Module docstring,\nover two lines."""\n\n'
+            'import os  # a comment\n# a comment line\n\n\n'
+            'def f(x):\n    """Docstring."""\n'
+            '    s = """a string\n    of data"""\n    return x\n')
+        (tmp_path / "b.py").write_text("x = 1\n")
+        tool = os.path.join(root, "tools", "code_lines.py")
+        out = subprocess.run([sys.executable, tool, str(tmp_path)],
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [f"5 {tmp_path / 'a.py'}",
+                                           f"1 {tmp_path / 'b.py'}",
+                                           "6 total"]
+        out = subprocess.run([sys.executable, tool], capture_output=True,
+                             text=True, timeout=60)
+        assert re.fullmatch(r"\d+ total", out.stdout.splitlines()[-1])
 
 
 class TestThreads:

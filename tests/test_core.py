@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from mixedhmc import ChainRng, KineticEnergy, MixedPoint, ModelSpec
 from mixedhmc.core import (DegenerateSiteError, NonFiniteWeightsError,
-                           _log_space_delta, informed_rows, leapfrog,
-                           propose_and_delta, site_proposals)
-from mixedhmc.kernels_laplace import _sure_rejections
+                           RowModel, _log_space_delta, _sure_rejections,
+                           informed_rows, leapfrog, propose_and_delta,
+                           site_proposals, site_widths)
 from mixedhmc.models import (GaussianMixture, GmmSpec, gmm1d_preset,
                              random_binary_quadratic)
+from mixedhmc.runner import run_chains
 from oracle import default_proposal_sample, delta_E, forced_delta
 
 
@@ -311,6 +312,11 @@ class TestFastPaths:
         assert ok.tolist() == [False, True]
         assert new[1] in (1, 2) and np.isfinite(delta[1])
 
+    def test_propose_and_delta_refuses_a_one_value_site(self):
+        with pytest.raises(DegenerateSiteError, match="cardinality 1"):
+            propose_and_delta(0, np.array([0]), np.zeros(0), UniformSites([1]),
+                              ChainRng(0, 0))
+
     def test_forced_delta_matches(self):
         model = gmm1d_preset()
         rng = ChainRng(23, 0)
@@ -574,6 +580,28 @@ class TestInformedRowsProperty:
         assert np.isfinite(delta[3])
 
 
+    def test_largest_uniform_below_one(self):
+        """At u = nextafter(1, 0), u * Z_fwd still rounds below Z_fwd (Z_fwd
+        >= 1, the largest weight being exp(0)), so each row moves to its
+        last value of positive weight: never to its current value, last
+        here, to a value of zero weight or into the +inf padding.  The cost
+        is the oracle's."""
+        cards = [3, 5, 12, 20]
+        table = np.full((4, 22), np.inf)
+        for r, card in enumerate(cards):
+            table[r, :card] = np.cos(0.9 * np.arange(card) + r)
+        table[2, 10] = np.inf          # zero weight below the current value
+        cur = np.array(cards) - 1
+        new, delta, ok = informed_rows(table, cur,
+                                       np.full(4, np.nextafter(1.0, 0.0)))
+        assert ok.all()
+        assert new.tolist() == [1, 3, 9, 18]
+        for r, card in enumerate(cards):
+            want = forced_delta(0, cur[r:r + 1], np.zeros(1),
+                                TableSite(table[r, :card]), int(new[r]))
+            assert delta[r] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 class TestSiteProposalsProperty:
     @settings(max_examples=300, deadline=None)
     @given(_site_rows(min_card=2))
@@ -641,3 +669,40 @@ class TestSureRejections:
         for r in rows:
             if np.isinf(np.delete(table[r], cur[r])).all():
                 assert not sure[r]
+
+
+class TestRowModel:
+    @pytest.mark.parametrize("kind,settings", [
+        ("laplace", {"epsilon": 0.5, "T": 4.5, "L": 18}),
+        ("general", {"T": 2.5, "integrator_eps": 0.3})])
+    def test_sites_are_read_once_per_run(self, kind, settings):
+        """A run of either lockstep kernel reads the sites' widths at most
+        twice, where the runner checks the model and for the run's
+        RowModel, not on every iteration."""
+        with mock.patch("mixedhmc.core.site_widths",
+                        wraps=site_widths) as in_core, \
+                mock.patch("mixedhmc.runner.site_widths",
+                           wraps=site_widths) as in_runner:
+            run_chains(kind, gmm1d_preset(), settings, 4, 10, 40, 3,
+                       threads=1)
+        assert in_core.call_count + in_runner.call_count <= 2
+
+    def test_sure_rejection_is_skipped(self):
+        """A move whose cost bound exceeds every live row's site energy is
+        not priced: move returns None and leaves x and k as they were.  A
+        row outside ``live`` does not keep the proposal from being
+        skipped."""
+        model = TableSite(np.array([[0.0, 60.0, 70.0], [0.0, 0.1, 0.2]]))
+        rows = RowModel(model)
+        x = np.zeros((2, 1), dtype=np.int64)
+        q = np.array([[0.0], [1.0]])
+        k = np.array([[5.0], [5.0]])
+        args = (np.zeros(2, dtype=np.int64), np.arange(2), x, q, k)
+        rest = (np.full(2, 3), np.full(2, 0.5))
+        with mock.patch("mixedhmc.core.site_proposals") as priced:
+            assert rows.move(*args, np.array([True, False]), *rest) is None
+        assert priced.call_count == 0
+        assert x.tolist() == [[0], [0]] and k.tolist() == [[5.0], [5.0]]
+        moved, stuck, left = rows.move(*args, np.ones(2, dtype=bool), *rest)
+        assert moved.tolist() == [False, True] and stuck is None
+        assert x[1, 0] != 0 and k[1, 0] == left[1] < 5.0

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mixedhmc import (
     run_chain_general,
 )
 from mixedhmc import kernels_general
-from mixedhmc.core import leapfrog, propose_and_delta
+from mixedhmc.core import informed_rows, leapfrog, propose_and_delta
 from mixedhmc.diagnostics import ess, ks_two_sample
 from mixedhmc.kernels_general import (
     AuxiliaryState,
@@ -28,6 +29,7 @@ from mixedhmc.kernels_general import (
 from mixedhmc.models import (
     binary_quadratic_enumerate,
     gmm1d_preset,
+    gmm24_preset,
     random_binary_quadratic,
 )
 from mixedhmc.runner import default_init
@@ -352,6 +354,15 @@ class TestAuxiliaryState:
         aux = sample_auxiliary(50, 2.5, KineticEnergy(1.0), rng)
         assert aux.qD.min() >= 0.0 and aux.qD.max() <= 2.5
         assert np.all(aux.pD != 0.0)
+
+    def test_general_step_refuses_other_site_count(self):
+        rng = ChainRng(11, 0)
+        model = random_binary_quadratic(6, rng)
+        kin = KineticEnergy(1.0)
+        aux = sample_auxiliary(5, 1.0, kin, rng)
+        with pytest.raises(ValueError, match="auxiliary state size"):
+            general_step(model.initial_point(rng), aux, np.zeros(0), 1.0,
+                         model, kin, 0.1, rng)
 
 
 class TestGeneralParams:
@@ -779,6 +790,26 @@ def _spy_schedules(monkeypatch):
     return schedules
 
 
+def _chains_equal_the_loop(model, params, seed, n_burn=20, n_samples=250):
+    """Run 3 chains in lockstep and assert that each gives the samples,
+    accept trace and divergence count of ``run_chain_general`` on its
+    stream, bit for bit; returns the divergences of all chains."""
+    rngs = [ChainRng(seed, c) for c in range(3)]
+    inits = [default_init(model, rng) for rng in rngs]
+    outs = run_chain_general_batch(inits, params, model, n_burn, n_samples,
+                                   rngs)
+    divergences = 0
+    for c, out in enumerate(outs):
+        rng = ChainRng(seed, c)
+        ref = run_chain_general(default_init(model, rng), params, model,
+                                n_burn, n_samples, rng)
+        assert np.array_equal(out.samples, ref.samples), c
+        assert np.array_equal(out.accept_trace, ref.accept_trace), c
+        assert out.divergence_count == ref.divergence_count, c
+        divergences += ref.divergence_count
+    return divergences
+
+
 class TestLockstepMatchesLoop:
     @pytest.mark.parametrize("name", list(_LOCKSTEP_CASES))
     def test_each_chain_equals_the_loop(self, name):
@@ -786,21 +817,37 @@ class TestLockstepMatchesLoop:
         trace and divergence count of ``run_chain_general`` on its stream,
         bit for bit."""
         make_model, params, seed = _LOCKSTEP_CASES[name]
-        model = make_model()
-        rngs = [ChainRng(seed, c) for c in range(3)]
-        inits = [default_init(model, rng) for rng in rngs]
-        outs = run_chain_general_batch(inits, params, model, 20, 250, rngs)
-        divergences = 0
-        for c, out in enumerate(outs):
-            rng = ChainRng(seed, c)
-            ref = run_chain_general(default_init(model, rng), params, model,
-                                    20, 250, rng)
-            assert np.array_equal(out.samples, ref.samples), c
-            assert np.array_equal(out.accept_trace, ref.accept_trace), c
-            assert out.divergence_count == ref.divergence_count, c
-            divergences += ref.divergence_count
+        divergences = _chains_equal_the_loop(make_model(), params, seed)
         if make_model is WalledSites:
             assert divergences > 0, "no chain got stuck"
+
+    @pytest.mark.parametrize("name", ["gmm1d", "binary6_T_tau",
+                                      "binary_T_2.5_tau"])
+    def test_event_cap(self, name, monkeypatch):
+        """With the event cap lowered to 2, a chain diverges in lockstep
+        where the loop does: past its second event, or at any refraction
+        when T exceeds 2 tau."""
+        monkeypatch.setattr(kernels_general, "_MAX_EVENTS", 2)
+        make_model, params, seed = _LOCKSTEP_CASES[name]
+        assert _chains_equal_the_loop(make_model(), params, seed, 5, 60) > 0
+
+    def test_sure_rejections_are_not_priced(self):
+        """On the 24-D mixture a move of the site costs about 53 nats, far
+        above a clock's energy: every proposal is skipped, with no
+        informed_rows call, and each chain gives the loop's samples."""
+        model = gmm24_preset()
+        params = GeneralParams(T=1.0, integrator_eps=0.5)
+        rngs = [ChainRng(5, c) for c in range(4)]
+        inits = [default_init(model, rng) for rng in rngs]
+        with mock.patch("mixedhmc.core.informed_rows",
+                        wraps=informed_rows) as priced:
+            outs = run_chain_general_batch(inits, params, model, 0, 20, rngs)
+        assert priced.call_count == 0
+        for c, out in enumerate(outs):
+            rng = ChainRng(5, c)
+            ref = run_chain_general(default_init(model, rng), params, model,
+                                    0, 20, rng)
+            assert np.array_equal(out.samples, ref.samples), c
 
     @pytest.mark.parametrize("name", list(_LOCKSTEP_CASES))
     def test_steps_and_stats_equal_the_loop(self, name):
@@ -916,3 +963,8 @@ class TestLockstepMatchesLoop:
             run_chain_general_batch([model.initial_point(ChainRng(0, 0))],
                                     GeneralParams(T=1.0, beta=2.0), model,
                                     0, 1, [ChainRng(0, 0)])
+        with pytest.raises(ValueError, match="^beta: "):
+            general_step_batch(np.zeros((1, 1), dtype=np.int64),
+                               np.zeros((1, 1)), np.zeros((1, 1)),
+                               GeneralParams(T=1.0, beta=0.5), model,
+                               [ChainRng(0, 0)])
