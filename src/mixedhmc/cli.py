@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -25,7 +26,6 @@ from .diagnostics import DegenerateDimensionWarning, ess, ks_two_sample
 from .models import (
     BlrVarsel,
     GaussianMixture,
-    GmmSpec,
     blr_dataset_from_csv,
     blr_generate,
     gmm1d_preset,
@@ -44,26 +44,18 @@ class ConfigError(ValueError):
     """Invalid run configuration; message carries the offending field path."""
 
 
-def _get(section: dict, path: str, key: str, kind, required=False, default=None):
+def _get(section: dict, path: str, key: str, kind):
+    """``section[key]``, which must be there and be a ``kind``; a JSON int
+    is read as a float where a float is asked for."""
     if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
+        raise ConfigError(f"{path}.{key}: required field is missing")
     value = section[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+    if not isinstance(value, kind) or isinstance(value, bool) and kind in (int, float):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, "
                           f"got {type(value).__name__}")
     return value
-
-
-def _section(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name}: expected an object, "
-                          f"got {type(section).__name__}")
-    return section
 
 
 def _known_keys(section: dict, path: str, keys) -> None:
@@ -74,93 +66,135 @@ def _known_keys(section: dict, path: str, keys) -> None:
                               f"(expected one of {', '.join(keys)})")
 
 
-def _positive(value, path, key):
-    if value is None or value <= 0:
-        raise ConfigError(f"{path}.{key}: must be positive")
-    return value
+def _read(section, path: str, build, **given):
+    """``build`` called on the JSON object ``section``, the config's
+    ``path``: its keys are the parameters of ``build`` (a params class or a
+    builder function, or a dict of them by the section's ``type``), and one
+    without a default is required.  A parameter annotated ``bool``, ``int``,
+    ``float`` or ``str`` is checked to be one.  ``given`` (command-line
+    flags) replaces the section's values and passes the same checks.  A
+    ``ValueError("<field>: ...")`` from ``build`` becomes
+    ``ConfigError("<path>.<field>: ...")``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object, "
+                          f"got {type(section).__name__}")
+    section, keys = {**section, **given}, ()
+    if isinstance(build, dict):
+        kind = _get(section, path, "type", str)
+        if kind not in build:
+            raise ConfigError(f"{path}.type: unknown type {kind!r} "
+                              f"(expected {'|'.join(build)})")
+        build, keys = build[kind], ("type",)
+    params = inspect.signature(build).parameters
+    _known_keys(section, path, (*keys, *params))
+    kinds = {name: kind for name, kind in typing.get_type_hints(build).items()
+             if kind in (bool, int, float, str)}
+    settings = {name: _get(section, path, name, kinds.get(name, object))
+                for name, p in params.items()
+                if name in section or p.default is p.empty}
+    try:
+        return build(**settings)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError(f"{path}.{exc}") from None
 
 
-def _nonnegative(value, path, key):
-    if value < 0:
-        raise ConfigError(f"{path}.{key}: must be >= 0")
-    return value
+def _at_least(low: int, **values) -> None:
+    """Raise ``ValueError("<name>: must be positive")`` (``low`` 1) or
+    ``"<name>: must be >= 0"`` (``low`` 0) for the first of ``values``
+    below ``low``."""
+    for name, value in values.items():
+        if value < low:
+            raise ValueError(f"{name}: must be {'positive' if low else '>= 0'}")
+
+
+def _mixture(preset):
+    """The builder of a mixture type: ``preset()``, with the weights, means
+    or variances given in place of its own."""
+    def build(weights=None, means=None, variances=None):
+        given = {}
+        for key, value in (("weights", weights), ("means", means),
+                           ("variances", variances)):
+            try:
+                if value is not None:
+                    given[key] = np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        model = preset()
+        if not given:
+            return model
+        try:
+            return GaussianMixture(dataclasses.replace(model.spec, **given))
+        except ValueError as exc:  # names no single field
+            raise ConfigError(f"model: invalid GMM override: {exc}") from exc
+    return build
+
+
+def _blr(seed: int = 0, n: int = 100, d: int = 20, csv_path: str = None):
+    """BLR variable selection on a dataset generated from ``seed`` with
+    ``n`` rows and ``d`` covariates, or on the one saved at ``csv_path``."""
+    if csv_path is None:
+        _at_least(0, seed=seed)
+        _at_least(1, n=n, d=d)
+        return BlrVarsel(blr_generate(seed, n=n, d=d).spec)
+    try:
+        return BlrVarsel(blr_dataset_from_csv(csv_path))
+    except OSError as exc:
+        raise ValueError(f"csv_path: cannot read: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"csv_path: bad content: {exc}") from None
+
+
+def _binary(seed: int = 0, n_sites: int = 6):
+    """The random binary quadratic target on ``n_sites`` sites, drawn from
+    ``seed``."""
+    _at_least(0, seed=seed)
+    _at_least(1, n_sites=n_sites)
+    return random_binary_quadratic(n_sites, ChainRng(seed, stream=0))
+
+
+# Each model type's builder; its parameters are the type's settings, with
+# their defaults.
+MODELS = {"gmm1d": _mixture(gmm1d_preset), "gmm24": _mixture(gmm24_preset),
+          "blr": _blr, "binary": _binary}
+
+
+def run_settings(chains: int = 1, burn_in: int = 0, samples: int = 1000,
+                 seed: int = 0):
+    """The ``run`` section: chain count, iterations dropped and kept per
+    chain, and the seed of the chains' streams."""
+    _at_least(1, chains=chains)
+    _at_least(0, burn_in=burn_in, samples=samples, seed=seed)
+    return chains, burn_in, samples, seed
+
+
+def output_paths(samples_path: str = "samples.csv",
+                 summary_path: str = "summary.json"):
+    """The ``output`` section: the two output paths, under ``--out-dir``."""
+    return samples_path, summary_path
 
 
 def build_model(section: dict):
-    mtype = _get(section, "model", "type", str, required=True)
-    if mtype == "gmm1d" or mtype == "gmm24":
-        _known_keys(section, "model", ("type", "weights", "means", "variances"))
-        model = gmm1d_preset() if mtype == "gmm1d" else gmm24_preset()
-        if any(k in section for k in ("weights", "means", "variances")):
-            parts = {}
-            for key in ("weights", "means", "variances"):
-                try:
-                    parts[key] = np.asarray(
-                        section.get(key, getattr(model.spec, key)), dtype=float)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"model.{key}: {exc}") from None
-            try:
-                model = GaussianMixture(GmmSpec(**parts))
-            except ValueError as exc:
-                raise ConfigError(f"model: invalid GMM override: {exc}") from exc
-        return model
-    if mtype == "blr":
-        _known_keys(section, "model", ("type", "csv_path", "seed", "n", "d"))
-        csv_path = _get(section, "model", "csv_path", str)
-        if csv_path:
-            try:
-                return BlrVarsel(blr_dataset_from_csv(csv_path))
-            except OSError as exc:
-                raise ConfigError(f"model.csv_path: cannot read: {exc}") from exc
-            except ValueError as exc:
-                raise ConfigError(f"model.csv_path: bad content: {exc}") from exc
-        seed = _nonnegative(_get(section, "model", "seed", int, default=0),
-                            "model", "seed")
-        n = _positive(_get(section, "model", "n", int, default=100), "model", "n")
-        d = _positive(_get(section, "model", "d", int, default=20), "model", "d")
-        return BlrVarsel(blr_generate(seed, n=n, d=d).spec)
-    if mtype == "binary":
-        _known_keys(section, "model", ("type", "seed", "n_sites"))
-        seed = _nonnegative(_get(section, "model", "seed", int, default=0),
-                            "model", "seed")
-        n_sites = _positive(_get(section, "model", "n_sites", int, default=6),
-                            "model", "n_sites")
-        return random_binary_quadratic(n_sites, ChainRng(seed, stream=0))
-    raise ConfigError(f"model.type: unknown type {mtype!r} "
-                      "(expected gmm1d|gmm24|blr|binary)")
+    """The model of the ``model`` section, by its type's builder in
+    :data:`MODELS`.  A saved BLR dataset takes no generator setting."""
+    model = _read(section, "model", MODELS)
+    generated = sorted(set(section) - {"type", "csv_path"})
+    if "csv_path" in section and generated:
+        raise ConfigError(f"model.csv_path: loads a saved dataset, which "
+                          f"takes no {generated[0]!r}")
+    return model
 
 
 def build_kernel(section: dict, model):
     """The kernel kind and its params object, read from the fields of the
-    kind's params class in :data:`KERNELS`; any other key is rejected."""
-    kind = _get(section, "kernel", "type", str, required=True)
-    if kind not in KERNELS:
-        raise ConfigError(f"kernel.type: unknown type {kind!r} "
-                          f"(expected {'|'.join(KERNELS)})")
-    cls = KERNELS[kind]
-    hints = typing.get_type_hints(cls)  # each field's name and type
-    _known_keys(section, "kernel", ("type", *hints))
-    settings = {}
-    for f in dataclasses.fields(cls):
-        if f.name in section or f.default is dataclasses.MISSING:
-            hint = hints[f.name]
-            settings[f.name] = (
-                _get(section, "kernel", f.name, hint, required=True)
-                if hint in (bool, float, int) else section[f.name])
+    kind's params class in :data:`KERNELS` and checked against ``model``."""
+    params = _read(section, "kernel", KERNELS)
+    kind = section["type"]
     try:
-        return kind, kernel_params(kind, model, settings)
+        return kind, kernel_params(kind, model, params)
     except ValueError as exc:  # the message starts with the field's name
         raise ConfigError(f"kernel.{exc}") from None
-
-
-def parse_run_section(section: dict):
-    _known_keys(section, "run", ("chains", "burn_in", "samples", "seed"))
-    chains = _positive(_get(section, "run", "chains", int, default=1),
-                       "run", "chains")
-    burn_in, samples, seed = (
-        _nonnegative(_get(section, "run", key, int, default=default), "run", key)
-        for key, default in (("burn_in", 0), ("samples", 1000), ("seed", 0)))
-    return chains, burn_in, samples, seed
 
 
 def _column_names(model):
@@ -265,20 +299,17 @@ def cmd_run(args) -> int:
         if not isinstance(config, dict):
             raise ConfigError("config: top level must be a JSON object")
         _known_keys(config, "", ("model", "kernel", "run", "output"))
-        model = build_model(_section(config, "model"))
-        kind, params = build_kernel(_section(config, "kernel"), model)
-        run = dict(_section(config, "run"))
-        for key in ("chains", "seed"):  # flags override, and pass the checks
-            if getattr(args, key) is not None:
-                run[key] = getattr(args, key)
-        chains, burn_in, samples, seed = parse_run_section(run)
-        out = _section(config, "output")
-        _known_keys(out, "output", ("samples_path", "summary_path"))
-        out_dir = args.out_dir or "."
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("--threads: must be at least 1")
+        model = build_model(config.get("model", {}))
+        kind, params = build_kernel(config.get("kernel", {}), model)
+        flags = {key: getattr(args, key) for key in ("chains", "seed")
+                 if getattr(args, key) is not None}
+        chains, burn_in, samples, seed = _read(config.get("run", {}), "run",
+                                               run_settings, **flags)
         samples_path, summary_path = (
-            os.path.join(out_dir, _get(out, "output", key, str, default=name))
-            for key, name in (("samples_path", "samples.csv"),
-                              ("summary_path", "summary.json")))
+            os.path.join(args.out_dir or ".", path)
+            for path in _read(config.get("output", {}), "output", output_paths))
         for path in (samples_path, summary_path):  # fail before sampling
             os.makedirs(os.path.dirname(path), exist_ok=True)
     except ConfigError as exc:

@@ -49,11 +49,15 @@ class NonFiniteWeightsError(ValueError):
 
 
 def check_positive(params) -> None:
-    """Raise ``ValueError("<field>: must be positive and finite")`` for the
-    first numeric field of the dataclass ``params`` that is not positive and
-    finite everywhere."""
+    """Raise ``ValueError("<field>: ...")`` for the first field of the
+    dataclass ``params`` that is annotated ``int`` and holds another value,
+    a bool included ("must be an integer"), or that is numeric and not
+    positive and finite everywhere ("must be positive and finite")."""
     for f in fields(params):
         value = getattr(params, f.name)
+        if f.type in (int, "int") and (isinstance(value, bool) or not
+                                       isinstance(value, (int, np.integer))):
+            raise ValueError(f"{f.name}: must be an integer")
         if not (value is None or isinstance(value, bool)
                 or np.all(np.asarray(value) > 0)
                 and np.all(np.isfinite(np.asarray(value, dtype=np.float64)))):

@@ -177,3 +177,10 @@ class TestNaiveParams:
             NaiveParams(epsilon=0.0, L=5)
         with pytest.raises(ValueError):
             NaiveParams(epsilon=0.1, L=0)
+
+    def test_count_must_be_an_integer(self):
+        """A round count that is not an int, a bool included, is refused."""
+        for L in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="^L: must be an integer$"):
+                NaiveParams(epsilon=0.3, L=L)
+        assert NaiveParams(epsilon=0.3, L=np.int32(2)).L == 2

@@ -1,5 +1,7 @@
 import dataclasses
 import importlib
+import importlib.util
+import inspect
 import json
 import os
 import re
@@ -15,7 +17,9 @@ import mixedhmc.models
 import mixedhmc.runner as runner
 from mixedhmc import ChainRng, run_chain_general
 from mixedhmc.baselines import run_gibbs_chain, run_naive_chain
-from mixedhmc.cli import main, write_samples_csv
+from mixedhmc.cli import (MODELS, main, output_paths, run_settings,
+                          write_samples_csv)
+from mixedhmc.models import blr_dataset_to_csv, blr_generate
 from mixedhmc.runner import (KERNELS, chain_batches, default_init,
                              resolve_threads, run_chains)
 
@@ -379,6 +383,34 @@ class TestConfigValidation:
                      str(tmp_path), "--threads", "1"]) == 2
         assert "model.csv_path: cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("seed", 3), ("n", 100),
+                                           ("d", 4)])
+    def test_csv_path_takes_no_generator_setting(self, tmp_path, capsys,
+                                                 key, value):
+        """A saved BLR dataset refuses the settings that would generate
+        one, rather than dropping them."""
+        data = os.path.join(tmp_path, "data.csv")
+        blr_dataset_to_csv(blr_generate(0, n=30, d=4).spec, data)
+        model = {"type": "blr", "csv_path": data}
+        assert mixedhmc.cli.build_model(model).n_discrete == 4
+        cfg = write_config(tmp_path, model={**model, key: value},
+                           kernel={"type": "gibbs", "rw_scale": 0.5})
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--out-dir", out,
+                     "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: model.csv_path: " in err and repr(key) in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path)
+        out = os.path.join(tmp_path, "out")
+        assert main(["run", "--config", cfg, "--threads", threads,
+                     "--out-dir", out]) == 2
+        assert "error: --threads: must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_unknown_kernel_type_names_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path, kernel={"type": "nuts"})
         assert main(["run", "--config", cfg, "--out-dir",
@@ -536,6 +568,25 @@ class TestReadme:
                     for f in dataclasses.fields(cls)]
         assert rows == expected
 
+    def test_model_run_and_output_tables_list_each_setting_and_default(
+            self):
+        """README's model, run and output table is the builders'
+        parameters, in order, with their JSON defaults."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            text = fh.read()
+        rows = re.findall(r"^\| `(\w+)` +\| `(\w+)` +\| ([^|]+?) +\|",
+                          text[text.index("Model, run and output settings:"):
+                               text.index("Kernel types:")], re.M)
+        builders = [*MODELS.items(), ("run", run_settings),
+                    ("output", output_paths)]
+        expected = [(kind, name,
+                     "required" if p.default is p.empty
+                     else f"`{json.dumps(p.default)}`")
+                    for kind, build in builders
+                    for name, p in inspect.signature(build).parameters.items()]
+        assert rows == expected
+
     def test_top_level_exports_match_readme(self):
         """``mixedhmc.__all__`` is the list README states, and every
         ``from mixedhmc... import`` line of README's code blocks imports."""
@@ -566,6 +617,57 @@ class TestReadme:
             missing = (set(re.findall(r"`(\w+)`", names))
                        - set(importlib.import_module(mod).__all__))
             assert not missing, (mod, missing)
+
+
+def _load(path):
+    """The module of the source file ``path``."""
+    spec = importlib.util.spec_from_file_location(
+        os.path.splitext(os.path.basename(path))[0], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestShippedConfigs:
+    """Every config that ``tools/samples_hash.py`` and the benchmark run
+    passes the config checks: its model, kernel params, run and output
+    settings are built, and no chain is sampled."""
+
+    class Sampled(Exception):
+        pass
+
+    def test_each_config_is_read(self, tmp_path, monkeypatch):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        bench = _load(os.path.join(root, "perfbench", "run.py"))
+        tool = _load(os.path.join(root, "tools", "samples_hash.py"))
+        configs = [*tool.CONFIGS.items(),
+                   *((f"bench-{name}", w["config"])
+                     for name, w in bench.WORKLOADS.items())]
+        assert len(configs) == len(tool.CONFIGS) + 3
+
+        def run_chains(*args, **kwargs):
+            raise self.Sampled(*args)
+
+        monkeypatch.setattr(mixedhmc.cli, "run_chains", run_chains)
+        for name, config in configs:
+            cfg = os.path.join(tmp_path, f"{name}.json")
+            with open(cfg, "w") as fh:
+                json.dump(config, fh)
+            out = os.path.join(tmp_path, name)
+            with pytest.raises(self.Sampled) as read:
+                main(["run", "--config", cfg, "--out-dir", out,
+                      "--threads", "1"])
+            kind, model, params, chains, burn_in, samples, seed = \
+                read.value.args
+            run = config["run"]
+            assert kind == config["kernel"]["type"], name
+            assert isinstance(params, KERNELS[kind]), name
+            assert model.n_discrete >= 1, name
+            assert (chains, burn_in, samples, seed) == (
+                run["chains"], run["burn_in"], run["samples"],
+                run.get("seed", 0)), name
+            assert os.path.isdir(out), name
 
 
 class TestCheckCommand:

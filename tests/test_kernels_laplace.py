@@ -323,6 +323,16 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             params.validate_for(2)
 
+    @pytest.mark.parametrize("field,value", [("L", 2.5), ("L", 4.0),
+                                             ("n_D", True), ("L", "4")])
+    def test_count_must_be_an_integer(self, field, value):
+        """A count that is not an int, a bool included, is refused when the
+        params are made, not by numpy in the first step."""
+        settings = {"epsilon": 0.5, "T": 4.5, "L": 4, "n_D": 1}
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer$"):
+            LaplaceKernelParams(**{**settings, field: value})
+        assert LaplaceKernelParams(**{**settings, field: np.int64(2)})
+
     def test_mass_diag_length_checked(self):
         params = LaplaceKernelParams(epsilon=0.1, T=1.0, L=2,
                                      mass_diag=[1.0, 2.0, 3.0])
