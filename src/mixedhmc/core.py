@@ -337,17 +337,12 @@ def informed_rows(neglogp, cur, u):
     Returns ``(new, delta, ok)``; ``ok`` is False on rows whose weights
     leave no finite proposal, and their other entries are meaningless.
     """
-    # One column per row: the min, the running sums and the counts below do
-    # not depend on the layout and are cheaper across rows.  The one float
-    # sum over a row's values is taken on the (rows, values) layout, where
-    # a row's sum does not change with the number of rows.
-    w = np.array(neglogp.T, dtype=np.float64, order="C")
+    # The running sums and the counts below, like the min, do not depend on
+    # the layout and are cheaper across rows.  The one float sum over a
+    # row's values is taken on the (rows, values) layout, where a row's sum
+    # does not change with the number of rows.
+    w, at, w_cur, shift = _masked_columns(neglogp, cur)
     n = w.shape[1]
-    rows = np.arange(n)
-    at = cur * n + rows                # flat index of each current value
-    w_cur = w.take(at)
-    w.put(at, np.inf)
-    shift = w.min(axis=0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # The weights relative to the largest, in w's buffer.
         e = np.exp(np.subtract(shift, w, out=w), out=w)
@@ -356,7 +351,7 @@ def informed_rows(neglogp, cur, u):
         new = (acc <= u * z_fwd).sum(axis=0)
         # Backward normalizer by exclusion sum (subtracting e[new] from z_fwd
         # would cancel catastrophically when e[new] dominates).
-        e.put(new * n + rows, 0.0)
+        e.put(at + (new - cur) * n, 0.0)
         e.put(at, np.exp(shift - w_cur))
         delta = np.log(e.T.copy().sum(axis=1) / z_fwd)
     ok = np.isfinite(shift)
@@ -425,6 +420,20 @@ def _log_space_delta(neglogp, cur, new) -> float:
     return float(log_z_new - log_z_cur)
 
 
+def _masked_columns(neglogp, cur):
+    """The site conditionals ``neglogp`` (``(C, K)``) laid out one column
+    per row, with each row's current value ``cur[r]`` put to ``+inf``:
+    returns that ``(K, C)`` copy, the flat index of each current value in
+    it, the current values' conditionals and each column's min, the least
+    alternative (a min does not round, so it is the same in any layout)."""
+    w = np.array(neglogp.T, dtype=np.float64, order="C")
+    n = w.shape[1]
+    at = cur * n + np.arange(n)
+    w_cur = w.take(at)
+    w.put(at, np.inf)
+    return w, at, w_cur, w.min(axis=0)
+
+
 def _sure_rejections(neglogp, cur, k_j):
     """Rows of site conditionals ``neglogp`` whose proposal from ``cur`` is
     sure to be rejected at the site energy ``k_j``.
@@ -436,14 +445,11 @@ def _sure_rejections(neglogp, cur, k_j):
     exp(-min_{v != cur} w_v)``.  A row is sure to be rejected when that
     bound is finite and exceeds ``k_j`` by more than ``1e-6 * (1 + k_j)``.
     """
-    w = np.array(neglogp, dtype=np.float64, order="C")
-    at = np.arange(len(cur)) * w.shape[1] + cur
-    w_cur = w.take(at)
-    w.put(at, np.inf)
-    shift = w.min(axis=1)  # NaN below where no alternative is finite
+    w, _, w_cur, shift = _masked_columns(neglogp, cur)
+    # NaN where no alternative is finite: inf - inf would warn.
     bound = np.where(np.isfinite(shift), shift, np.nan) - w_cur
     return (bound < np.inf) & (
-        bound > k_j * (1 + 1e-6) + (1e-6 + math.log(w.shape[1] - 1)))
+        bound > k_j * (1 + 1e-6) + (1e-6 + math.log(w.shape[0] - 1)))
 
 
 class RowModel:

@@ -139,36 +139,48 @@ def _noise(params, nc, rngs, widths):
     """Each chain's draws for one iteration, from its own stream, in the
     order the kernel consumes them: site energies, momenta, visiting order,
     schedule, then one uniform per proposal at a site with more than 2
-    values and the Metropolis uniform.
+    values and the Metropolis uniform.  Each chain's draws are written in
+    place into its rows, and the Dirichlet rows of the schedule are the
+    exponential draws of :meth:`~mixedhmc.rng.ChainRng.dirichlet_ones`
+    normalized together.
 
-    ``u[r, m]`` is chain ``r``'s uniform for proposal ``m`` of the
-    trajectory (NaN at 2-value sites), ``u[r, -1]`` its Metropolis uniform;
-    ``width[r, m]`` is the number of values of proposal ``m``'s site, from
-    the sites' ``widths``.
+    ``u[m, r]`` is chain ``r``'s uniform for proposal ``m`` of the
+    trajectory (NaN at 2-value sites), ``u[-1, r]`` its Metropolis uniform;
+    ``sites[m, r]`` is the site of proposal ``m``, and ``width[m, r]`` its
+    number of values, from the sites' ``widths``.
     """
     nd, n = widths.size, len(rngs)
     n_prop = params.L * params.n_D if nd else 0
-    k = np.zeros((n, nd))
-    p = np.zeros((n, nc))
+    k, p = np.empty((n, nd)), np.empty((n, nc))
     perm = np.zeros((n, nd), dtype=np.int64)
     phi = np.ones((n, nd + 1))
+    u = np.full((n, n_prop + 1), np.nan)
+    # Every uniform is drawn in place when every site is wider than 2, the
+    # Metropolis uniform alone when every site is binary.
+    mixed = widths.min(initial=3) == 2 < widths.max(initial=2)
+    first = n_prop if widths.max(initial=2) == 2 else 0
     for r, rng in enumerate(rngs):
         if nd:
-            k[r] = rng.exponential(nd)
+            rng.exponential(out=k[r])
         if nc:
-            p[r] = rng.normal(nc)
+            rng.normal(out=p[r])
         if nd:
-            perm[r] = rng.permutation(nd)
-            phi[r] = rng.dirichlet_ones(nd + 1)
-    sites = np.take(perm, np.arange(n_prop) % max(nd, 1), axis=1)
-    width = widths[sites]
-    drawn = np.concatenate([width > 2, np.ones((n, 1), dtype=bool)], axis=1)
-    u = np.full(drawn.shape, np.nan)
-    counts = drawn.sum(axis=1)
-    u[drawn] = np.concatenate([rng.uniform(c) for rng, c in zip(rngs, counts)])
+            if nd > 1:  # permutation(1) takes nothing from the stream
+                perm[r] = rng.permutation(nd)
+            rng.exponential(out=phi[r])
+        if not mixed:
+            rng.uniform(out=u[r, first:])
+    phi /= phi.sum(axis=1, keepdims=True)
+    sites = perm.T.take(np.arange(n_prop) % max(nd, 1), axis=0)
+    width = widths.take(sites)
+    if mixed:
+        drawn = np.concatenate([width.T > 2, np.ones((n, 1), dtype=bool)],
+                               axis=1)
+        u[drawn] = np.concatenate([rng.uniform(c) for rng, c
+                                   in zip(rngs, drawn.sum(axis=1))])
     if params.mass_diag is not None:
         p *= np.sqrt(params.mass_diag)
-    return k, p, sites, width, _schedules(params, phi), u
+    return k, p, sites, width, _schedules(params, phi), u.T.copy()
 
 
 def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
@@ -197,27 +209,36 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
     front, so the samples do not change.  On a model of binary sites every
     proposal is a flip.
     """
-    return _laplace_step(x, q, params, RowModel(model), rngs)
+    x, q, _, stats = _laplace_step(x, q, params, RowModel(model), rngs)
+    return x, q, stats
 
 
-def _laplace_step(x, q, params, rm, rngs):
+def _laplace_step(x, q, params, rm, rngs, potential=None):
     """:func:`laplace_step_batch` on the model ``rm`` (a
-    :class:`~mixedhmc.core.RowModel`)."""
+    :class:`~mixedhmc.core.RowModel`), from ``potential``, ``U`` at each
+    row's ``(x, q)``, evaluated when None.  Returns ``(x, q, potential,
+    stats)`` for the next iteration."""
     nc = q.shape[1]
     mass, L, n_d = params.mass_diag, params.L, params.n_D
     n = len(rngs)
     k, p, sites, width, (eta, n_steps), u = _noise(params, nc, rngs,
                                                    rm.widths)
     # The flat index of each proposal's site in x and k.
-    at = sites + (np.arange(n) * rm.widths.size)[:, None]
+    at = sites + np.arange(n) * rm.widths.size
 
-    e0 = rm.potential(x, q) + k.sum(axis=1) + kinetic_energy(p, mass)
+    if potential is None:
+        potential = rm.potential(x, q)
+    e0 = potential + k.sum(axis=1) + kinetic_energy(p, mass)
     rounds = np.full(n, L)             # leapfrog rounds each chain ran
     took = np.zeros((L * n_d, n), dtype=bool)  # chains taking proposal m
     stuck = np.zeros(n, dtype=bool)    # no finite proposal: moves no more
     live, n_live = ~stuck, n
     xs, qs = x.copy(), q.copy()
     lo, hi = n_steps.min(axis=0).tolist(), n_steps.max(axis=0).tolist()
+    # Each round's step sizes, one column per chain, and the buffer they
+    # are repeated along each row in: a product with a (C, 1) column
+    # broadcasts row by row and costs about 2.5x as much.
+    eta_t, h = eta.T.copy(), np.empty_like(p)
     g = None                           # gradient at (xs, qs)
     moved = False                      # a chain moved since the last leapfrog
 
@@ -230,15 +251,13 @@ def _laplace_step(x, q, params, rm, rngs):
                 r = took[(t - 1) * n_d:t * n_d].any(axis=0).nonzero()[0]
                 g[r] = rm.grad_q(xs[r], qs[r])
                 moved = False
-            # Step sizes repeated along each row: a product with a (C, 1)
-            # column broadcasts row by row and costs about 2.5x as much.
             # An int step count when every chain takes the same number.
-            g = leapfrog(xs, qs, p, np.repeat(eta[:, t, None], nc, axis=1),
+            np.copyto(h, eta_t[t, :, None])
+            g = leapfrog(xs, qs, p, h,
                          lo[t] if lo[t] == hi[t] else n_steps[:, t],
                          rm.grad_q, mass, g)
         for m in range(t * n_d, (t + 1) * n_d) if rm.widths.size else ():
-            result = rm.move(sites[:, m], at[:, m], xs, qs, k, live,
-                             width[:, m], u[:, m])
+            result = rm.move(sites[m], at[m], xs, qs, k, live, width[m], u[m])
             if result is None:
                 continue
             take, new_stuck, _ = result
@@ -251,10 +270,11 @@ def _laplace_step(x, q, params, rm, rngs):
                 took[m] = take
                 moved = True
 
-    err = rm.potential(xs, qs) + k.sum(axis=1) + kinetic_energy(p, mass) - e0
+    u_end = rm.potential(xs, qs)
+    err = u_end + k.sum(axis=1) + kinetic_energy(p, mass) - e0
     divergent = stuck | ~(np.abs(err) <= DIVERGENCE_MAX)
     energy_error = np.where(divergent, np.nan, err)
-    accepted = ~divergent & (u[:, -1] < np.exp(-np.maximum(err, 0.0)))
+    accepted = ~divergent & (u[-1] < np.exp(-np.maximum(err, 0.0)))
     x_new = np.where(accepted[:, None], xs, x)
     q_new = np.where(accepted[:, None], qs, q)
     # A chain's own gradients: one at the start, one per leapfrog step of
@@ -265,7 +285,7 @@ def _laplace_step(x, q, params, rm, rngs):
     n_grad = (1 + np.where(ran, n_steps, 0).sum(axis=1)
               + (ran[:, 1:] & moved[:, :-1]).sum(axis=1)
               if nc else np.zeros(n, dtype=np.int64))
-    return x_new, q_new, StepStats(
+    return x_new, q_new, np.where(accepted, u_end, potential), StepStats(
         accepted=accepted, energy_error=energy_error,
         n_discrete_accepts=took.sum(axis=0), n_grad_evals=n_grad,
         divergent=divergent)
@@ -278,15 +298,19 @@ def run_chain_batch(inits, params: LaplaceKernelParams, model: ModelSpec,
     :class:`ChainOutput` per chain, in order.
 
     Each chain's samples are those it gives when run alone.  Step-level
-    divergences are counted, never raised.
+    divergences are counted, never raised.  A chain's start potential is
+    carried from one iteration to the next, so each iteration makes one
+    ``potential`` call on the stack.
     """
     params.validate_for(model.n_discrete, model.n_continuous)
     x, q = stack_points(inits, model)
     rm = RowModel(model)
+    potential = None
 
     def step():
-        nonlocal x, q
-        x, q, stats = _laplace_step(x, q, params, rm, rngs)
+        nonlocal x, q, potential
+        x, q, potential, stats = _laplace_step(x, q, params, rm, rngs,
+                                               potential)
         return x, q, stats.accepted, stats.divergent
 
     return drive_chains(step, len(inits), model.n_discrete, model.n_continuous,

@@ -45,9 +45,11 @@ class ChainRng:
         """Standard normal draw(s); ``out`` as for :meth:`uniform`."""
         return self.gen.standard_normal(size, out=out)
 
-    def exponential(self, size=None):
-        """Exponential(1) draw(s)."""
-        return self.gen.standard_exponential(size)
+    def exponential(self, size=None, out=None):
+        """Exponential(1) draw(s); ``out`` as for :meth:`uniform`.  The
+        draws of :meth:`dirichlet_ones` are these, normalized by their
+        sum."""
+        return self.gen.standard_exponential(size, out=out)
 
     def gamma(self, shape, size=None, out=None):
         """Gamma(shape, scale=1) draw(s); used by power-family momenta.

@@ -10,6 +10,7 @@ way.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -57,14 +58,27 @@ def default_init(model: ModelSpec, rng: ChainRng) -> MixedPoint:
 
 def kernel_params(kind: str, model: ModelSpec, settings):
     """The params object of kernel ``kind`` from ``settings`` (a dict of its
-    fields, or the object itself), checked against ``model``; a bad or
-    unfit value raises ``ValueError("<field>: ...")``.  Every kernel
+    fields, or the object itself), checked against ``model``; an unknown
+    key, a missing field and a bad or unfit value raise
+    ``ValueError("<field>: ...")``.  Every kernel
     proposes moves to another value at each site, so a site with a single
     value is unfit for all of them."""
     if kind not in KERNELS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     cls = KERNELS[kind]
-    params = settings if isinstance(settings, cls) else cls(**settings)
+    params = settings
+    if not isinstance(settings, cls):
+        fields = dataclasses.fields(cls)
+        unknown = sorted(settings.keys() - {f.name for f in fields})
+        if unknown:
+            raise ValueError(f"{unknown[0]}: unknown setting of the {kind} "
+                             "kernel")
+        for f in fields:
+            if (f.name not in settings and f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING):
+                raise ValueError(f"{f.name}: missing, the {kind} kernel "
+                                 "needs it")
+        params = cls(**settings)
     try:
         site_widths(model)
     except DegenerateSiteError as exc:

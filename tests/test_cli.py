@@ -501,6 +501,31 @@ class TestKernelParams:
         with pytest.raises(ValueError, match="unknown kernel kind 'hmc'"):
             runner.kernel_params("hmc", mixedhmc.models.gmm1d_preset(), {})
 
+    # The fields each kind needs, at valid values.
+    REQUIRED = {"laplace": {"epsilon": 0.5, "T": 4.5, "L": 18},
+                "general": {"T": 1.0}, "naive": {"epsilon": 0.45, "L": 10},
+                "gibbs": {"rw_scale": 1.0}}
+
+    @pytest.mark.parametrize("kind", list(KERNELS))
+    def test_unknown_key_named(self, kind):
+        model = mixedhmc.models.gmm1d_preset()
+        settings = {**self.REQUIRED[kind], "foo": 1}
+        with pytest.raises(ValueError, match=r"^foo: unknown setting"):
+            runner.kernel_params(kind, model, settings)
+
+    @pytest.mark.parametrize("kind", list(KERNELS))
+    def test_missing_key_named(self, kind):
+        """Each field without a default is named when it is left out; the
+        fields given are accepted."""
+        model = mixedhmc.models.gmm1d_preset()
+        required = self.REQUIRED[kind]
+        assert isinstance(runner.kernel_params(kind, model, required),
+                          KERNELS[kind])
+        for name in required:
+            settings = {k: v for k, v in required.items() if k != name}
+            with pytest.raises(ValueError, match=rf"^{name}: missing"):
+                runner.kernel_params(kind, model, settings)
+
     def test_general_defaults_integrator_eps(self):
         model = mixedhmc.models.gmm1d_preset()
         runs = [run_chains("general", model, kernel, 2, 5, 40, 3, threads=1)
@@ -516,8 +541,7 @@ class TestKernelParams:
         chain_runner = {"general": run_chain_general,
                         "naive": run_naive_chain,
                         "gibbs": run_gibbs_chain}[kind]
-        settings = {"general": {"T": 1.0}, "naive": {"epsilon": 0.45, "L": 10},
-                    "gibbs": {"rw_scale": 1.0}}[kind]
+        settings = self.REQUIRED[kind]
         model = mixedhmc.models.gmm1d_preset()
         params = KERNELS[kind](**settings)
         outputs = run_chains(kind, model, settings, 2, 5, 40, 3, threads=1)
@@ -536,7 +560,7 @@ class TestKernelParams:
                               "mass_diag": [1.0]}, ValueError),
         ("general", "gmm1d", {"T": 1.0, "tau": 0.0}, ValueError),
         ("naive", "gmm24", {"epsilon": 0.5, "L": 2}, ValueError),
-        ("gibbs", "gmm1d", {"rw_scale": 1.0, "scale": 2.0}, TypeError),
+        ("gibbs", "gmm1d", {"rw_scale": 1.0, "scale": 2.0}, ValueError),
     ], ids=["epsilon", "n_D", "mass_diag", "tau", "naive-model", "unknown"])
     def test_bad_value_raises_before_any_worker(self, monkeypatch, kind,
                                                 model, kernel, error):

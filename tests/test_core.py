@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -669,6 +670,64 @@ class TestSureRejections:
         for r in rows:
             if np.isinf(np.delete(table[r], cur[r])).all():
                 assert not sure[r]
+
+
+def _screen_reference(row, cur, k):
+    """The documented screen on one row of Python floats: the least
+    alternative (NaN if any alternative is NaN), less the current value's
+    conditional, is finite and exceeds ``k`` by the margin."""
+    alts = [w for v, w in enumerate(row) if v != cur]
+    alt = math.nan if any(math.isnan(w) for w in alts) else min(alts)
+    if not math.isfinite(alt):
+        return False
+    bound = alt - row[cur]
+    return math.isfinite(bound) and bound > (
+        k * (1 + 1e-6) + (1e-6 + math.log(len(row) - 1)))
+
+
+_EDGE = st.one_of(st.floats(-50.0, 50.0),
+                  st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+class TestSureRejectionEdges:
+    def test_non_finite_rows_are_not_sure(self):
+        """Rows whose current value is +inf or -inf, whose alternatives are
+        all +inf or all -inf, or that hold NaN are never sure to be
+        rejected, and the screen raises no RuntimeWarning on them; a finite
+        row in the same stack is still screened."""
+        inf, nan = math.inf, math.nan
+        table = np.array([[inf, 0.0, 1.0, 2.0],
+                          [-inf, 0.0, 1.0, 2.0],
+                          [0.0, inf, inf, inf],
+                          [inf, inf, inf, inf],
+                          [-inf, -inf, -inf, -inf],
+                          [0.0, -inf, -inf, -inf],
+                          [nan, 90.0, 95.0, 99.0],
+                          [0.0, nan, 90.0, 95.0],
+                          [0.0, 90.0, 95.0, 99.0]])
+        cur = np.zeros(len(table), dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sure = _sure_rejections(table, cur, np.full(len(table), 1.0))
+        assert sure.tolist() == [False] * 8 + [True]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 6).flatmap(
+        lambda width: st.lists(
+            st.tuples(st.lists(_EDGE, min_size=width, max_size=width),
+                      st.integers(0, width - 1), st.floats(0.0, 60.0)),
+            min_size=1, max_size=6)))
+    def test_matches_per_row_bound(self, rows):
+        """Each row of a stack is screened as the documented bound says,
+        evaluated row by row in Python floats, with no RuntimeWarning."""
+        table = np.array([r[0] for r in rows])
+        cur = np.array([r[1] for r in rows], dtype=np.int64)
+        k = np.array([r[2] for r in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sure = _sure_rejections(table, cur, k)
+        assert sure.tolist() == [_screen_reference(row, c, e)
+                                 for row, c, e in rows]
 
 
 class TestRowModel:

@@ -14,8 +14,8 @@ from mixedhmc import (
     run_chain_general,
 )
 from mixedhmc.core import DegenerateSiteError, informed_rows
-from mixedhmc.kernels_laplace import (laplace_step, laplace_step_batch,
-                                      run_chain_batch)
+from mixedhmc.kernels_laplace import (_noise, laplace_step,
+                                      laplace_step_batch, run_chain_batch)
 from mixedhmc.diagnostics import ks_two_sample
 from mixedhmc.kernels_general import GeneralParams
 from mixedhmc.models import (
@@ -582,6 +582,40 @@ class TestBatchIsolation:
             assert np.array_equal(out.accept_trace, solo.accept_trace)
             assert out.divergence_count == solo.divergence_count
 
+    @pytest.mark.parametrize("name", ["cliff_mixture", "blr"])
+    def test_run_carries_the_start_potential(self, name):
+        """A run makes one potential call per iteration plus one at the
+        start, and draws the samples of a loop over laplace_step_batch,
+        which evaluates the start potential afresh each iteration, also
+        when chains diverge."""
+        case = next(c for c in BATCH_CASES if c[0] == name)
+        model, params = case[1], case[2]
+
+        class Counting(type(model)):
+            def potential(self, x, q):
+                self.calls += 1
+                return super().potential(x, q)
+
+        counted = copy.copy(model)
+        counted.__class__ = Counting
+        counted.calls = 0
+        n, n_burn, n_samples = 4, 5, 25
+        inits = [model.initial_point(ChainRng(28, c)) for c in range(n)]
+        outs = run_chain_batch(inits, params, counted, n_burn, n_samples,
+                               [ChainRng(27, c) for c in range(n)])
+        assert counted.calls == 1 + n_burn + n_samples
+        assert (sum(o.divergence_count for o in outs) > 0) == case[3]
+        x = np.array([pt.x for pt in inits])
+        q = np.array([pt.q for pt in inits])
+        rngs = [ChainRng(27, c) for c in range(n)]
+        for i in range(n_burn + n_samples):
+            x, q, stats = laplace_step_batch(x, q, params, model, rngs)
+            if i >= n_burn:
+                for c, out in enumerate(outs):
+                    assert np.array_equal(out.samples[i - n_burn],
+                                          np.concatenate([x[c], q[c]]))
+                    assert out.accept_trace[i - n_burn] == stats.accepted[c]
+
     def test_noise_record_replays_scalar_draws(self):
         """A step that does not diverge reads exactly the draws of the
         scalar sequence: site energies, momenta, visiting order, schedule,
@@ -601,6 +635,57 @@ class TestBatchIsolation:
         for _ in range(params.L + 1):
             clone.uniform()
         assert rng.uniform() == clone.uniform()
+
+
+def _noise_reference(params, nc, rng, widths):
+    """One chain's noise record from the calls README documents, in its
+    order: ``exponential(N_D)``, ``normal(N_C)``, ``permutation(N_D)``,
+    ``dirichlet_ones(N_D + 1)`` (through the schedule) and ``uniform(n +
+    1)``."""
+    nd = widths.size
+    k = rng.exponential(nd)
+    p = rng.normal(nc)
+    perm = rng.permutation(nd)
+    schedule = get_step_sizes_n_steps(params, nd, rng)
+    sites = perm[np.arange(params.L * params.n_D) % nd]
+    drawn = np.append(widths[sites] > 2, True)
+    u = np.full(drawn.size, np.nan)
+    u[drawn] = rng.uniform(drawn.sum())
+    if params.mass_diag is not None:
+        p = p * np.sqrt(params.mass_diag)
+    return k, p, sites, widths[sites], schedule, u
+
+
+class TestNoise:
+    @pytest.mark.parametrize("widths,nc,params", [
+        ([4], 1, LaplaceKernelParams(epsilon=0.5, T=4.5, L=18)),
+        ([2] * 20, 20, LaplaceKernelParams(epsilon=0.15, T=3.0, L=20,
+                                           n_D=2)),
+        ([2, 3, 2, 3, 3], 2, LaplaceKernelParams(epsilon=0.3, T=2.0, L=6,
+                                                 n_D=2)),
+        ([3, 4], 3, LaplaceKernelParams(epsilon=0.3, T=2.0, L=5,
+                                        mass_diag=[0.5, 2.0, 3.0])),
+    ], ids=["four_values", "binary20", "mixed", "mass_diag"])
+    def test_matches_per_chain_reference(self, widths, nc, params):
+        """The lockstep draws equal, bit for bit, each chain's own record
+        drawn with the documented calls one chain at a time, and leave
+        each stream at the same place."""
+        widths = np.array(widths, dtype=np.int64)
+        n = 5
+        rngs = [ChainRng(26, c) for c in range(n)]
+        clones = [ChainRng(26, c) for c in range(n)]
+        k, p, sites, width, (eta, n_steps), u = _noise(params, nc, rngs,
+                                                       widths)
+        for r, clone in enumerate(clones):
+            want = _noise_reference(params, nc, clone, widths)
+            assert np.array_equal(k[r], want[0])
+            assert np.array_equal(p[r], want[1])
+            assert np.array_equal(sites[:, r], want[2])
+            assert np.array_equal(width[:, r], want[3])
+            assert np.array_equal(eta[r], want[4].eta)
+            assert np.array_equal(n_steps[r], want[4].n_steps)
+            assert np.array_equal(u[:, r], want[5], equal_nan=True)
+            assert rngs[r].uniform() == clone.uniform()
 
 
 class TestStuckChain:
