@@ -58,6 +58,14 @@ class StepStats:
     n_grad_evals: int
     divergent: bool = False
 
+    def chain(self, c: int) -> "StepStats":
+        """The scalar stats of chain ``c`` of a lockstep step."""
+        return StepStats(accepted=bool(self.accepted[c]),
+                         energy_error=float(self.energy_error[c]),
+                         n_discrete_accepts=int(self.n_discrete_accepts[c]),
+                         n_grad_evals=int(self.n_grad_evals[c]),
+                         divergent=bool(self.divergent[c]))
+
 
 def drive_chains(step, n_chains: int, n_discrete: int, n_continuous: int,
                  n_burn: int, n_samples: int) -> list:

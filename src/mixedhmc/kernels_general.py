@@ -9,12 +9,15 @@ negated) depending on whether enough kinetic energy is available.  The
 continuous coordinates evolve by leapfrog between events.  A Metropolis test
 on the total energy ends the iteration, negating all momenta on acceptance.
 
-At beta 1 every clock moves at unit speed, so the events of a batch of
-chains can be handled in lockstep, the m-th event of every chain in one
+A batch of chains steps in lockstep, the m-th event of every chain in one
 call on the row stack (:func:`general_step_batch`,
-:func:`run_chain_general_batch`); each chain's samples are those of the
-float loop, bit for bit.  When no clock can fire twice in an iteration,
-the order of its events comes from one sort of the clocks' hit times.
+:func:`run_chain_general_batch`); :func:`general_step` and
+:func:`run_chain_general` are its one-chain calls.  A round handles only
+the clocks that fire, with the float arithmetic of an event loop on one
+chain ("the loop" below, which ``tests/oracle.py`` keeps as the
+reference), so each chain's samples are the same alone and in any batch.
+At beta 1, when no clock can fire twice in an iteration, the order of its
+events comes from one sort of the clocks' hit times.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DIVERGENCE_MAX, KineticEnergy, MixedPoint, ModelSpec,
-                   NonFiniteWeightsError, RowModel, check_positive,
-                   kinetic_energy, leapfrog, propose_and_delta, stack_points)
+                   RowModel, check_positive, kinetic_energy, leapfrog,
+                   stack_points)
+# Not called here, but perfbench/tracer.py wraps the kernels' proposal by
+# this module attribute.
+from .core import propose_and_delta  # noqa: F401
 from .diagnostics import ChainOutput, StepStats, drive_chains
 from .rng import ChainRng
 
@@ -43,6 +49,7 @@ __all__ = [
 ]
 
 _MAX_EVENTS = 10_000_000
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -108,23 +115,14 @@ def refract(pd: float, delta_e: float, kinetic: KineticEnergy) -> float:
     """Pass through a boundary, paying ``delta_e`` out of the kinetic energy.
 
     Returns ``sign(pd) * kinv(k(pd) - delta_e)`` on floats, by the event
-    loop's own refraction; requires ``k(pd) > delta_e`` (callers must
+    kernel's own refraction; requires ``k(pd) > delta_e`` (callers must
     reflect otherwise).  Sign is preserved and the new kinetic energy is
     the old minus ``delta_e``.
     """
     energy = float(kinetic.k(pd))
     if not energy > delta_e:
         raise ValueError("refract requires k(p) > delta_e; reflect instead")
-    return _refracted(pd, energy, delta_e, _float_kinv(kinetic))
-
-
-def _integrate(x, q, p, duration, max_step, model, g):
-    """Leapfrog for ``duration`` in equal steps no larger than ``max_step``,
-    from the gradient ``g`` at the start (evaluated when None); returns the
-    number of gradient evaluations and the gradient at the end."""
-    n = max(math.ceil(duration / max_step), 1)
-    return (n + (g is None),
-            leapfrog(x, q, p, duration / n, n, model.grad_q, g=g))
+    return _refracted(pd, energy - delta_e, _float_kinv(kinetic))
 
 
 def _float_kinv(kinetic: KineticEnergy):
@@ -144,12 +142,21 @@ def _float_kinv(kinetic: KineticEnergy):
     return lambda e: float(kinetic.kinv(e))
 
 
-def _refracted(p, energy, delta_e, kinv):
-    """The momentum ``p`` of kinetic energy ``energy > delta_e`` after
-    paying ``delta_e``: ``sign(p) * kinv(energy - delta_e)``, with ``kinv``
-    from :func:`_float_kinv`."""
-    mag = kinv(energy - delta_e)
+def _refracted(p, left, kinv):
+    """The momentum of the sign of ``p`` and kinetic energy ``left > 0``:
+    ``sign(p) * kinv(left)``, with ``kinv`` from :func:`_float_kinv`."""
+    mag = kinv(left)
     return mag if p > 0.0 else -mag
+
+
+def _float_energy(p, beta):
+    """A clock's kinetic energy ``|p| ** beta`` on a float, by libm's
+    ``pow`` (numpy's array ``pow`` differs from it in the last bit on some
+    values); inf where it overflows."""
+    try:
+        return abs(p) ** beta
+    except OverflowError:
+        return math.inf
 
 
 def _runs(p, v) -> bool:
@@ -158,153 +165,36 @@ def _runs(p, v) -> bool:
     return math.isfinite(p) and math.isfinite(v) and v != 0.0
 
 
-def _simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
-              propose, events):
-    """Run the event loop, mutating all state arrays in place.
-
-    The clocks' positions, momenta, velocities and hit times live in Python
-    lists of floats for the whole trajectory, read from ``qD`` and ``pD``
-    on entry and written back on exit, so an event costs a few float
-    operations rather than numpy calls on single values.  Each leapfrog
-    segment starts from the gradient the last one ended with, unless a
-    refraction moved ``x`` in between.
-
-    ``propose(j, x, qC, rng) -> (new_value, delta_e)`` may be overridden to
-    inject a fixed proposal sequence (used by reversibility tests).
-    Returns ``(n_accepts, n_grads, ok)``; ``ok`` is False when the trajectory
-    degenerated: non-finite weights, a clock whose momentum or velocity is
-    not finite or whose velocity is zero (on entry or after a refraction),
-    a refraction leaving a clock fast enough to cross the circle more than
-    ``_MAX_EVENTS`` times in time ``T``, or a runaway event count.
-    """
-    nd = qD.size
-    nc = qC.size
-    beta = kinetic.beta
-    kinv = _float_kinv(kinetic)
-    v = kinetic.kprime(pD)
-    qd, pd, vel = qD.tolist(), pD.tolist(), v.tolist()
-    hit = _hit_time(qD, v, tau).tolist()
-    n_acc = 0
-    n_grad = 0
-    g = None  # gradient at (x, qC) where the last leapfrog segment ended
-
-    ok = all(map(_runs, pd, vel))
-    t_rem = T
-    n_events = 0
-    while ok and t_rem > 0.0:
-        if nd:
-            h = min(hit)
-            j = hit.index(h)
-            event = h <= t_rem
-            step = h if event else t_rem
-        else:
-            event = False
-            step = t_rem
-
-        if step > 0.0:
-            if nd:  # np.clip(qd + step * vel, 0, tau)
-                qd = [tau if (c := a + step * w) > tau else
-                      (0.0 if c < 0.0 else c) for a, w in zip(qd, vel)]
-            if nc:
-                n, g = _integrate(x, qC, pC, step, integrator_eps, model, g)
-                n_grad += n
-        t_rem -= step
-
-        if event:  # np.maximum(hit - step, 0)
-            hit = [d if (d := h - step) > 0.0 else 0.0 for h in hit]
-            try:
-                new, d_e = propose(j, x, qC, rng)
-            except NonFiniteWeightsError:
-                ok = False
-                break
-            old = int(x[j])
-            p = pd[j]
-            try:
-                energy = abs(p) ** beta
-            except OverflowError:
-                energy = math.inf
-            accepted = energy > d_e
-            if accepted:
-                x[j] = new
-                g = None
-                qd[j] = tau - qd[j]
-                p = _refracted(p, energy, d_e, kinv)
-                try:
-                    w = beta * abs(p) ** (beta - 1.0)
-                except (OverflowError, ZeroDivisionError):
-                    w = math.nan
-                # A clock this fast would run into the event cap: diverge now.
-                if not _runs(p, w) or w * T > tau * _MAX_EVENTS:
-                    ok = False
-                    break
-                pd[j] = p
-                vel[j] = w if p > 0.0 else -w
-                n_acc += 1
-            else:
-                pd[j] = -p
-                vel[j] = -vel[j]
-            hit[j] = _hit_time(qd[j], vel[j], tau)
-            if events is not None:
-                events.append((j, old, new, accepted))
-            n_events += 1
-            if n_events > _MAX_EVENTS:
-                ok = False
-
-    qD[:] = qd
-    pD[:] = pd
-    return n_acc, n_grad, ok
-
-
 def general_step(point: MixedPoint, aux: AuxiliaryState, pC: np.ndarray,
                  T: float, model: ModelSpec, kinetic: KineticEnergy,
-                 integrator_eps: float, rng: ChainRng,
-                 propose=None, events=None):
-    """One trajectory of the event-driven kernel plus the Metropolis test.
+                 integrator_eps: float, rng: ChainRng):
+    """One trajectory of the event-driven kernel plus the Metropolis test,
+    from the clocks ``aux`` and the continuous momenta ``pC``.
 
     Returns ``(point, aux, pC, stats)``: the accepted end state with both
-    momenta negated, or the inputs themselves on rejection.
+    momenta negated, or the inputs themselves on rejection.  The one-chain
+    call of the lockstep step, with the clock positions kept.
     """
     if aux.qD.size != model.n_discrete:
         raise ValueError("auxiliary state size does not match model sites")
-    if propose is None:
-        def propose(j, x, q, r):
-            return propose_and_delta(j, x, q, model, r)
-
-    x = point.x.copy()
-    qC = point.q.copy()
-    qD = aux.qD.copy()
-    pD = aux.pD.copy()
-    p = np.array(pC, dtype=np.float64, copy=True)
-
-    e0 = _energy(model, kinetic, x, qC, pD, p)
-    n_acc, n_grad, ok = _simulate(x, qD, pD, qC, p, aux.tau, T, model, kinetic,
-                                  integrator_eps, rng, propose, events)
-    err = _energy(model, kinetic, x, qC, pD, p) - e0 if ok else np.nan
-    ok = bool(abs(err) <= DIVERGENCE_MAX)  # False on NaN
-    # Every trajectory that did not diverge draws the Metropolis uniform.
-    u = rng.uniform() if ok else 1.0
-    accepted = ok and (err <= 0.0 or bool(u < np.exp(-err)))
-    stats = StepStats(accepted=accepted, energy_error=err if ok else np.nan,
-                      n_discrete_accepts=n_acc, n_grad_evals=n_grad,
-                      divergent=not ok)
-    if accepted:
-        return MixedPoint(x, qC), _unchecked_aux(qD, -pD, aux.tau), -p, stats
+    if not np.isfinite(aux.pD).all():
+        # A clock that does not run: the trajectory diverges on entry.
+        return point, aux, pC, StepStats(
+            accepted=False, energy_error=np.nan, n_discrete_accepts=0,
+            n_grad_evals=0, divergent=True)
+    params = GeneralParams(T, kinetic.beta, aux.tau, integrator_eps,
+                           resample_positions=False)
+    p = np.array(pC, dtype=np.float64)[None]
+    x, q, qd, pd, _, stats = _general_step(
+        point.x[None], point.q[None], aux.qD[None].copy(),
+        np.abs(aux.pD)[None], (aux.pD < 0.0)[None], p, params,
+        RowModel(model), [rng], None)
+    stats = stats.chain(0)
+    if stats.accepted:
+        pD = -(aux.pD if pd is None else pd[0])   # no clocks when None
+        return (MixedPoint(x[0], q[0]), AuxiliaryState(qd[0], pD, aux.tau),
+                -p[0], stats)
     return point, aux, pC, stats
-
-
-def _energy(model, kinetic, x, q, pD, p):
-    e = model.potential(x, q) + float(np.sum(kinetic.k(pD)))
-    # The continuous momenta as a one-row stack, as the lockstep path sums
-    # them; with none, the term is 0.
-    return e + float(kinetic_energy(p[None])[0]) if p.size else e
-
-
-def _unchecked_aux(qD, pD, tau) -> AuxiliaryState:
-    """An AuxiliaryState of arrays known to be valid, built without
-    re-running its checks: the event loop keeps every clock in [0, tau]."""
-    aux = object.__new__(AuxiliaryState)
-    aux.qD, aux.pD, aux.tau = qD, pD, tau
-    return aux
 
 
 def sample_auxiliary(n_sites: int, tau: float, kinetic: KineticEnergy,
@@ -320,52 +210,37 @@ def run_chain_general(init: MixedPoint, params: GeneralParams,
                       rng: ChainRng) -> ChainOutput:
     """Iterate the event-driven kernel, discarding ``n_burn`` steps and
     recording the rest; the clocks' kinetic energy is
-    ``KineticEnergy(params.beta)``."""
-    init.validate(model)
-    nd, nc = model.n_discrete, model.n_continuous
-    kinetic = KineticEnergy(params.beta)
-    pt = init.copy()
-    aux = sample_auxiliary(nd, params.tau, kinetic, rng)
-    no_momentum = np.zeros(0)
-
-    def step():
-        nonlocal pt, aux
-        if nd:
-            if params.resample_positions:
-                aux.qD = rng.uniform(nd) * params.tau
-            aux.pD = kinetic.sample(rng, nd)
-        pC = rng.normal(nc) if nc else no_momentum
-        pt, aux, _, stats = general_step(pt, aux, pC, params.T, model, kinetic,
-                                         params.integrator_eps, rng)
-        return pt.x, pt.q, stats.accepted, stats.divergent
-
-    return drive_chains(step, 1, nd, nc, n_burn, n_samples)[0]
+    ``KineticEnergy(params.beta)``.  The one-chain call of
+    :func:`run_chain_general_batch`."""
+    return run_chain_general_batch([init], params, model, n_burn, n_samples,
+                                   [rng])[0]
 
 
 def _draw_iteration(qD, params, nd, nc, rngs):
-    """Each chain's draws at the start of an iteration, from its own stream
-    in the order of ``run_chain_general``: clock positions (when
-    ``params.resample_positions``), then the ``gamma(1)`` and uniform draws
-    of ``KineticEnergy(1).sample``, then ``normal(nc)``.  Returns the
-    positions (a copy of ``qD`` when kept), the clocks' kinetic energies
-    ``|pD| = g ** 1 = g``, the uniforms that sign the momenta (negative
-    below 0.5) and the continuous momenta, as row stacks."""
+    """Each chain's draws at the start of an iteration, from its own
+    stream: clock positions (when ``params.resample_positions``), then the
+    ``gamma(1 / beta)`` and uniform draws of ``KineticEnergy(beta).sample``,
+    then ``normal(nc)``.  Returns the positions (a copy of ``qD`` when
+    kept), the magnitudes ``g ** (1 / beta)`` of the clock momenta and
+    where they are negative (where the uniform is below 0.5), as ``sample``
+    computes them, and the continuous momenta, as row stacks."""
     n = len(rngs)
     resample = params.resample_positions and nd
     qd = np.empty((n, nd)) if resample else qD.copy()
     g, u = np.empty((n, nd)), np.empty((n, nd))
     pC = np.empty((n, nc))
+    shape = 1.0 / params.beta
     for r, rng in enumerate(rngs):
         if nd:
             if resample:
                 rng.uniform(out=qd[r])
-            rng.gamma(1.0, out=g[r])
+            rng.gamma(shape, out=g[r])
             rng.uniform(out=u[r])
         if nc:
             rng.normal(out=pC[r])
     if resample:
         qd *= params.tau
-    return qd, g, u, pC
+    return qd, g ** shape if shape != 1.0 else g, u < 0.5, pC
 
 
 def _event_schedule(hit, T, tau):
@@ -391,7 +266,7 @@ def _event_schedule(hit, T, tau):
     n, nd = hit.shape
     times = np.concatenate([hit.T, np.full((1, n), T)])
     hs = np.sort(times, axis=0)
-    margin = 4.0 * nd * np.finfo(np.float64).eps * max(T, tau)
+    margin = 4.0 * nd * _EPS * max(T, tau)
     if (hs[1:] - hs[:-1]).min(initial=np.inf) <= margin:
         return None
     order = times.argsort(axis=0, kind="stable")
@@ -401,83 +276,103 @@ def _event_schedule(hit, T, tau):
 
 def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
                        rngs, potential=None):
-    """One iteration of the event-driven kernel at beta 1 for each of a
-    batch of chains, in lockstep.
+    """One iteration of the event-driven kernel for each of a batch of
+    chains, in lockstep.
 
     Row ``r`` of ``x`` (``(C, n_discrete)``), ``q`` (``(C, n_continuous)``)
     and ``qD`` (``(C, n_discrete)``, the clock positions kept from the last
     iteration) is the state of chain ``r``, which draws only from
-    ``rngs[r]``: its momenta and, when ``params.resample_positions``, its
-    clock positions first, as :func:`run_chain_general` does, then one
-    uniform at each event at a site with more than 2 values, then the
-    Metropolis uniform unless it diverged.  ``potential`` holds ``U`` at
-    each row's ``(x, q)``, evaluated when None.  Returns ``(x, q, qD,
-    potential)`` for the next iteration (``qD`` is read only when positions
-    are kept) and a :class:`StepStats` of ``(C,)`` arrays.  Each row's
-    result is that of :func:`general_step` on its own, bit for bit.
+    ``rngs[r]``: its clock positions first, when
+    ``params.resample_positions``, then its momenta, then one uniform at
+    each event at a site with more than 2 values, then the Metropolis
+    uniform unless it diverged.  ``potential`` holds ``U`` at each row's
+    ``(x, q)``, evaluated when None.  Returns ``(x, q, qD, potential)`` for
+    the next iteration (``qD`` is read only when positions are kept) and a
+    :class:`StepStats` of ``(C,)`` arrays.  Each row's result is the same
+    alone and in any batch, bit for bit.
 
-    Under beta 1 every clock moves at unit speed whatever happens at its
-    events, so each chain's events are read off its clocks' hit times, and
-    the ``m``-th events of all chains are handled together: one
+    Each round finds every chain's next event, the first of its clocks'
+    hit times, and handles the ``m``-th events of all chains together: one
     ``site_cond_neglogp`` call on the row stack and a few whole-row
     operations (:meth:`~mixedhmc.core.RowModel.move`).  A proposal that
     every chain with an event is sure to reject is not priced: those
-    chains reflect, their uniforms drawn all the same.  When positions are
-    redrawn and no clock can reach its boundary a second time within
-    ``T``, each clock fires at most once, in the order of its hit time:
-    one sort of the hit times gives every chain's events for the
-    iteration, and a clock needs only its kinetic energy ``|p|``, which a
-    refraction lowers and a reflection keeps.
-    Otherwise, and in the rare iteration where two hit times, or a hit
-    time and ``T``, lie within rounding of each other, each round finds
-    every chain's next event afresh, stepping the hit times, the time left
-    and, when they decide anything, the clock positions and directions
-    with the loop's own float arithmetic.  Between events the
-    continuous coordinates take one leapfrog segment per chain, a chain
-    whose segment needs fewer steps taking zero-length steps for the rest;
-    a segment starts from the gradient the last one ended with unless a
-    refraction came in between.  A chain diverges, with the loop, on a
-    non-finite or zero clock momentum on entry, at a proposal with no
-    finite weights, at a refraction to a non-finite momentum or one that
-    would run into the event cap, past the event cap, and on an energy
-    error above ``DIVERGENCE_MAX``; it then takes no further step or draw
-    and is rejected.
+    chains reflect, their uniforms drawn all the same.  Only the clock that
+    fires changes: its energy ``|p| ** beta``, its refracted momentum and
+    its new speed are computed on floats, one per chain, as an event loop
+    on one chain computes them; the hit times, the time left and the clock
+    positions are stepped with that loop's own subtractions on the whole
+    stack.  At beta 1, when positions are redrawn and no clock can reach
+    its boundary a second time within ``T``, each clock fires at most once,
+    in the order of its hit time: one sort of the hit times gives every
+    chain's events for the iteration, and a clock needs only its kinetic
+    energy ``|p|``, which a refraction lowers and a reflection keeps,
+    unless two hit times, or a hit time and ``T``, lie within rounding of
+    each other.  Between events the continuous coordinates take one
+    leapfrog segment per chain, a chain whose segment needs fewer steps
+    taking zero-length steps for the rest; a segment starts from the
+    gradient the last one ended with unless a refraction came in between.
+    A chain diverges on a non-finite momentum or velocity, or a zero
+    velocity, of a clock on entry, at a proposal with no finite weights, at
+    a refraction to such a clock or to one that would run into the event
+    cap, past the event cap, and on an energy error above
+    ``DIVERGENCE_MAX``; it then takes no further step or draw and is
+    rejected.
     """
-    if params.beta != 1.0:
-        raise ValueError("beta: chains step in lockstep only at beta 1")
-    return _general_step(x, q, qD, params, RowModel(model), rngs, potential)
+    nd, nc = model.n_discrete, model.n_continuous
+    x, q, qD, _, potential, stats = _general_step(
+        x, q, *_draw_iteration(qD, params, nd, nc, rngs), params,
+        RowModel(model), rngs, potential)
+    return x, q, qD, potential, stats
 
 
-def _general_step(x, q, qD, params, rm, rngs, potential):
+def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
     """:func:`general_step_batch` on the model ``rm`` (a
-    :class:`~mixedhmc.core.RowModel`)."""
+    :class:`~mixedhmc.core.RowModel`), from the iteration's clock positions
+    ``qd``, the magnitudes ``mag`` of the clock momenta and where they are
+    negative (``neg``), and the continuous momenta ``pC``, row stacks; it
+    moves ``qd`` and ``pC`` in place, ``pC`` to each row's end momenta.
+    Returns ``(x, q, qd, pd, potential, stats)``, ``pd`` each row's end
+    clock momenta when the events are found round by round (always when
+    positions are kept), None when they come from one sort."""
     (n, nd), nc = x.shape, q.shape[1]
-    tau, T, eps = params.tau, params.T, params.integrator_eps
+    tau, T, eps, beta = params.tau, params.T, params.integrator_eps, params.beta
     resample = params.resample_positions
 
-    qd, k, u, pC = _draw_iteration(qD, params, nd, nc, rngs)
     if potential is None:
         potential = rm.potential(x, q)
+    if beta == 1.0:
+        # |p| ** 1 is |p|.  A clock runs when its momentum is nonzero (and
+        # finite, as drawn); its velocity is then the momentum's sign, and
+        # the loop's hit time (2 tau [v > 0] - 2 qD) / (2 v) at v = -1 or +1
+        # is qD or tau - qD, bit for bit: scaling by 2 is exact.
+        k, pd, vel = mag, None, None
+        ok = k.min(axis=1, initial=np.inf) > 0.0
+        hit = np.where(neg, qd, tau - qd)
+    else:
+        kinetic = KineticEnergy(beta)
+        pd = np.where(neg, -mag, mag)
+        k = kinetic.k(pd)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vel = kinetic.kprime(pd)
+            hit = _hit_time(qd, vel, tau)
+        ok = (np.isfinite(pd) & np.isfinite(vel) & (vel != 0.0)).all(axis=1)
     e0 = potential + k.sum(axis=1)
     if nc:
         e0 += kinetic_energy(pC)
-    # A clock runs when its momentum is finite, as gamma draws are, and
-    # nonzero; its velocity is then the momentum's sign.  A chain with a
-    # clock that does not run diverges.
-    ok = k.min(axis=1, initial=np.inf) > 0.0
+    if beta != 1.0 and not ok.all():
+        # A chain with a clock that does not run diverges; its clocks are
+        # put where no whole-row operation makes a NaN.
+        k[~ok], vel[~ok], hit[~ok] = 1.0, 1.0, tau
     t_rem = ok * T
-    # The loop's hit time (2 tau [v > 0] - 2 qD) / (2 v) at the velocity
-    # v = -1 (where u < 0.5) or +1 is qD or tau - qD, bit for bit: scaling
-    # by 2 is exact.
-    hit = np.where(u < 0.5, qd, tau - qd)
     # A clock reaches its boundary again about tau after an event, so in
-    # time T only after an event before about T - tau.  When no clock
-    # starts that close to its boundary and positions are redrawn, each
-    # clock fires at most once (the event times drift by an ulp or so per
-    # event, far inside the margin of 1e-6 tau), and every row's events
+    # time T only after an event before about T - tau.  When at beta 1 no
+    # clock starts that close to its boundary and positions are redrawn,
+    # each clock fires at most once (the event times drift by an ulp or so
+    # per event, far inside the margin of 1e-6 tau), and every row's events
     # come in the order of its hit times, read off one sort, unless
     # rounding may decide otherwise.
-    once = nd == 0 or (resample and hit.min() > T - tau * (1.0 - 1e-6))
+    once = nd == 0 or (beta == 1.0 and resample
+                       and hit.min() > T - tau * (1.0 - 1e-6))
     schedule = _event_schedule(hit, T, tau) if once else None
     offsets = np.arange(n) * nd
     if schedule is not None:
@@ -486,12 +381,16 @@ def _general_step(x, q, qD, params, rm, rngs, potential):
         at_m = order + offsets         # flat index of each row's m-th event
     else:
         # Each round finds every row's next event afresh, stepping the
-        # clock positions and directions with the loop's own arithmetic.
+        # clock positions, momenta and velocities with the loop's own
+        # arithmetic.
         qd_start = qd.copy()
-        v = np.where(u < 0.5, -1.0, 1.0)
-    # A refraction leaves a clock at unit speed, which the loop ends as
-    # divergent when unit speed would run into the event cap in time T.
-    refraction_diverges = 1.0 * T > tau * _MAX_EVENTS
+        kinv = _float_kinv(KineticEnergy(beta))
+        if vel is None:
+            vel = np.where(neg, -1.0, 1.0)
+            pd = vel * mag
+    # The loop ends a refraction as divergent when the clock's new speed w
+    # has w * T > cap.
+    cap = tau * _MAX_EVENTS
 
     xs, qs = x.copy(), q.copy()
     accepts = []                       # each event round's refractions
@@ -527,7 +426,7 @@ def _general_step(x, q, qD, params, rm, rngs, potential):
             col = step[:, None]
             # With positions redrawn, the last segment moves nothing read.
             if more or not resample:
-                qd += col * v
+                qd += col * vel
                 np.maximum(qd, 0.0, out=qd)
                 np.minimum(qd, tau, out=qd)
             # No hit time is below the smallest: none needs clipping.
@@ -559,40 +458,80 @@ def _general_step(x, q, qD, params, rm, rngs, potential):
             u = np.full(n, np.nan)
             for r in np.flatnonzero(event & (width > 2)).tolist():
                 u[r] = rngs[r].uniform()
-        # A refraction pays the cost out of the clock's kinetic energy |p|;
-        # a reflection negates p, keeping |p|.  A skipped proposal reflects
-        # every row with an event.
+        if beta != 1.0:
+            # The fired clocks' energies, as the loop takes them at each
+            # event; at beta 1 they are kept in k.
+            fired = at.compress(event)
+            k.put(fired, [_float_energy(p, beta)
+                          for p in pd.take(fired).tolist()])
+        # A refraction pays the cost out of the clock's kinetic energy;
+        # a reflection keeps it.  A skipped proposal reflects every row
+        # with an event.
         acc, stuck, left = (rm.move(j, at, xs, qs, k, event, width, u)
                             or (np.zeros_like(event), None, None))
         if stuck is not None:
             ok &= ~stuck
             event &= ~stuck
             t_rem[stuck] = 0.0
-        if schedule is None:
-            # A refraction mirrors the clock; a reflection turns it round.
-            # Either way the loop's next hit time, from the new position and
-            # velocity, is a if the clock moved up and tau - a otherwise,
-            # bit for bit.
-            w = v.take(at)
-            a = qd.take(at)
-            far = tau - a
-            qd.put(at, np.where(acc, far, a))
-            hit.put(at, np.where(w > 0.0, a, far))
-            v.put(at, np.where(event & ~acc, -w, w))
         accepts.append(acc)
         if nc:
             stale |= acc
-        if (refraction_diverges or n_events > _MAX_EVENTS
-                or left is not None and math.inf in left.tolist()):
-            diverged = acc if refraction_diverges else acc & (left == np.inf)
+        diverged = None
+        if schedule is None:
+            # Each fired clock turns as the loop turns it, on floats: a
+            # reflection negates its momentum and velocity; a refraction
+            # mirrors its position and takes the momentum of the energy
+            # left and its speed, unless the clock would not run, or would
+            # run into the event cap: then the chain diverges, its clock
+            # left as it was.  The next hit time is the loop's, from the
+            # new position and velocity.
+            rows = event.nonzero()[0]
+            fired = at.take(rows)
+            turned, dead = [], []      # each fired clock's p, v, qd, hit
+            # With no proposal priced no clock refracts, and e goes unread.
+            for r, moved, p, w, a, e in zip(
+                    rows.tolist(), acc.take(rows).tolist(),
+                    pd.take(fired).tolist(), vel.take(fired).tolist(),
+                    qd.take(fired).tolist(),
+                    (acc if left is None else left).take(rows).tolist()):
+                if not moved:
+                    p, w = -p, -w
+                else:
+                    p_in, w_in = p, w
+                    p = _refracted(p, e, kinv)
+                    try:
+                        w = beta * abs(p) ** (beta - 1.0)
+                    except (OverflowError, ZeroDivisionError):
+                        w = math.nan
+                    if not _runs(p, w) or w * T > cap:
+                        dead.append(r)
+                        p, w = p_in, w_in
+                    else:
+                        a = tau - a
+                        w = w if p > 0.0 else -w
+                turned.append((p, w, a, _hit_time(a, w, tau)))
+            for stack, values in zip((pd, vel, qd, hit), zip(*turned)):
+                stack.put(fired, values)
+            if dead:
+                diverged = np.zeros(n, dtype=bool)
+                diverged[dead] = True
+        elif left is not None and math.inf in left.tolist():
+            # At unit speed a refraction diverges only to an infinite
+            # momentum: with T below 2 tau, unit speed does not run into
+            # the event cap.
+            diverged = acc & (left == np.inf)
+        if diverged is not None:
             accepts[-1] = acc & ~diverged
-            if n_events > _MAX_EVENTS:
-                diverged = diverged | event
+        if n_events > _MAX_EVENTS:
+            diverged = event if diverged is None else diverged | event
+        if diverged is not None:
             ok &= ~diverged
             t_rem[diverged] = 0.0
             k[diverged] = 1.0          # no whole-row operation sees inf
 
     u_end = rm.potential(xs, qs)
+    if beta != 1.0:
+        k = kinetic.k(pd)              # by numpy, as the loop's energy error
     # Divergent rows may hold non-finite energies; the loop's float
     # arithmetic on them raises no warning either.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -614,23 +553,23 @@ def _general_step(x, q, qD, params, rm, rngs, potential):
                       n_discrete_accepts=n_acc, n_grad_evals=n_grad,
                       divergent=~ok)
     return (np.where(keep, xs, x), np.where(keep, qs, q) if nc else q, qd,
-            np.where(accepted, u_end, potential), stats)
+            pd, np.where(accepted, u_end, potential), stats)
 
 
 def run_chain_general_batch(inits, params: GeneralParams, model: ModelSpec,
                             n_burn: int, n_samples: int, rngs) -> list:
-    """Iterate :func:`general_step_batch` on a batch of chains at beta 1,
-    chain ``r`` starting at ``inits[r]`` and drawing from ``rngs[r]``;
-    returns one :class:`ChainOutput` per chain, in order, each that of
-    :func:`run_chain_general` on the same stream.
+    """Iterate :func:`general_step_batch` on a batch of chains, chain ``r``
+    starting at ``inits[r]`` and drawing from ``rngs[r]``; returns one
+    :class:`ChainOutput` per chain, in order, each the same as that chain
+    run alone.
 
-    A chain's start potential is carried from one iteration to the next,
-    so each iteration makes one ``potential`` call on the stack."""
-    if params.beta != 1.0:
-        raise ValueError("beta: chains step in lockstep only at beta 1")
+    Each chain draws its first clocks with :func:`sample_auxiliary`, whose
+    positions it keeps when ``params.resample_positions`` is False.  A
+    chain's start potential is carried from one iteration to the next, so
+    each iteration makes one ``potential`` call on the stack."""
     x, q = stack_points(inits, model)
     n, nd, nc = len(inits), model.n_discrete, model.n_continuous
-    kinetic = KineticEnergy(1.0)
+    kinetic = KineticEnergy(params.beta)
     qD = np.array([sample_auxiliary(nd, params.tau, kinetic, rng).qD
                    for rng in rngs]).reshape(n, nd)
     rm = RowModel(model)
@@ -638,8 +577,9 @@ def run_chain_general_batch(inits, params: GeneralParams, model: ModelSpec,
 
     def step():
         nonlocal x, q, qD, potential
-        x, q, qD, potential, stats = _general_step(
-            x, q, qD, params, rm, rngs, potential)
+        x, q, qD, _, potential, stats = _general_step(
+            x, q, *_draw_iteration(qD, params, nd, nc, rngs), params, rm,
+            rngs, potential)
         return x, q, stats.accepted, stats.divergent
 
     return drive_chains(step, n, nd, nc, n_burn, n_samples)

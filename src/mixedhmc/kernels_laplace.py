@@ -127,12 +127,7 @@ def laplace_step(point: MixedPoint, params: LaplaceKernelParams,
     """
     x, q, stats = laplace_step_batch(point.x[None], point.q[None], params,
                                      model, [rng])
-    return MixedPoint(x[0], q[0]), StepStats(
-        accepted=bool(stats.accepted[0]),
-        energy_error=float(stats.energy_error[0]),
-        n_discrete_accepts=int(stats.n_discrete_accepts[0]),
-        n_grad_evals=int(stats.n_grad_evals[0]),
-        divergent=bool(stats.divergent[0]))
+    return MixedPoint(x[0], q[0]), stats.chain(0)
 
 
 def _noise(params, nc, rngs, widths):

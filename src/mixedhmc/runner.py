@@ -3,9 +3,9 @@
 Chain ``c`` of a run uses ``ChainRng(seed, stream=c)``; results are returned
 in stream order regardless of scheduling, so a run is reproducible whether it
 executes inline or across worker processes.  A worker steps its chains in
-lockstep under the Laplace kernel, and under the event-driven kernel at
-beta 1 when it holds 2 or more; each chain's samples are the same either
-way.
+one lockstep batch under the Laplace and the event-driven kernels, and one
+after another under the baselines; each chain's samples are the same in
+any batch.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 from .baselines import (GibbsParams, NaiveParams, run_gibbs_chain,
                         run_naive_chain)
 from .core import DegenerateSiteError, MixedPoint, ModelSpec, site_widths
-from .kernels_general import (GeneralParams, run_chain_general,
-                              run_chain_general_batch)
+from .kernels_general import GeneralParams, run_chain_general_batch
 from .kernels_laplace import LaplaceKernelParams, run_chain_batch
 from .models import GaussianMixture
 from .rng import ChainRng
@@ -92,31 +91,28 @@ def kernel_params(kind: str, model: ModelSpec, settings):
     return params
 
 
-# The chain runner of each kind that runs its chains one at a time, the
-# event-driven kernel's when it cannot step them in lockstep; each takes
+# The batch runner of each kernel that steps its chains in lockstep, which
+# takes (inits, params, model, n_burn, n_samples, rngs), and the chain
+# runner of each kind that runs its chains one at a time, which takes
 # (init, params, model, n_burn, n_samples, rng), as ``run_chain`` does.
-_CHAIN_RUNNERS = {GeneralParams: run_chain_general, NaiveParams: run_naive_chain,
-                  GibbsParams: run_gibbs_chain}
+_BATCH_RUNNERS = {LaplaceKernelParams: run_chain_batch,
+                  GeneralParams: run_chain_general_batch}
+_CHAIN_RUNNERS = {NaiveParams: run_naive_chain, GibbsParams: run_gibbs_chain}
 
 
 def _batch_task(args):
-    """Run the chains of one worker.  Laplace-kernel chains step in one
-    lockstep batch, and so do event-driven chains at beta 1 when the worker
-    holds 2 or more; a lone event-driven chain, and any at beta != 1, runs
-    the float event loop, as do the baselines' chains, one after another.
-    Alone, a chain costs the lockstep path more than the loop: about 91
-    against 63 µs per iteration on the 6-site binary target (2-vCPU x86
-    host, best of 3), where 2 chains cost about 47 µs each and 4 about
-    26."""
+    """Run the chains of one worker: the kernels' chains in one lockstep
+    batch, the baselines' one after another.  A batch costs about as much
+    for a few chains as for one, so a lone chain pays numpy's per-call
+    overhead alone: on the 6-site binary target, on a 2-vCPU x86 host,
+    about 142 µs per event-driven chain-iteration at 1 chain and 40 at 4
+    (README gives more)."""
     params, model, n_burn, n_samples, seed, streams = args
     rngs = [ChainRng(seed, stream) for stream in streams]
     inits = [default_init(model, rng) for rng in rngs]
-    if isinstance(params, LaplaceKernelParams):
-        return run_chain_batch(inits, params, model, n_burn, n_samples, rngs)
-    if (isinstance(params, GeneralParams) and params.beta == 1.0
-            and len(rngs) >= 2):
-        return run_chain_general_batch(inits, params, model, n_burn,
-                                       n_samples, rngs)
+    if type(params) in _BATCH_RUNNERS:
+        return _BATCH_RUNNERS[type(params)](inits, params, model, n_burn,
+                                            n_samples, rngs)
     run = _CHAIN_RUNNERS[type(params)]
     return [run(init, params, model, n_burn, n_samples, rng)
             for init, rng in zip(inits, rngs)]

@@ -2,17 +2,28 @@
 
 The locally informed proposal in two steps: draw the move, then price it
 from the potential, or price a given move from a fresh evaluation of the
-site's conditionals (the kernels use ``core.informed_rows``).  And
-``ess_reference``, the effective sample size one transform per half chain
-with Geyer's truncation stepped lag by lag (the package uses
-``diagnostics.ess``)."""
+site's conditionals (the kernels use ``core.informed_rows``).  The
+event-driven kernel as an event loop on one chain, on Python floats
+(``simulate``, ``loop_step``, ``run_loop_chain``), and the same loop in
+numpy calls on single values (``reference_simulate``); the package steps
+chains in lockstep (``kernels_general``).  And ``ess_reference``, the
+effective sample size one transform per half chain with Geyer's truncation
+stepped lag by lag (the package uses ``diagnostics.ess``)."""
 
+import math
 import warnings
 
 import numpy as np
 
-from mixedhmc.core import DegenerateSiteError, _masked_logsumexp
-from mixedhmc.diagnostics import DegenerateDimensionWarning
+from mixedhmc import kernels_general
+from mixedhmc.core import (DIVERGENCE_MAX, DegenerateSiteError, KineticEnergy,
+                           MixedPoint, NonFiniteWeightsError,
+                           _masked_logsumexp, kinetic_energy, leapfrog,
+                           propose_and_delta)
+from mixedhmc.diagnostics import (DegenerateDimensionWarning, StepStats,
+                                  drive_chains)
+from mixedhmc.kernels_general import (AuxiliaryState, _float_kinv,
+                                      _refracted, sample_auxiliary)
 
 
 def default_proposal_sample(j, x, q, model, rng):
@@ -82,6 +93,256 @@ def forced_delta(j, x, q, model, new_value) -> float:
     _, log_z_new, _ = _masked_logsumexp(neglogp, new_value)
     _, log_z_cur, _ = _masked_logsumexp(neglogp, cur)
     return float(log_z_new - log_z_cur)
+
+
+def _hit_time(qd, v, tau):
+    """Time until a clock at ``qd`` moving at nonzero velocity ``v`` reaches
+    0 or tau; on floats, or elementwise on arrays."""
+    return (2.0 * tau * (v > 0) - 2.0 * qd) / (2.0 * v)
+
+
+def _runs(p, v) -> bool:
+    """Whether a clock with momentum ``p`` and velocity ``v`` can be run:
+    both finite, and the clock not standing still."""
+    return math.isfinite(p) and math.isfinite(v) and v != 0.0
+
+
+def _integrate(x, q, p, duration, max_step, model, g):
+    """Leapfrog for ``duration`` in equal steps no larger than ``max_step``,
+    from the gradient ``g`` at the start (evaluated when None); returns the
+    number of gradient evaluations and the gradient at the end."""
+    n = max(math.ceil(duration / max_step), 1)
+    return (n + (g is None),
+            leapfrog(x, q, p, duration / n, n, model.grad_q, g=g))
+
+
+def simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
+             propose, events):
+    """Run the event loop, mutating all state arrays in place.
+
+    The clocks' positions, momenta, velocities and hit times live in Python
+    lists of floats for the whole trajectory, read from ``qD`` and ``pD``
+    on entry and written back on exit.  Each leapfrog segment starts from
+    the gradient the last one ended with, unless a refraction moved ``x``
+    in between.
+
+    ``propose(j, x, qC, rng) -> (new_value, delta_e)`` may be overridden to
+    inject a fixed proposal sequence (used by reversibility tests), and
+    ``events``, unless None, receives ``(site, old, new, accepted)`` for
+    each event.  Returns ``(n_accepts, n_grads, ok)``; ``ok`` is False when
+    the trajectory degenerated: non-finite weights, a clock whose momentum
+    or velocity is not finite or whose velocity is zero (on entry or after
+    a refraction), a refraction leaving a clock fast enough to cross the
+    circle more than ``kernels_general._MAX_EVENTS`` times in time ``T``,
+    or a runaway event count.
+    """
+    max_events = kernels_general._MAX_EVENTS
+    nd = qD.size
+    nc = qC.size
+    beta = kinetic.beta
+    kinv = _float_kinv(kinetic)
+    v = kinetic.kprime(pD)
+    qd, pd, vel = qD.tolist(), pD.tolist(), v.tolist()
+    hit = _hit_time(qD, v, tau).tolist()
+    n_acc = 0
+    n_grad = 0
+    g = None  # gradient at (x, qC) where the last leapfrog segment ended
+
+    ok = all(map(_runs, pd, vel))
+    t_rem = T
+    n_events = 0
+    while ok and t_rem > 0.0:
+        if nd:
+            h = min(hit)
+            j = hit.index(h)
+            event = h <= t_rem
+            step = h if event else t_rem
+        else:
+            event = False
+            step = t_rem
+
+        if step > 0.0:
+            if nd:  # np.clip(qd + step * vel, 0, tau)
+                qd = [tau if (c := a + step * w) > tau else
+                      (0.0 if c < 0.0 else c) for a, w in zip(qd, vel)]
+            if nc:
+                n, g = _integrate(x, qC, pC, step, integrator_eps, model, g)
+                n_grad += n
+        t_rem -= step
+
+        if event:  # np.maximum(hit - step, 0)
+            hit = [d if (d := h - step) > 0.0 else 0.0 for h in hit]
+            try:
+                new, d_e = propose(j, x, qC, rng)
+            except NonFiniteWeightsError:
+                ok = False
+                break
+            old = int(x[j])
+            p = pd[j]
+            try:
+                energy = abs(p) ** beta
+            except OverflowError:
+                energy = math.inf
+            accepted = energy > d_e
+            if accepted:
+                x[j] = new
+                g = None
+                qd[j] = tau - qd[j]
+                p = _refracted(p, energy - d_e, kinv)
+                try:
+                    w = beta * abs(p) ** (beta - 1.0)
+                except (OverflowError, ZeroDivisionError):
+                    w = math.nan
+                # A clock this fast would run into the event cap: diverge now.
+                if not _runs(p, w) or w * T > tau * max_events:
+                    ok = False
+                    break
+                pd[j] = p
+                vel[j] = w if p > 0.0 else -w
+                n_acc += 1
+            else:
+                pd[j] = -p
+                vel[j] = -vel[j]
+            hit[j] = _hit_time(qd[j], vel[j], tau)
+            if events is not None:
+                events.append((j, old, new, accepted))
+            n_events += 1
+            if n_events > max_events:
+                ok = False
+
+    qD[:] = qd
+    pD[:] = pd
+    return n_acc, n_grad, ok
+
+
+def loop_step(point, aux, pC, T, model, kinetic, integrator_eps, rng,
+              propose=None, events=None):
+    """One trajectory of the event loop plus the Metropolis test, with the
+    signature of ``kernels_general.general_step`` and the hooks of
+    :func:`simulate`.
+
+    Returns ``(point, aux, pC, stats)``: the accepted end state with both
+    momenta negated, or the inputs themselves on rejection.
+    """
+    if aux.qD.size != model.n_discrete:
+        raise ValueError("auxiliary state size does not match model sites")
+    if propose is None:
+        def propose(j, x, q, r):
+            return propose_and_delta(j, x, q, model, r)
+
+    x = point.x.copy()
+    qC = point.q.copy()
+    qD = aux.qD.copy()
+    pD = aux.pD.copy()
+    p = np.array(pC, dtype=np.float64, copy=True)
+
+    e0 = _energy(model, kinetic, x, qC, pD, p)
+    n_acc, n_grad, ok = simulate(x, qD, pD, qC, p, aux.tau, T, model, kinetic,
+                                 integrator_eps, rng, propose, events)
+    err = _energy(model, kinetic, x, qC, pD, p) - e0 if ok else np.nan
+    ok = bool(abs(err) <= DIVERGENCE_MAX)  # False on NaN
+    # Every trajectory that did not diverge draws the Metropolis uniform.
+    u = rng.uniform() if ok else 1.0
+    accepted = ok and (err <= 0.0 or bool(u < np.exp(-err)))
+    stats = StepStats(accepted=accepted, energy_error=err if ok else np.nan,
+                      n_discrete_accepts=n_acc, n_grad_evals=n_grad,
+                      divergent=not ok)
+    if accepted:
+        return MixedPoint(x, qC), AuxiliaryState(qD, -pD, aux.tau), -p, stats
+    return point, aux, pC, stats
+
+
+def _energy(model, kinetic, x, q, pD, p):
+    e = model.potential(x, q) + float(np.sum(kinetic.k(pD)))
+    # The continuous momenta as a one-row stack, as the lockstep path sums
+    # them; with none, the term is 0.
+    return e + float(kinetic_energy(p[None])[0]) if p.size else e
+
+
+def run_loop_chain(init, params, model, n_burn, n_samples, rng):
+    """Iterate :func:`loop_step`, discarding ``n_burn`` steps and recording
+    the rest, with the draws of ``kernels_general.run_chain_general``."""
+    init.validate(model)
+    nd, nc = model.n_discrete, model.n_continuous
+    kinetic = KineticEnergy(params.beta)
+    pt = init.copy()
+    aux = sample_auxiliary(nd, params.tau, kinetic, rng)
+    no_momentum = np.zeros(0)
+
+    def step():
+        nonlocal pt, aux
+        if nd:
+            if params.resample_positions:
+                aux.qD = rng.uniform(nd) * params.tau
+            aux.pD = kinetic.sample(rng, nd)
+        pC = rng.normal(nc) if nc else no_momentum
+        pt, aux, _, stats = loop_step(pt, aux, pC, params.T, model, kinetic,
+                                      params.integrator_eps, rng)
+        return pt.x, pt.q, stats.accepted, stats.divergent
+
+    return drive_chains(step, 1, nd, nc, n_burn, n_samples)[0]
+
+
+def reference_simulate(x, qD, pD, qC, pC, tau, T, model, kinetic,
+                       integrator_eps, rng, propose, events):
+    """The event loop written with numpy calls on single values, one
+    leapfrog segment per gap between events, each starting with a fresh
+    gradient: the reference that :func:`simulate` must match bit for
+    bit."""
+    def hit_time(qd, v):
+        return (tau * (np.sign(v) + 1.0) - 2.0 * qd) / (2.0 * v)
+
+    nd = qD.size
+    nc = qC.size
+    n_acc = 0
+    n_grad = 0
+
+    if nd:
+        v = kinetic.kprime(pD)
+        hit = hit_time(qD, v)
+    else:
+        v = hit = np.zeros(0)
+
+    t_rem = T
+    while t_rem > 0.0:
+        if nd:
+            j = int(np.argmin(hit))
+            event = hit[j] <= t_rem
+            step = hit[j] if event else t_rem
+        else:
+            event = False
+            step = t_rem
+
+        if step > 0.0:
+            if nd:
+                qD += step * v
+                np.clip(qD, 0.0, tau, out=qD)
+            if nc:
+                n = max(int(np.ceil(step / integrator_eps)), 1)
+                leapfrog(x, qC, pC, step / n, n, model.grad_q)
+                n_grad += n + 1
+        t_rem -= step
+
+        if event:
+            hit -= step
+            np.maximum(hit, 0.0, out=hit)
+            new, d_e = propose(j, x, qC, rng)
+            old = int(x[j])
+            energy = kinetic.k(pD[j])
+            accepted = energy > d_e
+            if accepted:
+                x[j] = new
+                qD[j] = tau - qD[j]
+                pD[j] = np.sign(pD[j]) * kinetic.kinv(energy - d_e)
+                v[j] = kinetic.kprime(pD[j])
+                n_acc += 1
+            else:
+                pD[j] = -pD[j]
+                v[j] = -v[j]
+            hit[j] = hit_time(qD[j], v[j])
+            events.append((j, old, new, accepted))
+
+    return n_acc, n_grad, True
 
 
 def _autocov(x: np.ndarray) -> np.ndarray:

@@ -767,6 +767,22 @@ class TestCodeLinesTool:
         assert re.fullmatch(r"\d+ total", out.stdout.splitlines()[-1])
 
 
+class TestMutantsTool:
+    def test_each_snippet_occurs_once(self):
+        """Every mutant of tools/mutants.py still has its snippet, once, so
+        that code which moves takes its mutants along; and each names a
+        test file that exists."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        tool = _load(os.path.join(root, "tools", "mutants.py"))
+        assert len(tool.MUTANTS) >= 7
+        for name, mutant in tool.MUTANTS.items():
+            assert tool.snippet_count(mutant) == 1, name
+            assert mutant.snippet != mutant.replacement, name
+            for test in mutant.tests:
+                assert os.path.isfile(os.path.join(root,
+                                                   test.split("::")[0])), name
+
+
 class TestThreads:
     def test_resolution_order(self):
         assert resolve_threads(4, 8) == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -12,13 +13,12 @@ from mixedhmc import (
     run_chain_general,
 )
 from mixedhmc import kernels_general
-from mixedhmc.core import informed_rows, leapfrog, propose_and_delta
+from mixedhmc.core import RowModel, informed_rows, propose_and_delta
 from mixedhmc.diagnostics import ess, ks_two_sample
 from mixedhmc.kernels_general import (
     AuxiliaryState,
     GeneralParams,
     _float_kinv,
-    _simulate,
     general_step,
     general_step_batch,
     initial_hit_time,
@@ -33,7 +33,8 @@ from mixedhmc.models import (
     random_binary_quadratic,
 )
 from mixedhmc.runner import default_init
-from oracle import forced_delta
+from oracle import (forced_delta, loop_step, reference_simulate,
+                    run_loop_chain, simulate)
 
 
 class Gauss(ModelSpec):
@@ -108,6 +109,51 @@ class CoupledModel(ModelSpec):
     def grad_q(self, x, q):
         s = 2.0 * x - 1.0
         return np.array([q[0] - float(self.b @ s)])
+
+
+class Ledge(CoupledModel):
+    """``CoupledModel`` on a ledge: below q = -0.3, value 1 of site 0 costs
+    ``level`` more (zero weight at ``level`` inf).  A chain that a leapfrog
+    segment carries there gains ``level`` by flipping site 0 back."""
+
+    def __init__(self, level):
+        super().__init__(3)
+        self.level = level
+
+    def potential(self, x, q):
+        u = super().potential(x, q)
+        return u + self.level if x[0] == 1 and q[0] < -0.3 else u
+
+    def site_cond_neglogp(self, j, x, q):
+        # The level is common to both values of the other sites: it cancels.
+        xv = x.copy()
+        out = np.empty(2)
+        for v in (0, 1):
+            xv[j] = v
+            out[v] = super().potential(xv, q)
+        if j == 0 and q[0] < -0.3:
+            out[1] += self.level
+        return out
+
+
+class Step(ModelSpec):
+    """Two binary sites and no continuous coordinates: value 1 of site 0
+    costs ``cost``, so flipping it from 0 costs exactly ``cost``."""
+
+    def __init__(self, cost):
+        self.cost = cost
+
+    n_discrete = 2
+    n_continuous = 0
+
+    def site_cardinality(self, j):
+        return 2
+
+    def potential(self, x, q):
+        return self.cost if x[0] == 1 else 0.0
+
+    def grad_q(self, x, q):
+        return np.zeros(0)
 
 
 class TestInitialHitTime:
@@ -213,7 +259,7 @@ class TestFlatDiscretePart:
         pC = rng.normal(2)
         k_before = kin.k(aux.pD).sum()
         events = []
-        new_pt, new_aux, new_p, stats = general_step(
+        new_pt, new_aux, new_p, stats = loop_step(
             pt, aux, pC, 25.0, model, kin, 0.05, rng, events=events)
         assert len(events) >= 60  # ~ 3 sites x 25 laps
         assert all(acc for (_, _, _, acc) in events)
@@ -228,12 +274,31 @@ class TestFlatDiscretePart:
         aux = sample_auxiliary(4, 1.0, kin, rng)
         k0 = kin.k(aux.pD).sum()
         events = []
-        _, new_aux, _, stats = general_step(pt, aux, np.zeros(0), 300.0, model,
-                                            kin, 0.1, rng, events=events)
+        _, new_aux, _, stats = loop_step(pt, aux, np.zeros(0), 300.0, model,
+                                         kin, 0.1, rng, events=events)
         assert len(events) > 500
         assert abs(kin.k(new_aux.pD).sum() - k0) < 1e-12
         assert stats.accepted
         assert abs(stats.energy_error) < 1e-10
+
+    @pytest.mark.parametrize("nd,n_continuous,beta,T,eps", [
+        (3, 2, 1.0, 25.0, 0.05), (4, 0, 2.0, 300.0, 0.1)])
+    def test_shipped_path_equals_the_oracle(self, nd, n_continuous, beta, T,
+                                            eps):
+        """On the flat-in-x target the lockstep path, alone and in a batch
+        of 3, gives the oracle's trajectories bit for bit: every event
+        refracts, dozens of times per site."""
+        model = FlatInX(n_discrete=nd, n_continuous=n_continuous)
+        kin = KineticEnergy(beta)
+        rng = ChainRng(3, 0)
+        aux = [sample_auxiliary(nd, 1.0, kin, rng) for _ in range(3)]
+        x = (rng.uniform((3, nd)) < 0.5).astype(np.int64)
+        q, pC = rng.normal((3, n_continuous)), rng.normal((3, n_continuous))
+        refs = _given_rows_equal_the_loop(
+            model, GeneralParams(T=T, beta=beta, integrator_eps=eps), x, q,
+            aux, pC, 3)
+        for ref in refs:
+            assert ref[3].n_discrete_accepts >= 60
 
 
 class TestPathReversal:
@@ -261,8 +326,8 @@ class TestPathReversal:
         x, qD, pD = x0.copy(), qD0.copy(), pD0.copy()
         qC, pC = qC0.copy(), pC0.copy()
         events = []
-        _, _, ok = _simulate(x, qD, pD, qC, pC, tau, T, model, kin, 0.05,
-                             rng, default_propose, events)
+        _, _, ok = simulate(x, qD, pD, qC, pC, tau, T, model, kin, 0.05,
+                            rng, default_propose, events)
         assert ok
         pD, pC = -pD, -pC  # the accept branch negates momenta
 
@@ -278,8 +343,8 @@ class TestPathReversal:
             return v, forced_delta(j, x_, q_, model, v)
 
         events2 = []
-        _, _, ok = _simulate(x, qD, pD, qC, pC, tau, T, model, kin, 0.05,
-                             rng, inject, events2)
+        _, _, ok = simulate(x, qD, pD, qC, pC, tau, T, model, kin, 0.05,
+                            rng, inject, events2)
         assert ok
         pD, pC = -pD, -pC
         assert len(events2) == len(events)
@@ -321,13 +386,13 @@ class TestLaplaceSpecialization:
 
         model = gmm1d_preset()
         n_chains, n = 6, 4000
-        qs_general = []
-        for c in range(n_chains):
-            rng = ChainRng(9, c)
-            out = run_chain_general(model.initial_point(rng),
-                                    GeneralParams(T=4.0, integrator_eps=0.4),
-                                    model, 200, n, rng)
-            qs_general.append(out.samples[:, 1])
+        # Each chain's samples are those of run_chain_general on its
+        # stream, which the batch gives at less cost.
+        rngs = [ChainRng(9, c) for c in range(n_chains)]
+        outs = run_chain_general_batch([model.initial_point(r) for r in rngs],
+                                       GeneralParams(T=4.0, integrator_eps=0.4),
+                                       model, 200, n, rngs)
+        qs_general = [o.samples[:, 1] for o in outs]
         rngs = [ChainRng(10, c) for c in range(n_chains)]
         outs = run_chain_batch([model.initial_point(r) for r in rngs],
                                LaplaceKernelParams(epsilon=0.45, T=4.0, L=20),
@@ -373,67 +438,6 @@ class TestGeneralParams:
         with pytest.raises(ValueError,
                            match=f"^{field}: must be positive and finite"):
             GeneralParams(**{"T": 1.0, field: value})
-
-
-def _reference_simulate(x, qD, pD, qC, pC, tau, T, model, kinetic,
-                        integrator_eps, rng, propose, events):
-    """The event loop written with numpy calls on single values, one
-    leapfrog segment per gap between events, each starting with a fresh
-    gradient: the reference that ``_simulate`` must match bit for bit."""
-    def hit_time(qd, v):
-        return (tau * (np.sign(v) + 1.0) - 2.0 * qd) / (2.0 * v)
-
-    nd = qD.size
-    nc = qC.size
-    n_acc = 0
-    n_grad = 0
-
-    if nd:
-        v = kinetic.kprime(pD)
-        hit = hit_time(qD, v)
-    else:
-        v = hit = np.zeros(0)
-
-    t_rem = T
-    while t_rem > 0.0:
-        if nd:
-            j = int(np.argmin(hit))
-            event = hit[j] <= t_rem
-            step = hit[j] if event else t_rem
-        else:
-            event = False
-            step = t_rem
-
-        if step > 0.0:
-            if nd:
-                qD += step * v
-                np.clip(qD, 0.0, tau, out=qD)
-            if nc:
-                n = max(int(np.ceil(step / integrator_eps)), 1)
-                leapfrog(x, qC, pC, step / n, n, model.grad_q)
-                n_grad += n + 1
-        t_rem -= step
-
-        if event:
-            hit -= step
-            np.maximum(hit, 0.0, out=hit)
-            new, d_e = propose(j, x, qC, rng)
-            old = int(x[j])
-            energy = kinetic.k(pD[j])
-            accepted = energy > d_e
-            if accepted:
-                x[j] = new
-                qD[j] = tau - qD[j]
-                pD[j] = np.sign(pD[j]) * kinetic.kinv(energy - d_e)
-                v[j] = kinetic.kprime(pD[j])
-                n_acc += 1
-            else:
-                pD[j] = -pD[j]
-                v[j] = -v[j]
-            hit[j] = hit_time(qD[j], v[j])
-            events.append((j, old, new, accepted))
-
-    return n_acc, n_grad, True
 
 
 def _counting_grad(model):
@@ -484,7 +488,7 @@ class TestFloatLoopMatchesReference:
         kinds = set()
         for seed in range(25):
             runs = []
-            for loop in (_reference_simulate, _simulate):
+            for loop in (reference_simulate, simulate):
                 state = [a.copy() for a in _trajectory_start(model, kin, seed)]
                 events = []
                 calls[0] = 0
@@ -534,13 +538,27 @@ class TestGradientReuse:
                                           ChainRng(seed, 1))
             assert stats.n_grad_evals == calls[0] > 0
             calls[0] = 0
-            _, n_grad, _ = _reference_simulate(
+            _, n_grad, _ = reference_simulate(
                 x.copy(), qD.copy(), pD.copy(), qC.copy(), pC.copy(), 1.0,
                 3.0, model, kin, 0.1, ChainRng(seed, 1),
                 lambda j, x_, q_, r: propose_and_delta(j, x_, q_, model, r),
                 [])
             saved += n_grad - stats.n_grad_evals
         assert saved > 0
+
+    def test_shipped_path_equals_the_oracle(self):
+        """The lockstep path, alone and in a batch of 3, makes the oracle's
+        gradient calls from the same starts, and gives its states and every
+        ``StepStats`` field bit for bit, in one step and over 30."""
+        model = CoupledModel(3)
+        kin = KineticEnergy(1.0)
+        starts = [_trajectory_start(model, kin, seed) for seed in range(3)]
+        x, qD, pD, qC, pC = (np.array(a) for a in zip(*starts))
+        aux = [AuxiliaryState(a, b, 1.0) for a, b in zip(qD, pD)]
+        refs = _given_rows_equal_the_loop(model, GeneralParams(T=3.0), x, qC,
+                                          aux, pC, 1)
+        assert all(ref[3].n_grad_evals > 0 for ref in refs)
+        _steps_equal_the_loop(model, GeneralParams(T=3.0), 12)
 
 
 class TestNonFiniteRefraction:
@@ -550,7 +568,7 @@ class TestNonFiniteRefraction:
         x, qD, pD, qC, pC = _trajectory_start(model, kin, 5)
         pt, aux = MixedPoint(x, qC), AuxiliaryState(qD, pD, 1.0)
         events = []
-        new_pt, new_aux, new_p, stats = general_step(
+        new_pt, new_aux, new_p, stats = loop_step(
             pt, aux, pC, 2.0, model, kin, 0.1, ChainRng(5, 1),
             propose=lambda j, x_, q_, r: (1 - int(x_[j]), d_e),
             events=events)
@@ -579,10 +597,24 @@ class TestNonFiniteRefraction:
         as divergent at that refraction, at the default cap."""
         assert len(self._step(2.0, -1e300)) <= 12
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("level", [np.inf, 1e300])
+    def test_shipped_path_equals_the_oracle(self, beta, level):
+        """Chains that leapfrog segments carry onto the ledge gain -inf or
+        -1e300 by flipping site 0 back: an infinite momentum, one that
+        overflows (beta 0.5) or a clock that would run into the event cap
+        (beta 2, gain -1e300), each of which diverges.  The lockstep path,
+        alone and in a batch of 3, gives the oracle's samples, states and
+        every ``StepStats`` field bit for bit."""
+        model, params = Ledge(level), GeneralParams(T=2.0, beta=beta)
+        divergences = _chains_equal_the_loop(model, params, 40)
+        divergences += _steps_equal_the_loop(model, params, 41)
+        assert divergences > 0
+
 
 class TestLoopRefraction:
-    """``_simulate`` refracts through the float helper that :func:`refract`
-    wraps and criterion 8 checks.  A clock made to cross its boundary once,
+    """The oracle's loop refracts through the float helper that
+    :func:`refract` wraps and criterion 8 checks.  A clock made to cross its boundary once,
     at a chosen cost, leaves the loop with the momentum ``refract`` gives."""
 
     @staticmethod
@@ -600,7 +632,7 @@ class TestLoopRefraction:
             sites.append(j)
             return 1 - int(x[j]), d_e
 
-        n_acc, n_grad, ok = _simulate(
+        n_acc, n_grad, ok = simulate(
             np.zeros(2, dtype=np.int64), qD, pD, np.zeros(0), np.zeros(0),
             1.0, T, model, kin, 0.1, ChainRng(0, 0), propose, None)
         assert ok and n_acc == 1 and n_grad == 0 and sites == [0]
@@ -633,6 +665,41 @@ class TestLoopRefraction:
             else:
                 assert abs(got - want) <= np.spacing(abs(want)), (p, d_e)
         assert exact >= 0.95 * len(cases)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 1.5])
+    def test_shipped_path_equals_the_oracle(self, beta):
+        """The lockstep path refracts as the oracle's loop does: clocks
+        made to cross their boundary once, at a cost from the model, end
+        with the oracle's momenta, bit for bit, alone and in batches of 3
+        that share the cost.  Their momenta are :func:`refract`'s where the
+        two energies ``|p| ** beta`` agree, and within 4 ulp of it
+        otherwise."""
+        kin = KineticEnergy(beta)
+        p = [p for p, _ in self._cases(kin, 42)[::3]]
+        compared = 0
+        for i in range(0, len(p) - 2, 3):
+            rows = p[i:i + 3]
+            for f in (0.9, 0.1, -0.5):
+                d_e = f * min(float(kin.k(pi)) for pi in rows)
+                aux = [AuxiliaryState([1.0 - 1e-9 if pi > 0 else 1e-9, 0.5],
+                                      [pi, 1.0], 1.0) for pi in rows]
+                T = 2.0 * max(initial_hit_time(a.qD[0], a.pD[0], 1.0, kin)
+                              for a in aux)
+                refs = _given_rows_equal_the_loop(
+                    Step(d_e), GeneralParams(T=T, beta=beta),
+                    np.zeros((3, 2), dtype=np.int64), np.zeros((3, 0)), aux,
+                    np.zeros((3, 0)), i)
+                for pi, ref in zip(rows, refs):
+                    assert ref[3].n_discrete_accepts == 1
+                    if not ref[3].accepted:
+                        continue
+                    got, want = -ref[1].pD[0], refract(pi, d_e, kin)
+                    if abs(pi) ** beta == float(kin.k(np.array(pi))):
+                        assert got == want, (pi, d_e)
+                    else:
+                        assert abs(got - want) <= 4 * np.spacing(abs(want))
+                    compared += 1
+        assert compared >= 0.9 * 9 * (len(p) // 3)
 
     def test_within_a_few_ulp_at_beta_1_5(self):
         """numpy's array ``pow`` is not libm's: the loop's momentum is held
@@ -731,24 +798,47 @@ _LOCKSTEP_CASES = {
                      18),
     "mixed_widths_sorted": (MixedWidths,
                             GeneralParams(T=0.9, integrator_eps=0.2), 19),
+    # Other kinetic energies: each clock has its own speed, which a
+    # refraction changes.  At beta 1.5 and 3 the refracted momentum takes
+    # numpy's own pow in kinv, and the energy and speed libm's.
+    "beta0.5": (MixedWidths,
+                GeneralParams(T=2.4, beta=0.5, integrator_eps=0.2), 24),
+    "beta0.5_kept": (lambda: random_binary_quadratic(6, ChainRng(2026, 0)),
+                     GeneralParams(T=1.7, beta=0.5, tau=1.3,
+                                   resample_positions=False), 25),
+    "beta1.5": (gmm1d_preset,
+                GeneralParams(T=2.5, beta=1.5, integrator_eps=0.3), 26),
+    "beta1.5_kept": (gmm1d_preset,
+                     GeneralParams(T=2.5, beta=1.5, integrator_eps=0.3,
+                                   resample_positions=False), 27),
+    "beta2": (lambda: CoupledModel(3), GeneralParams(T=3.0, beta=2.0), 28),
+    "beta2_kept": (lambda: random_binary_quadratic(
+        4, ChainRng(12, 0), coupling_scale=0.8),
+        GeneralParams(T=2.6, beta=2.0, tau=1.2, resample_positions=False), 29),
+    "beta3": (WalledSites, GeneralParams(T=2.0, beta=3.0, integrator_eps=0.2),
+              30),
+    "beta3_kept": (MixedWidths,
+                   GeneralParams(T=2.4, beta=3.0, integrator_eps=0.2,
+                                 resample_positions=False), 31),
 }
 _SORTED_CASES = [name for name, (_, params, _) in _LOCKSTEP_CASES.items()
-                 if params.T <= params.tau and params.resample_positions]
+                 if params.T <= params.tau and params.resample_positions
+                 and params.beta == 1.0]
 
 
 def _loop_step(model, params, x, q, qD, rng, events=None):
-    """One iteration of ``run_chain_general`` from ``(x, q)`` with clock
-    positions ``qD``: its draws, then ``general_step``, which appends its
-    events to ``events``."""
+    """One iteration of the oracle's chain from ``(x, q)`` with clock
+    positions ``qD``: its draws, then its step, which appends its events to
+    ``events``."""
     nd, nc = model.n_discrete, model.n_continuous
-    kin = KineticEnergy(1.0)
+    kin = KineticEnergy(params.beta)
     if params.resample_positions:
         qD = rng.uniform(nd) * params.tau
     aux = AuxiliaryState(qD, kin.sample(rng, nd), params.tau)
     pC = rng.normal(nc) if nc else np.zeros(0)
-    pt, aux, _, stats = general_step(MixedPoint(x, q), aux, pC, params.T,
-                                     model, kin, params.integrator_eps, rng,
-                                     events=events)
+    pt, aux, _, stats = loop_step(MixedPoint(x, q), aux, pC, params.T,
+                                  model, kin, params.integrator_eps, rng,
+                                  events=events)
     return pt, aux, stats
 
 
@@ -790,10 +880,93 @@ def _spy_schedules(monkeypatch):
     return schedules
 
 
+def _steps_equal_the_loop(model, params, seed, n_steps=30):
+    """Step 3 rows ``n_steps`` times in a batch, and each row alone, and
+    assert that each keeps the state (clock positions too, when kept) of
+    the oracle's step on its own stream, and every ``StepStats`` field, bit
+    for bit; returns the oracle's divergences."""
+    nd, nc = model.n_discrete, model.n_continuous
+    kept = not params.resample_positions
+    rngs = [ChainRng(seed, c) for c in range(3)]
+    alone = [ChainRng(seed, c) for c in range(3)]
+    loop = [ChainRng(seed, c) for c in range(3)]
+    pts = [default_init(model, ChainRng(seed + 1, c)) for c in range(3)]
+    x = np.array([pt.x for pt in pts])
+    q = np.array([pt.q for pt in pts]).reshape(3, nc)
+    qD = np.array([ChainRng(seed + 2, c).uniform(nd) for c in range(3)])
+    divergences = 0
+    for _ in range(n_steps):
+        bx, bq, bqD, _, stats = general_step_batch(x, q, qD, params,
+                                                   model, rngs)
+        for c in range(3):
+            ax, aq, aqD, _, solo = general_step_batch(
+                x[c:c + 1], q[c:c + 1], qD[c:c + 1], params, model,
+                [alone[c]])
+            pt, aux, ref = _loop_step(model, params, x[c], q[c], qD[c],
+                                      loop[c])
+            for got, want in ((bx[c], pt.x), (ax[0], pt.x),
+                              (bq[c], pt.q), (aq[0], pt.q)):
+                assert np.array_equal(got, want)
+            if kept:
+                assert np.array_equal(bqD[c], aux.qD)
+                assert np.array_equal(aqD[0], aux.qD)
+            for field in _STATS_FIELDS:
+                want = getattr(ref, field)
+                assert np.array_equal(getattr(stats, field)[c], want,
+                                      equal_nan=True), field
+                assert np.array_equal(getattr(solo, field)[0], want,
+                                      equal_nan=True), field
+            divergences += ref.divergent
+        x, q, qD = bx, bq, bqD
+    return divergences
+
+
+def _given_rows_equal_the_loop(model, params, x, q, aux, pC, seed):
+    """Step the rows ``x``, ``q`` (``(C, ·)`` stacks) from the clocks
+    ``aux`` and continuous momenta ``pC`` (one per row) once: in one
+    lockstep batch, each row alone through ``general_step``, and each row
+    through the oracle's step, row ``r`` on ``ChainRng(seed, r)``.  Asserts
+    that every row keeps the oracle's end state, clock positions and
+    momenta included, and every ``StepStats`` field, bit for bit; returns
+    the oracle's results."""
+    kin = KineticEnergy(params.beta)
+    nc = model.n_continuous
+    p = np.array([a.pD for a in aux])
+    pc = np.array(pC, dtype=np.float64).reshape(len(aux), nc)
+    bx, bq, bqD, pd, _, stats = kernels_general._general_step(
+        x.copy(), q.copy(), np.array([a.qD for a in aux]), np.abs(p), p < 0.0,
+        pc, dataclasses.replace(params, resample_positions=False),
+        RowModel(model), [ChainRng(seed, r) for r in range(len(aux))], None)
+    refs = []
+    for r, a in enumerate(aux):
+        pt = MixedPoint(x[r], q[r])
+        ref = loop_step(pt, a, pC[r], params.T, model, kin,
+                        params.integrator_eps, ChainRng(seed, r))
+        solo = general_step(pt, a, pC[r], params.T, model, kin,
+                            params.integrator_eps, ChainRng(seed, r))
+        batch = (MixedPoint(bx[r], bq[r]), AuxiliaryState(bqD[r], -pd[r],
+                                                          a.tau), -pc[r],
+                 stats.chain(r))
+        for got in (solo, batch):
+            assert np.array_equal(got[0].x, ref[0].x)
+            assert np.array_equal(got[0].q, ref[0].q)
+            assert np.array_equal(got[1].qD, ref[1].qD)
+            if ref[3].accepted:
+                assert np.array_equal(got[1].pD, ref[1].pD)
+                assert np.array_equal(got[2], ref[2])
+            for field in _STATS_FIELDS:
+                assert np.array_equal(getattr(got[3], field),
+                                      getattr(ref[3], field),
+                                      equal_nan=True), field
+        assert solo[1] is a or ref[3].accepted
+        refs.append(ref)
+    return refs
+
+
 def _chains_equal_the_loop(model, params, seed, n_burn=20, n_samples=250):
     """Run 3 chains in lockstep and assert that each gives the samples,
-    accept trace and divergence count of ``run_chain_general`` on its
-    stream, bit for bit; returns the divergences of all chains."""
+    accept trace and divergence count of the oracle's chain on its stream,
+    bit for bit; returns the divergences of all chains."""
     rngs = [ChainRng(seed, c) for c in range(3)]
     inits = [default_init(model, rng) for rng in rngs]
     outs = run_chain_general_batch(inits, params, model, n_burn, n_samples,
@@ -801,8 +974,8 @@ def _chains_equal_the_loop(model, params, seed, n_burn=20, n_samples=250):
     divergences = 0
     for c, out in enumerate(outs):
         rng = ChainRng(seed, c)
-        ref = run_chain_general(default_init(model, rng), params, model,
-                                n_burn, n_samples, rng)
+        ref = run_loop_chain(default_init(model, rng), params, model,
+                             n_burn, n_samples, rng)
         assert np.array_equal(out.samples, ref.samples), c
         assert np.array_equal(out.accept_trace, ref.accept_trace), c
         assert out.divergence_count == ref.divergence_count, c
@@ -831,6 +1004,17 @@ class TestLockstepMatchesLoop:
         make_model, params, seed = _LOCKSTEP_CASES[name]
         assert _chains_equal_the_loop(make_model(), params, seed, 5, 60) > 0
 
+    @pytest.mark.parametrize("name", ["gmm1d", "binary_T_2.5_tau",
+                                      "beta2_kept"])
+    def test_event_cap_steps_and_stats(self, name, monkeypatch):
+        """With the event cap lowered to 2, each row, alone and in a batch
+        of 3, keeps the oracle's state and every ``StepStats`` field: a
+        refraction that would run into the cap is not counted as an
+        accept."""
+        monkeypatch.setattr(kernels_general, "_MAX_EVENTS", 2)
+        make_model, params, seed = _LOCKSTEP_CASES[name]
+        assert _steps_equal_the_loop(make_model(), params, seed) > 0
+
     def test_sure_rejections_are_not_priced(self):
         """On the 24-D mixture a move of the site costs about 53 nats, far
         above a clock's energy: every proposal is skipped, with no
@@ -845,8 +1029,8 @@ class TestLockstepMatchesLoop:
         assert priced.call_count == 0
         for c, out in enumerate(outs):
             rng = ChainRng(5, c)
-            ref = run_chain_general(default_init(model, rng), params, model,
-                                    0, 20, rng)
+            ref = run_loop_chain(default_init(model, rng), params, model,
+                                 0, 20, rng)
             assert np.array_equal(out.samples, ref.samples), c
 
     @pytest.mark.parametrize("name", list(_LOCKSTEP_CASES))
@@ -856,38 +1040,7 @@ class TestLockstepMatchesLoop:
         on its own stream, and every ``StepStats`` field: energy errors,
         accepts and gradient counts, bit for bit."""
         make_model, params, seed = _LOCKSTEP_CASES[name]
-        model = make_model()
-        nd, nc = model.n_discrete, model.n_continuous
-        kept = not params.resample_positions
-        rngs = [ChainRng(seed, c) for c in range(3)]
-        alone = [ChainRng(seed, c) for c in range(3)]
-        loop = [ChainRng(seed, c) for c in range(3)]
-        pts = [default_init(model, ChainRng(seed + 1, c)) for c in range(3)]
-        x = np.array([pt.x for pt in pts])
-        q = np.array([pt.q for pt in pts]).reshape(3, nc)
-        qD = np.array([ChainRng(seed + 2, c).uniform(nd) for c in range(3)])
-        for _ in range(30):
-            bx, bq, bqD, _, stats = general_step_batch(x, q, qD, params,
-                                                       model, rngs)
-            for c in range(3):
-                ax, aq, aqD, _, solo = general_step_batch(
-                    x[c:c + 1], q[c:c + 1], qD[c:c + 1], params, model,
-                    [alone[c]])
-                pt, aux, ref = _loop_step(model, params, x[c], q[c], qD[c],
-                                          loop[c])
-                for got, want in ((bx[c], pt.x), (ax[0], pt.x),
-                                  (bq[c], pt.q), (aq[0], pt.q)):
-                    assert np.array_equal(got, want)
-                if kept:
-                    assert np.array_equal(bqD[c], aux.qD)
-                    assert np.array_equal(aqD[0], aux.qD)
-                for field in _STATS_FIELDS:
-                    want = getattr(ref, field)
-                    assert np.array_equal(getattr(stats, field)[c], want,
-                                          equal_nan=True), field
-                    assert np.array_equal(getattr(solo, field)[0], want,
-                                          equal_nan=True), field
-            x, q, qD = bx, bq, bqD
+        _steps_equal_the_loop(make_model(), params, seed)
 
     def test_clocks_tied_at_the_end_time(self):
         """Clocks kept at tau / 2 all hit their boundary at T = tau / 2,
@@ -956,15 +1109,3 @@ class TestLockstepMatchesLoop:
             for field in _STATS_FIELDS:
                 assert np.array_equal(getattr(stats, field)[c],
                                       getattr(ref, field), equal_nan=True)
-
-    def test_other_beta_refused(self):
-        model = gmm1d_preset()
-        with pytest.raises(ValueError, match="^beta: "):
-            run_chain_general_batch([model.initial_point(ChainRng(0, 0))],
-                                    GeneralParams(T=1.0, beta=2.0), model,
-                                    0, 1, [ChainRng(0, 0)])
-        with pytest.raises(ValueError, match="^beta: "):
-            general_step_batch(np.zeros((1, 1), dtype=np.int64),
-                               np.zeros((1, 1)), np.zeros((1, 1)),
-                               GeneralParams(T=1.0, beta=0.5), model,
-                               [ChainRng(0, 0)])

@@ -99,6 +99,19 @@ CONFIGS = {
         "model": {"type": "gmm1d"},
         "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=0.9),
         "run": {"chains": 4, "burn_in": 100, "samples": 800, "seed": 21}},
+    # Two chains each, so that --threads 2 runs two lone chains and
+    # --threads 1 one batch of 2.  At beta 1.5 a refracted momentum takes
+    # numpy's own pow in kinv, and a clock's energy and speed libm's.
+    "general_beta1.5": {
+        "model": {"type": "gmm1d"}, "kernel": dict(_GMM1D_GENERAL, beta=1.5),
+        "run": {"chains": 2, "burn_in": 100, "samples": 800, "seed": 23}},
+    # Clock positions kept at beta 1: every iteration finds its events
+    # round by round.
+    "general_kept_positions_beta1": {
+        "model": {"type": "gmm1d"},
+        "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=2.5, integrator_eps=0.3,
+                       resample_positions=False),
+        "run": {"chains": 2, "burn_in": 100, "samples": 800, "seed": 29}},
     # The baselines: Gibbs proposes through core.propose_and_delta.
     "gibbs_gmm1d": {
         "model": {"type": "gmm1d"},
