@@ -315,7 +315,8 @@ def propose_and_delta(j, x, q, model, rng):
     neglogp = model.site_cond_neglogp(j, x, q)
 
     if card == 2:
-        return 1 - cur, float(neglogp[1 - cur] - neglogp[cur])
+        with np.errstate(invalid="ignore"):    # inf - inf: NaN, no move
+            return 1 - cur, float(neglogp[1 - cur] - neglogp[cur])
 
     new, delta, ok = informed_rows(np.asarray(neglogp)[None], x[j:j + 1],
                                    rng.uniform(1))
@@ -372,10 +373,12 @@ def informed_rows(neglogp, cur, u):
 _FLIP_SIGN = np.array([1.0, -1.0])
 
 
+@np.errstate(invalid="ignore")          # inf - inf
 def flip_costs(neglogp, cur):
     """The cost of flipping each row's binary site from value ``cur``:
     ``neglogp[1] - neglogp[0]`` from 0, and its negation, bit for bit,
-    from 1.  Rows at wider sites get a meaningless value."""
+    from 1; NaN when neither value has weight.  Rows at wider sites get a
+    meaningless value."""
     return ((neglogp[:, 1] - neglogp[:, 0])
             * _FLIP_SIGN.take(cur, mode="clip"))
 
@@ -399,10 +402,7 @@ def site_proposals(neglogp, cur, widths, u):
     if len(distinct) == 1 and 2 not in distinct:
         return informed_rows(neglogp[:, :distinct.pop()], cur, u)
     new = 1 - cur
-    # Rows at wider sites, whose flip costs may be inf - inf, are replaced
-    # below.
-    with np.errstate(invalid="ignore"):
-        delta = flip_costs(neglogp, cur)
+    delta = flip_costs(neglogp, cur)   # rows at wider sites replaced below
     ok = np.ones(cur.size, dtype=bool)
     for width in distinct - {2}:
         r = np.flatnonzero(widths == width)

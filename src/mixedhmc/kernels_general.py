@@ -12,12 +12,16 @@ on the total energy ends the iteration, negating all momenta on acceptance.
 A batch of chains steps in lockstep, the m-th event of every chain in one
 call on the row stack (:func:`general_step_batch`,
 :func:`run_chain_general_batch`); :func:`general_step` and
-:func:`run_chain_general` are its one-chain calls.  A round handles only
-the clocks that fire, with the float arithmetic of an event loop on one
-chain ("the loop" below, which ``tests/oracle.py`` keeps as the
+:func:`run_chain_general` are its one-chain calls.  Event times are
+absolute: a clock that fires at time t leaves its boundary at speed |v| and
+fires next at ``t + tau / |v|``; a leapfrog segment runs from one event
+time to the next, and a clock's position is computed once, at ``T``.  At
+beta 1 every clock moves at unit speed whatever happens at its events, so
+an iteration's events come from one sort of the times ``h_j + k tau`` up to
+``T``.  At other beta a refraction changes a clock's speed, and each round
+finds every chain's next event afresh.  The arithmetic is that of an event
+loop on one chain ("the loop" below, which ``tests/oracle.py`` keeps as the
 reference), so each chain's samples are the same alone and in any batch.
-At beta 1, when no clock can fire twice in an iteration, the order of its
-events comes from one sort of the clocks' hit times.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
 ]
 
 _MAX_EVENTS = 10_000_000
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -191,8 +194,7 @@ def general_step(point: MixedPoint, aux: AuxiliaryState, pC: np.ndarray,
         RowModel(model), [rng], None)
     stats = stats.chain(0)
     if stats.accepted:
-        pD = -(aux.pD if pd is None else pd[0])   # no clocks when None
-        return (MixedPoint(x[0], q[0]), AuxiliaryState(qd[0], pD, aux.tau),
+        return (MixedPoint(x[0], q[0]), AuxiliaryState(qd[0], -pd[0], aux.tau),
                 -p[0], stats)
     return point, aux, pC, stats
 
@@ -244,34 +246,44 @@ def _draw_iteration(qD, params, nd, nc, rngs):
 
 
 def _event_schedule(hit, T, tau):
-    """The events of one iteration in which every clock fires at most
-    once, from the ``(C, n_discrete)`` hit times: ``(order, hs)`` of shape
-    ``(n_discrete + 1, C)``, column ``r`` holding row ``r``'s hit times
-    and ``T`` in increasing order (``hs``) and their sites (``order``, with
-    ``n_discrete - 1`` standing in for ``T`` and every time after it), or
-    None when rounding may order the events otherwise.
+    """Every event of one iteration at beta 1, from the ``(C, n_discrete)``
+    first hit times: ``(sites, times, fires)`` of shape ``(M, C)``, column
+    ``r`` holding row ``r``'s clock times in increasing order, the site of
+    each and whether it fires.
 
-    The per-round loop subtracts each step from every hit time and from the
-    time left ``t_rem = T``, the same floats from all of them, and rounding
-    is monotone: values ``a <= b`` stay ``a' <= b'``.  So the loop fires
-    the clocks in sorted order, exactly those whose hit times are below
-    ``T``, unless a gap closes to a tie that it breaks otherwise.  Each of
-    the at most ``n_discrete`` subtractions moves a value of size at most
-    ``max(T, tau)`` by half an ulp, so a gap shrinks by less than
-    ``n_discrete * eps * max(T, tau)``; every gap between neighbours must
-    exceed four times that.  Iterations that fail the check, a share of
-    order ``C n_discrete^2 1e-15`` when positions are drawn, take the
-    per-round loop.
+    At unit speed a clock that fires at time t leaves a boundary tau away
+    from the next one, whether it refracts or reflects, so it fires next at
+    ``t + tau``: clock j fires at ``hit[j]``, ``hit[j] + tau``, ..., summed
+    one ``tau`` at a time as the loop sums them, until every clock's next
+    time is past ``T``.  Equal times go to the lower site, as the loop's
+    first minimum does.  Every time below ``T`` fires, and the first time
+    equal to ``T``, which ends the trajectory.
+
+    Past the event cap a row diverges, so it runs at most ``_MAX_EVENTS +
+    1`` events.  All first hit times lie in ``[0, tau]``, so before a
+    clock's k-th event every other clock has fired at least k - 2 times: no
+    clock fires more than ``(_MAX_EVENTS - 1) // n_discrete + 2`` times
+    among those events, and no clock's times are summed further.  A row
+    then has at most ``_MAX_EVENTS + 2 n_discrete`` entries, however long
+    ``T``.
     """
     n, nd = hit.shape
-    times = np.concatenate([hit.T, np.full((1, n), T)])
+    laps = [hit.T]                     # (n_discrete, C) each
+    most = (_MAX_EVENTS - 1) // max(nd, 1) + 2
+    # Rounding is monotone: a lap's soonest time is the soonest first hit
+    # time with tau added as often.
+    soonest = hit.min(initial=np.inf)
+    while len(laps) < most and (soonest := soonest + tau) <= T:
+        laps.append(laps[-1] + tau)
+    k = len(laps)
+    times = laps[0] if k == 1 else np.stack(laps, axis=1).reshape(nd * k, n)
     hs = np.sort(times, axis=0)
-    margin = 4.0 * nd * _EPS * max(T, tau)
-    if (hs[1:] - hs[:-1]).min(initial=np.inf) <= margin:
-        return None
     order = times.argsort(axis=0, kind="stable")
-    np.minimum(order, nd - 1, out=order)
-    return order, hs
+    if k > 1:
+        order //= k
+    fires = hs <= T
+    fires[1:] &= hs[:-1] < T
+    return order, hs, fires
 
 
 def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
@@ -291,27 +303,26 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
     :class:`StepStats` of ``(C,)`` arrays.  Each row's result is the same
     alone and in any batch, bit for bit.
 
-    Each round finds every chain's next event, the first of its clocks'
-    hit times, and handles the ``m``-th events of all chains together: one
+    Each clock holds the absolute time of its next event.  Round ``m``
+    handles the ``m``-th events of all chains together: one
     ``site_cond_neglogp`` call on the row stack and a few whole-row
     operations (:meth:`~mixedhmc.core.RowModel.move`).  A proposal that
     every chain with an event is sure to reject is not priced: those
-    chains reflect, their uniforms drawn all the same.  Only the clock that
-    fires changes: its energy ``|p| ** beta``, its refracted momentum and
-    its new speed are computed on floats, one per chain, as an event loop
-    on one chain computes them; the hit times, the time left and the clock
-    positions are stepped with that loop's own subtractions on the whole
-    stack.  At beta 1, when positions are redrawn and no clock can reach
-    its boundary a second time within ``T``, each clock fires at most once,
-    in the order of its hit time: one sort of the hit times gives every
-    chain's events for the iteration, and a clock needs only its kinetic
-    energy ``|p|``, which a refraction lowers and a reflection keeps,
-    unless two hit times, or a hit time and ``T``, lie within rounding of
-    each other.  Between events the continuous coordinates take one
-    leapfrog segment per chain, a chain whose segment needs fewer steps
-    taking zero-length steps for the rest; a segment starts from the
-    gradient the last one ended with unless a refraction came in between.
-    A chain diverges on a non-finite momentum or velocity, or a zero
+    chains reflect, their uniforms drawn all the same.  At beta 1 a clock
+    fires every tau from its first hit time, and its kinetic energy
+    ``|p|``, which a refraction lowers and a reflection keeps, is all it
+    carries: one sort of those times up to ``T`` gives every chain's events
+    for the iteration (:func:`_event_schedule`).  At other beta each round
+    finds every chain's next event, the first of its clocks' next times;
+    the clock that fires takes its energy ``|p| ** beta``, refracted
+    momentum, new speed and next time on floats, one per chain, as the loop
+    takes them.  Between events the continuous coordinates take one
+    leapfrog segment per chain, from one event time to the next and from
+    the last to ``T``, a chain whose segment needs fewer steps taking
+    zero-length steps for the rest; a segment starts from the gradient the
+    last one ended with unless a refraction came in between.  The clock
+    positions are computed once, at ``T``, and only when they are kept.  A
+    chain diverges on a non-finite momentum or velocity, or a zero
     velocity, of a clock on entry, at a proposal with no finite weights, at
     a refraction to such a clock or to one that would run into the event
     cap, past the event cap, and on an energy error above
@@ -330,64 +341,44 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
     :class:`~mixedhmc.core.RowModel`), from the iteration's clock positions
     ``qd``, the magnitudes ``mag`` of the clock momenta and where they are
     negative (``neg``), and the continuous momenta ``pC``, row stacks; it
-    moves ``qd`` and ``pC`` in place, ``pC`` to each row's end momenta.
-    Returns ``(x, q, qd, pd, potential, stats)``, ``pd`` each row's end
-    clock momenta when the events are found round by round (always when
-    positions are kept), None when they come from one sort."""
+    moves ``pC`` in place to each row's end momenta.  Returns ``(x, q, qd,
+    pd, potential, stats)``: ``pd`` each row's end clock momenta, ``qd``
+    its end clock positions when they are kept, else ``qd`` as given."""
     (n, nd), nc = x.shape, q.shape[1]
     tau, T, eps, beta = params.tau, params.T, params.integrator_eps, params.beta
-    resample = params.resample_positions
 
     if potential is None:
         potential = rm.potential(x, q)
+    offsets = np.arange(n) * nd
     if beta == 1.0:
         # |p| ** 1 is |p|.  A clock runs when its momentum is nonzero (and
-        # finite, as drawn); its velocity is then the momentum's sign, and
-        # the loop's hit time (2 tau [v > 0] - 2 qD) / (2 v) at v = -1 or +1
-        # is qD or tau - qD, bit for bit: scaling by 2 is exact.
-        k, pd, vel = mag, None, None
-        ok = k.min(axis=1, initial=np.inf) > 0.0
-        hit = np.where(neg, qd, tau - qd)
+        # finite, as drawn); it moves at unit speed, and the loop's first
+        # hit time (2 tau [v > 0] - 2 qD) / (2 v) at v = -1 or +1 is qD or
+        # tau - qD, bit for bit: scaling by 2 is exact.
+        k = mag
+        ok = k.all(axis=1)
+        sites, hs, fires = _event_schedule(np.where(neg, qd, tau - qd), T,
+                                           tau)
+        at_m = sites + offsets         # flat index of each row's m-th event
+        fires &= ok                    # divergent rows have no more events
     else:
         kinetic = KineticEnergy(beta)
+        kinv = _float_kinv(kinetic)
         pd = np.where(neg, -mag, mag)
         k = kinetic.k(pd)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vel = kinetic.kprime(pd)
-            hit = _hit_time(qd, vel, tau)
+            fire = _hit_time(qd, vel, tau)   # each clock's next event time
         ok = (np.isfinite(pd) & np.isfinite(vel) & (vel != 0.0)).all(axis=1)
+        last = np.full((n, nd), -np.inf)     # each clock's last event time
     e0 = potential + k.sum(axis=1)
     if nc:
         e0 += kinetic_energy(pC)
     if beta != 1.0 and not ok.all():
         # A chain with a clock that does not run diverges; its clocks are
         # put where no whole-row operation makes a NaN.
-        k[~ok], vel[~ok], hit[~ok] = 1.0, 1.0, tau
-    t_rem = ok * T
-    # A clock reaches its boundary again about tau after an event, so in
-    # time T only after an event before about T - tau.  When at beta 1 no
-    # clock starts that close to its boundary and positions are redrawn,
-    # each clock fires at most once (the event times drift by an ulp or so
-    # per event, far inside the margin of 1e-6 tau), and every row's events
-    # come in the order of its hit times, read off one sort, unless
-    # rounding may decide otherwise.
-    once = nd == 0 or (beta == 1.0 and resample
-                       and hit.min() > T - tau * (1.0 - 1e-6))
-    schedule = _event_schedule(hit, T, tau) if once else None
-    offsets = np.arange(n) * nd
-    if schedule is not None:
-        order, hs = schedule
-        fires = hs < T
-        at_m = order + offsets         # flat index of each row's m-th event
-    else:
-        # Each round finds every row's next event afresh, stepping the
-        # clock positions, momenta and velocities with the loop's own
-        # arithmetic.
-        qd_start = qd.copy()
-        kinv = _float_kinv(KineticEnergy(beta))
-        if vel is None:
-            vel = np.where(neg, -1.0, 1.0)
-            pd = vel * mag
+        k[~ok], vel[~ok], fire[~ok] = 1.0, 1.0, tau
+    now = np.where(ok, 0.0, T)         # each row's time; divergent rows' is T
     # The loop ends a refraction as divergent when the clock's new speed w
     # has w * T > cap.
     cap = tau * _MAX_EVENTS
@@ -400,38 +391,25 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
         stale = np.ones(n, dtype=bool)
     n_events = 0
     while True:
-        if schedule is not None:
-            # Round m handles each row's m-th event.  Its segment before
-            # the event is the loop's: the sorted hit times are stepped with
-            # the loop's own subtractions.
+        if beta == 1.0:
+            # Round m handles each row's m-th event.
             m = n_events
-            j, at = order[m], at_m[m]
-            event = fires[m] & ok      # divergent rows have no more events
-            more = np.count_nonzero(event)
-            if nc:
-                step = np.minimum(hs[m], t_rem)
-                hs[m + 1:] -= step
-                t_rem -= step
-            elif not more:
-                break
+            if m < len(hs):
+                j, at, t, event = sites[m], at_m[m], hs[m], fires[m]
+            else:                      # every row's every time has fired
+                t, event = T, np.zeros(n, dtype=bool)
         else:
-            # Finished and divergent rows have t_rem 0, so their step is 0.
-            live = t_rem > 0.0
-            j = hit.argmin(axis=1)     # the first of equal times, as the loop
+            # Each round finds every row's next event, its first clock.
+            j = fire.argmin(axis=1)    # the first of equal times, as the loop
             at = offsets + j
-            h = hit.take(at)
-            event = live & (h <= t_rem)
-            step = np.minimum(h, t_rem)
-            more = np.count_nonzero(event)
-            col = step[:, None]
-            # With positions redrawn, the last segment moves nothing read.
-            if more or not resample:
-                qd += col * vel
-                np.maximum(qd, 0.0, out=qd)
-                np.minimum(qd, tau, out=qd)
-            # No hit time is below the smallest: none needs clipping.
-            hit -= col
-            t_rem -= step
+            t = fire.take(at)
+            event = (now < T) & (t <= T)
+        more = np.count_nonzero(event)
+        if nc or beta != 1.0:
+            # A row's segment runs to its event, or to T; finished and
+            # divergent rows are at T, so their step is 0.
+            end = np.where(event, t, T)
+            step, now = end - now, end
         if nc:
             seg = step > 0.0
             steps = np.maximum(np.ceil(step / eps), 1.0)
@@ -470,29 +448,26 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
         acc, stuck, left = (rm.move(j, at, xs, qs, k, event, width, u)
                             or (np.zeros_like(event), None, None))
         if stuck is not None:
-            ok &= ~stuck
-            event &= ~stuck
-            t_rem[stuck] = 0.0
+            event &= ~stuck            # a stuck row turns no clock
         accepts.append(acc)
         if nc:
             stale |= acc
         diverged = None
-        if schedule is None:
+        if beta != 1.0:
             # Each fired clock turns as the loop turns it, on floats: a
             # reflection negates its momentum and velocity; a refraction
-            # mirrors its position and takes the momentum of the energy
-            # left and its speed, unless the clock would not run, or would
-            # run into the event cap: then the chain diverges, its clock
-            # left as it was.  The next hit time is the loop's, from the
-            # new position and velocity.
+            # takes the momentum of the energy left and its speed, unless
+            # the clock would not run, or would run into the event cap:
+            # then the chain diverges, its clock left as it was.  The clock
+            # fires next tau / |v| after this event.
             rows = event.nonzero()[0]
             fired = at.take(rows)
-            turned, dead = [], []      # each fired clock's p, v, qd, hit
+            turned, dead = [], []      # each fired clock's p, v, next, last
             # With no proposal priced no clock refracts, and e goes unread.
-            for r, moved, p, w, a, e in zip(
+            for r, moved, p, w, s, e in zip(
                     rows.tolist(), acc.take(rows).tolist(),
                     pd.take(fired).tolist(), vel.take(fired).tolist(),
-                    qd.take(fired).tolist(),
+                    t.take(rows).tolist(),
                     (acc if left is None else left).take(rows).tolist()):
                 if not moved:
                     p, w = -p, -w
@@ -507,30 +482,39 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
                         dead.append(r)
                         p, w = p_in, w_in
                     else:
-                        a = tau - a
                         w = w if p > 0.0 else -w
-                turned.append((p, w, a, _hit_time(a, w, tau)))
-            for stack, values in zip((pd, vel, qd, hit), zip(*turned)):
+                turned.append((p, w, s + tau / abs(w), s))
+            for stack, values in zip((pd, vel, fire, last), zip(*turned)):
                 stack.put(fired, values)
             if dead:
                 diverged = np.zeros(n, dtype=bool)
                 diverged[dead] = True
-        elif left is not None and math.inf in left.tolist():
-            # At unit speed a refraction diverges only to an infinite
-            # momentum: with T below 2 tau, unit speed does not run into
-            # the event cap.
-            diverged = acc & (left == np.inf)
+        elif left is not None and (T > cap or math.inf in left.tolist()):
+            # At unit speed a refraction diverges to an infinite momentum,
+            # and any refraction does once T alone passes the event cap.
+            diverged = acc if T > cap else acc & (left == np.inf)
         if diverged is not None:
             accepts[-1] = acc & ~diverged
         if n_events > _MAX_EVENTS:
             diverged = event if diverged is None else diverged | event
+        if stuck is not None:
+            diverged = stuck if diverged is None else diverged | stuck
         if diverged is not None:
             ok &= ~diverged
-            t_rem[diverged] = 0.0
+            now[diverged] = T
             k[diverged] = 1.0          # no whole-row operation sees inf
+            if beta == 1.0:
+                fires[n_events:] &= ok
 
     u_end = rm.potential(xs, qs)
-    if beta != 1.0:
+    moved = np.array(accepts, dtype=bool).reshape(n_events, n)
+    if beta == 1.0:
+        # A clock's momentum changes sign at each reflection: each time it
+        # fired and did not move.
+        at, ev = at_m[:n_events], fires[:n_events]
+        pd = np.where(neg, -k, k)
+        np.negative.at(pd.reshape(-1), at[ev > moved])
+    else:
         k = kinetic.k(pd)              # by numpy, as the loop's energy error
     # Divergent rows may hold non-finite energies; the loop's float
     # arithmetic on them raises no warning either.
@@ -544,14 +528,24 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
                   for rng, run in zip(rngs, ok.tolist())])
     accepted = ok & (u < np.exp(-np.maximum(err, 0.0)))
     keep = accepted[:, None]
-    if schedule is None:
-        qd = np.where(keep, qd, qd_start)
-    n_acc = (np.add.reduce(accepts, dtype=np.int64) if accepts
-             else np.zeros(n, dtype=np.int64))
+    if not params.resample_positions:
+        # Each clock's position at T, as the loop takes it: the boundary
+        # that its end velocity w leaves plus w (T - t) after its last
+        # event at t, or its start plus w T if it never fired.
+        if beta == 1.0:
+            w = np.copysign(1.0, pd)
+            last = np.full(n * nd, -np.inf)
+            np.maximum.at(last, at[ev], hs[:n_events][ev])
+            last = last.reshape(n, nd)
+        else:
+            w = vel
+        pos = (np.where(last >= 0.0, np.where(w > 0.0, 0.0, tau), qd)
+               + w * (T - np.maximum(last, 0.0)))
+        qd = np.where(keep, np.clip(pos, 0.0, tau, out=pos), qd)
     stats = StepStats(accepted=accepted,
                       energy_error=np.where(ok, err, np.nan),
-                      n_discrete_accepts=n_acc, n_grad_evals=n_grad,
-                      divergent=~ok)
+                      n_discrete_accepts=np.add.reduce(moved, dtype=np.int64),
+                      n_grad_evals=n_grad, divergent=~ok)
     return (np.where(keep, xs, x), np.where(keep, qs, q) if nc else q, qd,
             pd, np.where(accepted, u_end, potential), stats)
 

@@ -26,6 +26,7 @@ __all__ = [
 
 _ENUM_MAX_SITES = 20
 _SIGNS = np.array([1.0, -1.0])
+_SPINS = np.array([-1.0, 1.0])         # s = 2 x - 1 at x = 0 and x = 1
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class BinaryQuadratic(ModelSpec):
         return 2
 
     def potential(self, x, q):
-        s = 2.0 * x - 1.0
+        s = _SPINS.take(x)
         u = -(0.5 * np.einsum("...i,ij,...j->...", s, self.spec.W, s)
               + np.einsum("...i,i->...", s, self.spec.b))
         return float(u) if x.ndim == 1 else u
@@ -81,7 +82,7 @@ class BinaryQuadratic(ModelSpec):
     def site_cond_neglogp(self, j, x, q) -> np.ndarray:
         # U(s_j = sigma) = const - sigma * h with local field h = W[j] s + b[j]
         # (the diagonal of W is zero), so values (-1, +1) weigh (h, -h).
-        s = 2.0 * x - 1.0
+        s = _SPINS.take(x)
         # A stack's sites are gathered with take, by the layout rule; one
         # site's row, as the float event loop asks for it, is a view.
         W, b = self.spec.W, self.spec.b

@@ -120,11 +120,16 @@ def simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
              propose, events):
     """Run the event loop, mutating all state arrays in place.
 
-    The clocks' positions, momenta, velocities and hit times live in Python
-    lists of floats for the whole trajectory, read from ``qD`` and ``pD``
-    on entry and written back on exit.  Each leapfrog segment starts from
-    the gradient the last one ended with, unless a refraction moved ``x``
-    in between.
+    Each clock holds the time of its next event, a Python float, for the
+    whole trajectory: its first hit time from ``qD`` and ``pD``, then
+    ``t + tau / |v|`` after an event at time ``t``, where it leaves a
+    boundary at velocity ``v``.  A segment runs from one event time to the
+    next, the last one to ``T``; a hit at exactly ``T`` fires and ends the
+    trajectory.  Clock positions are not stepped: on exit each is its last
+    boundary plus ``v (T - t)``, or ``qD + v T`` if it never fired, clipped
+    to ``[0, tau]``, and ``pD`` the end momenta.  Each leapfrog segment
+    starts from the gradient the last one ended with, unless a refraction
+    moved ``x`` in between.
 
     ``propose(j, x, qC, rng) -> (new_value, delta_e)`` may be overridden to
     inject a fixed proposal sequence (used by reversibility tests), and
@@ -142,36 +147,30 @@ def simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
     beta = kinetic.beta
     kinv = _float_kinv(kinetic)
     v = kinetic.kprime(pD)
-    qd, pd, vel = qD.tolist(), pD.tolist(), v.tolist()
-    hit = _hit_time(qD, v, tau).tolist()
+    pd, vel = pD.tolist(), v.tolist()
+    fire = _hit_time(qD, v, tau).tolist()
+    # Each clock's position at its last event, and that event's time; its
+    # start and 0 before any.
+    start, last = qD.tolist(), [0.0] * nd
     n_acc = 0
     n_grad = 0
     g = None  # gradient at (x, qC) where the last leapfrog segment ended
 
     ok = all(map(_runs, pd, vel))
-    t_rem = T
+    now = 0.0
     n_events = 0
-    while ok and t_rem > 0.0:
-        if nd:
-            h = min(hit)
-            j = hit.index(h)
-            event = h <= t_rem
-            step = h if event else t_rem
-        else:
-            event = False
-            step = t_rem
+    while ok and now < T:
+        t = min(fire) if nd else math.inf
+        event = t <= T
+        if not event:
+            t = T
+        if nc and t - now > 0.0:
+            n, g = _integrate(x, qC, pC, t - now, integrator_eps, model, g)
+            n_grad += n
+        now = t
 
-        if step > 0.0:
-            if nd:  # np.clip(qd + step * vel, 0, tau)
-                qd = [tau if (c := a + step * w) > tau else
-                      (0.0 if c < 0.0 else c) for a, w in zip(qd, vel)]
-            if nc:
-                n, g = _integrate(x, qC, pC, step, integrator_eps, model, g)
-                n_grad += n
-        t_rem -= step
-
-        if event:  # np.maximum(hit - step, 0)
-            hit = [d if (d := h - step) > 0.0 else 0.0 for h in hit]
+        if event:
+            j = fire.index(t)
             try:
                 new, d_e = propose(j, x, qC, rng)
             except NonFiniteWeightsError:
@@ -187,7 +186,6 @@ def simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
             if accepted:
                 x[j] = new
                 g = None
-                qd[j] = tau - qd[j]
                 p = _refracted(p, energy - d_e, kinv)
                 try:
                     w = beta * abs(p) ** (beta - 1.0)
@@ -203,14 +201,19 @@ def simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
             else:
                 pd[j] = -p
                 vel[j] = -vel[j]
-            hit[j] = _hit_time(qd[j], vel[j], tau)
+            # The clock leaves the boundary that its velocity points away from.
+            start[j] = 0.0 if vel[j] > 0.0 else tau
+            last[j] = now
+            fire[j] = now + tau / abs(vel[j])
             if events is not None:
                 events.append((j, old, new, accepted))
             n_events += 1
             if n_events > max_events:
                 ok = False
 
-    qD[:] = qd
+    # np.clip(start + vel * (T - last), 0, tau)
+    qD[:] = [tau if (c := a + w * (T - s)) > tau else (0.0 if c < 0.0 else c)
+             for a, w, s in zip(start, vel, last)]
     pD[:] = pd
     return n_acc, n_grad, ok
 
@@ -297,51 +300,40 @@ def reference_simulate(x, qD, pD, qC, pC, tau, T, model, kinetic,
     n_acc = 0
     n_grad = 0
 
-    if nd:
-        v = kinetic.kprime(pD)
-        hit = hit_time(qD, v)
-    else:
-        v = hit = np.zeros(0)
+    v = kinetic.kprime(pD) if nd else np.zeros(0)
+    fire = hit_time(qD, v)
+    start, last = qD.copy(), np.zeros(nd)
 
-    t_rem = T
-    while t_rem > 0.0:
-        if nd:
-            j = int(np.argmin(hit))
-            event = hit[j] <= t_rem
-            step = hit[j] if event else t_rem
-        else:
-            event = False
-            step = t_rem
-
-        if step > 0.0:
-            if nd:
-                qD += step * v
-                np.clip(qD, 0.0, tau, out=qD)
-            if nc:
-                n = max(int(np.ceil(step / integrator_eps)), 1)
-                leapfrog(x, qC, pC, step / n, n, model.grad_q)
-                n_grad += n + 1
-        t_rem -= step
+    now = 0.0
+    while now < T:
+        j = int(np.argmin(fire)) if nd else 0
+        event = nd > 0 and fire[j] <= T
+        t = fire[j] if event else T
+        if t - now > 0.0 and nc:
+            n = max(int(np.ceil((t - now) / integrator_eps)), 1)
+            leapfrog(x, qC, pC, (t - now) / n, n, model.grad_q)
+            n_grad += n + 1
+        now = t
 
         if event:
-            hit -= step
-            np.maximum(hit, 0.0, out=hit)
             new, d_e = propose(j, x, qC, rng)
             old = int(x[j])
             energy = kinetic.k(pD[j])
             accepted = energy > d_e
             if accepted:
                 x[j] = new
-                qD[j] = tau - qD[j]
                 pD[j] = np.sign(pD[j]) * kinetic.kinv(energy - d_e)
                 v[j] = kinetic.kprime(pD[j])
                 n_acc += 1
             else:
                 pD[j] = -pD[j]
                 v[j] = -v[j]
-            hit[j] = hit_time(qD[j], v[j])
+            start[j] = 0.0 if v[j] > 0.0 else tau
+            last[j] = now
+            fire[j] = now + tau / np.abs(v[j])
             events.append((j, old, new, accepted))
 
+    np.clip(start + v * (T - last), 0.0, tau, out=qD)
     return n_acc, n_grad, True
 
 

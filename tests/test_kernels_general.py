@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from mixedhmc import (
     ModelSpec,
     run_chain_general,
 )
-from mixedhmc import kernels_general
+from mixedhmc import core, kernels_general
 from mixedhmc.core import RowModel, informed_rows, propose_and_delta
 from mixedhmc.diagnostics import ess, ks_two_sample
 from mixedhmc.kernels_general import (
@@ -133,6 +134,18 @@ class Ledge(CoupledModel):
             out[v] = super().potential(xv, q)
         if j == 0 and q[0] < -0.3:
             out[1] += self.level
+        return out
+
+
+class FullLedge(Ledge):
+    """``Ledge`` whose site conditionals keep the level where it is common
+    to both values: on the ledge with site 0 at 1, both values of sites 1
+    and 2 have zero weight at level inf, and a flip there costs inf - inf."""
+
+    def site_cond_neglogp(self, j, x, q):
+        out = super().site_cond_neglogp(j, x, q)
+        if j != 0 and x[0] == 1 and q[0] < -0.3:
+            out += self.level
         return out
 
 
@@ -375,6 +388,27 @@ class TestExactness:
                                 30_000, rng)
         assert np.abs(out.samples.mean(axis=0) - exact).max() < 0.02
 
+    @pytest.mark.parametrize("beta,T,tau,n", [(1.0, 2.5, 1.0, 4000),
+                                              (2.0, 2.6, 1.2, 2500)])
+    def test_kept_positions_past_tau_exact(self, beta, T, tau, n):
+        """Clock positions kept and T past tau, so that clocks fire more
+        than once and start where the last trajectory left them: at beta 1
+        from one sort of their times, at beta 2 round by round.  Each site's
+        pooled marginal of 4 chains lies within 5 standard errors of
+        enumeration, its standard error ``sqrt(p (1 - p) / ESS)`` from the
+        chains' own effective sample size."""
+        model = random_binary_quadratic(5, ChainRng(7, 0))
+        exact, _ = binary_quadratic_enumerate(model.spec)
+        rngs = [ChainRng(34, c) for c in range(4)]
+        params = GeneralParams(T=T, beta=beta, tau=tau,
+                               resample_positions=False)
+        outs = run_chain_general_batch([model.initial_point(r) for r in rngs],
+                                       params, model, 200, n, rngs)
+        for j, p in enumerate(exact):
+            chains = [out.samples[:, j] for out in outs]
+            se = math.sqrt(p * (1.0 - p) / ess(chains))
+            assert abs(np.mean(chains) - p) < 5.0 * se, j
+
 
 class TestLaplaceSpecialization:
     def test_marginals_match_laplace_kernel(self):
@@ -611,6 +645,29 @@ class TestNonFiniteRefraction:
         divergences += _steps_equal_the_loop(model, params, 41)
         assert divergences > 0
 
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_sites_without_weight_reflect_without_warning(self, beta,
+                                                          monkeypatch):
+        """On the full ledge at level inf, a flip of site 1 or 2 costs
+        inf - inf, which is NaN, and the clock reflects, with no warning
+        from the lockstep path or the oracle.  Each row, alone and in a
+        batch of 3, keeps the oracle's state and every ``StepStats`` field:
+        divergent or rejected where the oracle's is."""
+        costs = []
+        flip_costs = core.flip_costs
+
+        def spy(neglogp, cur):
+            costs.append(flip_costs(neglogp, cur))
+            return costs[-1]
+
+        monkeypatch.setattr(core, "flip_costs", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            divergences = _steps_equal_the_loop(
+                FullLedge(np.inf), GeneralParams(T=2.0, beta=beta), 41)
+        assert np.isnan(np.concatenate(costs)).any()
+        assert divergences > 0
+
 
 class TestLoopRefraction:
     """The oracle's loop refracts through the float helper that
@@ -786,12 +843,15 @@ _LOCKSTEP_CASES = {
     "kept_positions": (lambda: random_binary_quadratic(6, ChainRng(2026, 0)),
                        GeneralParams(T=1.7, tau=1.3,
                                      resample_positions=False), 10),
+    # Each clock fires five or six times in an iteration.
+    "binary_T_5.3_tau_kept": (lambda: random_binary_quadratic(
+        4, ChainRng(12, 0), coupling_scale=0.8),
+        GeneralParams(T=5.3, resample_positions=False), 32),
     "stuck_3_value_sites": (WalledSites,
                             GeneralParams(T=2.0, integrator_eps=0.2), 11),
     "mixed_widths": (MixedWidths, GeneralParams(T=2.4, integrator_eps=0.2),
                      16),
-    # T at most tau with positions redrawn: each clock fires at most once,
-    # and the events come from one sort of the hit times.
+    # T at most tau with positions redrawn: each clock fires at most once.
     "gmm1d_sorted": (gmm1d_preset, GeneralParams(T=0.9, integrator_eps=0.3),
                      17),
     "stuck_sorted": (WalledSites, GeneralParams(T=0.9, integrator_eps=0.2),
@@ -822,8 +882,7 @@ _LOCKSTEP_CASES = {
                                  resample_positions=False), 31),
 }
 _SORTED_CASES = [name for name, (_, params, _) in _LOCKSTEP_CASES.items()
-                 if params.T <= params.tau and params.resample_positions
-                 and params.beta == 1.0]
+                 if params.beta == 1.0]
 
 
 def _loop_step(model, params, x, q, qD, rng, events=None):
@@ -1015,6 +1074,19 @@ class TestLockstepMatchesLoop:
         make_model, params, seed = _LOCKSTEP_CASES[name]
         assert _steps_equal_the_loop(make_model(), params, seed) > 0
 
+    def test_event_cap_bounds_the_schedule(self, monkeypatch):
+        """With the event cap lowered to 10, a trajectory of 10^4 tau on
+        the 24-D mixture, whose one clock reflects at every event, builds a
+        schedule of 11 times a row, not 10^4: the 11 events that the loop
+        runs before it diverges, each drawing its uniform.  Each chain gives
+        the loop's samples."""
+        monkeypatch.setattr(kernels_general, "_MAX_EVENTS", 10)
+        schedules = _spy_schedules(monkeypatch)
+        model = gmm24_preset()
+        params = GeneralParams(T=1e4, integrator_eps=0.5)
+        assert _chains_equal_the_loop(model, params, 33, 2, 10) == 3 * 12
+        assert {len(times) for _, times, _ in schedules} == {11}
+
     def test_sure_rejections_are_not_priced(self):
         """On the 24-D mixture a move of the site costs about 53 nats, far
         above a clock's energy: every proposal is skipped, with no
@@ -1066,8 +1138,8 @@ class TestLockstepMatchesLoop:
 
     @pytest.mark.parametrize("name", _SORTED_CASES)
     def test_short_trajectories_take_one_sort(self, name, monkeypatch):
-        """Where T is at most tau and positions are redrawn, every iteration
-        takes its events from the one sort of its hit times."""
+        """At beta 1, for any T and with positions redrawn or kept, every
+        iteration takes its events from one sort of its clocks' times."""
         make_model, params, seed = _LOCKSTEP_CASES[name]
         model = make_model()
         schedules = _spy_schedules(monkeypatch)
@@ -1075,7 +1147,6 @@ class TestLockstepMatchesLoop:
         inits = [default_init(model, rng) for rng in rngs]
         run_chain_general_batch(inits, params, model, 0, 50, rngs)
         assert len(schedules) == 50
-        assert all(schedule is not None for schedule in schedules)
 
     @pytest.mark.parametrize("positions", [
         [0.5, 0.5, 0.9, 0.1],                       # two clocks tied
@@ -1085,9 +1156,9 @@ class TestLockstepMatchesLoop:
     def test_close_hit_times_take_the_per_round_loop(self, positions,
                                                      monkeypatch):
         """Clocks moving up from ``positions`` hit their boundary at 1 minus
-        their position, three of them before T = 0.75 or at it.  Rounding
-        may order such events otherwise than a sort does, so the iteration
-        takes the per-round loop, and each row gives the loop's step on its
+        their position, three of them before T = 0.75 or at it.  The one
+        sort of the clocks' times orders such close calls as the loop does,
+        ties to the lower site, and each row gives the loop's step on its
         own stream, bit for bit.  Momenta of energy 50 refract at every
         event."""
         model = random_binary_quadratic(4, ChainRng(15, 0))
@@ -1098,7 +1169,7 @@ class TestLockstepMatchesLoop:
         new_x, _, _, _, stats = general_step_batch(
             x, np.zeros((3, 0)), np.zeros((3, 4)), params, model,
             [_ScriptedRng(23, c, *script) for c in range(3)])
-        assert schedules == [None]
+        assert len(schedules) == 1
         for c in range(3):
             events = []
             pt, _, ref = _loop_step(model, params, x[c], np.zeros(0),

@@ -56,7 +56,8 @@ MUTANTS = {
         "kernels_general.py", "event & (width > 2)", "width > 2",
         (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[mixed_widths]",)),
     "stuck_rows_go_on": Mutant(
-        "kernels_general.py", "ok &= ~stuck", "ok &= True",
+        "kernels_general.py",
+        "diverged = stuck if diverged is None else diverged | stuck", "pass",
         (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[stuck_3_value_sites]",)),
     "fresh_gradient_not_counted": Mutant(
         "kernels_general.py", "n_grad += counts + fresh", "n_grad += counts",
@@ -66,16 +67,15 @@ MUTANTS = {
         "accepts[-1] = acc",
         (f"{_GENERAL}::TestNonFiniteRefraction"
          "::test_shipped_path_equals_the_oracle[inf-1.0]",)),
-    # A clock that keeps moving into its boundary fires again at once, so
-    # the tests that run it lower the event cap.
+    # Off beta 1: a clock's next time is tau / |v| after its event either
+    # way, so the direction shows in its end position and momentum.
     "reflection_keeps_direction": Mutant(
         "kernels_general.py", "p, w = -p, -w", "p, w = p, w",
-        (f"{_LOCKSTEP}::test_event_cap[gmm1d]",
-         f"{_LOCKSTEP}::test_event_cap[binary_T_2.5_tau]")),
+        (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[beta2_kept]",)),
     "fast_clock_not_stopped": Mutant(
         "kernels_general.py", "if not _runs(p, w) or w * T > cap:",
         "if not _runs(p, w):",
-        (f"{_LOCKSTEP}::test_event_cap_steps_and_stats[binary_T_2.5_tau]",)),
+        (f"{_LOCKSTEP}::test_event_cap_steps_and_stats[beta2_kept]",)),
     "move_without_live_mask": Mutant(
         "core.py", "moved = live & (left > 0.0)", "moved = left > 0.0",
         (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[binary_T_2.5_tau]",
@@ -85,6 +85,26 @@ MUTANTS = {
         "core.py", "k.put(at, np.where(moved, left, energy))",
         "k.put(at, energy)",
         (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[binary6_T_tau]",)),
+    # The beta 1 schedule: equal times go to the lower site, a time equal
+    # to T fires, and each lap adds tau; a kept clock ends from the boundary
+    # that its velocity leaves.
+    "ties_to_the_higher_site": Mutant(
+        "kernels_general.py", 'order = times.argsort(axis=0, kind="stable")',
+        'order = len(times) - 1 - times[::-1].argsort(axis=0, kind="stable")',
+        (f"{_LOCKSTEP}::test_clocks_tied_at_the_end_time",
+         f"{_LOCKSTEP}::test_close_hit_times_take_the_per_round_loop[tied]")),
+    "hit_at_T_does_not_fire": Mutant(
+        "kernels_general.py", "fires = hs <= T", "fires = hs < T",
+        (f"{_LOCKSTEP}::test_clocks_tied_at_the_end_time",
+         f"{_LOCKSTEP}::test_close_hit_times_take_the_per_round_loop[at_T]")),
+    "lap_without_tau": Mutant(
+        "kernels_general.py", "laps.append(laps[-1] + tau)",
+        "laps.append(laps[-1])",
+        (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[binary_T_2.5_tau]",)),
+    "end_position_from_the_other_boundary": Mutant(
+        "kernels_general.py", "np.where(w > 0.0, 0.0, tau)",
+        "np.where(w > 0.0, tau, 0.0)",
+        (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[kept_positions]",)),
 }
 
 

@@ -93,8 +93,7 @@ CONFIGS = {
         "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=2.5, integrator_eps=0.3),
         "run": {"chains": 4, "burn_in": 100, "samples": 800, "seed": 13}},
     # With T below tau and positions redrawn, each clock fires at most once
-    # in an iteration, and the lockstep path takes its events from one sort
-    # of the hit times, between leapfrog segments.
+    # in an iteration.
     "general_beta1_sorted_gmm1d": {
         "model": {"type": "gmm1d"},
         "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=0.9),
@@ -105,8 +104,8 @@ CONFIGS = {
     "general_beta1.5": {
         "model": {"type": "gmm1d"}, "kernel": dict(_GMM1D_GENERAL, beta=1.5),
         "run": {"chains": 2, "burn_in": 100, "samples": 800, "seed": 23}},
-    # Clock positions kept at beta 1: every iteration finds its events
-    # round by round.
+    # Clock positions kept at beta 1: each clock's end position is computed
+    # at T from its last event, and the next iteration starts there.
     "general_kept_positions_beta1": {
         "model": {"type": "gmm1d"},
         "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=2.5, integrator_eps=0.3,
