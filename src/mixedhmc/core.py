@@ -370,17 +370,20 @@ def informed_rows(neglogp, cur, u):
     return new, delta, ok
 
 
-_FLIP_SIGN = np.array([1.0, -1.0])
+# Row v prices a flip from value v: -w_0 + w_1 from 0, w_0 - w_1 from 1.
+_FLIP_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 
-@np.errstate(invalid="ignore")          # inf - inf
 def flip_costs(neglogp, cur):
-    """The cost of flipping each row's binary site from value ``cur``:
-    ``neglogp[1] - neglogp[0]`` from 0, and its negation, bit for bit,
-    from 1; NaN when neither value has weight.  Rows at wider sites get a
-    meaningless value."""
-    return ((neglogp[:, 1] - neglogp[:, 0])
-            * _FLIP_SIGN.take(cur, mode="clip"))
+    """The cost of flipping each row's binary site from value ``cur``, for
+    the ``(C, 2)`` conditionals ``neglogp``: ``neglogp[1] - neglogp[0]``
+    from 0 and ``neglogp[0] - neglogp[1]`` from 1, bit for bit but for the
+    sign of a zero cost; NaN where both are the same infinity (neither
+    value has weight).  A ``cur`` past 1 counts as 1.  ``-a + b`` is ``b -
+    a`` in floats, and ``einsum``, unlike a ufunc, raises no floating-point
+    warning, so ``inf - inf`` needs no ``np.errstate``."""
+    return np.einsum("ck,ck->c", neglogp,
+                     _FLIP_SIGNS.take(cur, 0, mode="clip"))
 
 
 def site_proposals(neglogp, cur, widths, u):
@@ -402,7 +405,8 @@ def site_proposals(neglogp, cur, widths, u):
     if len(distinct) == 1 and 2 not in distinct:
         return informed_rows(neglogp[:, :distinct.pop()], cur, u)
     new = 1 - cur
-    delta = flip_costs(neglogp, cur)   # rows at wider sites replaced below
+    # Rows at wider sites are priced again below.
+    delta = flip_costs(neglogp[:, :2], cur)
     ok = np.ones(cur.size, dtype=bool)
     for width in distinct - {2}:
         r = np.flatnonzero(widths == width)

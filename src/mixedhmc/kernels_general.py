@@ -342,8 +342,9 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
     ``qd``, the magnitudes ``mag`` of the clock momenta and where they are
     negative (``neg``), and the continuous momenta ``pC``, row stacks; it
     moves ``pC`` in place to each row's end momenta.  Returns ``(x, q, qd,
-    pd, potential, stats)``: ``pd`` each row's end clock momenta, ``qd``
-    its end clock positions when they are kept, else ``qd`` as given."""
+    pd, potential, stats)``: ``qd`` each row's end clock positions and
+    ``pd`` its end clock momenta when positions are kept; else ``qd`` as
+    given, and ``pd`` None at beta 1, where nothing else reads it."""
     (n, nd), nc = x.shape, q.shape[1]
     tau, T, eps, beta = params.tau, params.T, params.integrator_eps, params.beta
 
@@ -355,7 +356,7 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
         # finite, as drawn); it moves at unit speed, and the loop's first
         # hit time (2 tau [v > 0] - 2 qD) / (2 v) at v = -1 or +1 is qD or
         # tau - qD, bit for bit: scaling by 2 is exact.
-        k = mag
+        k, pd = mag, None              # pd is built at T, if it is read
         ok = k.all(axis=1)
         sites, hs, fires = _event_schedule(np.where(neg, qd, tau - qd), T,
                                            tau)
@@ -508,13 +509,7 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
 
     u_end = rm.potential(xs, qs)
     moved = np.array(accepts, dtype=bool).reshape(n_events, n)
-    if beta == 1.0:
-        # A clock's momentum changes sign at each reflection: each time it
-        # fired and did not move.
-        at, ev = at_m[:n_events], fires[:n_events]
-        pd = np.where(neg, -k, k)
-        np.negative.at(pd.reshape(-1), at[ev > moved])
-    else:
+    if beta != 1.0:
         k = kinetic.k(pd)              # by numpy, as the loop's energy error
     # Divergent rows may hold non-finite energies; the loop's float
     # arithmetic on them raises no warning either.
@@ -533,6 +528,11 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
         # that its end velocity w leaves plus w (T - t) after its last
         # event at t, or its start plus w T if it never fired.
         if beta == 1.0:
+            # A clock's momentum changes sign at each reflection: each time
+            # it fired and did not move.
+            at, ev = at_m[:n_events], fires[:n_events]
+            pd = np.where(neg, -k, k)
+            np.negative.at(pd.reshape(-1), at[ev > moved])
             w = np.copysign(1.0, pd)
             last = np.full(n * nd, -np.inf)
             np.maximum.at(last, at[ev], hs[:n_events][ev])

@@ -90,7 +90,8 @@ class BinaryQuadratic(ModelSpec):
             w, field = W.take(j, axis=0), b.take(j)
         else:
             w, field = W[j], b[j]
-        h = (w * s).sum(axis=-1) + field
+        h = np.add.reduce(w * s, axis=-1)
+        h += field
         return h[..., None] * _SIGNS
 
     def initial_point(self, rng: ChainRng) -> MixedPoint:

@@ -64,16 +64,17 @@ class BlrDataset:
     support: np.ndarray  # indices of the nonzero true coefficients
 
 
-def _softplus(t):
-    # log(1 + exp(t)), overflow safe
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-
-
 class BlrVarsel(ModelSpec):
     """ModelSpec over ``x = gamma`` (d binary sites) and ``q = beta``.
 
     ``U = |beta|^2 / (2 prior_var) + (d/2) log(2 pi prior_var)
-         + sum_i [ softplus(t_i) - y_i t_i ]``  with ``t = X (beta * gamma)``.
+         + sum_i [ softplus(t_i) - y_i t_i ]``  with ``t = X (beta * gamma)``
+    and ``softplus(t) = max(t, 0) + log1p(exp(-|t|))``, overflow safe.
+
+    Each method converts ``gamma`` to floats once (0 and 1 convert
+    exactly) and runs its elementwise passes in place, in buffers of its
+    own making: on rows of 100 floats a temporary or a mixed int-float
+    product costs about as much as the pass itself.
     """
 
     row_stacked = True
@@ -101,21 +102,38 @@ class BlrVarsel(ModelSpec):
         return np.matmul((beta * gamma)[..., None, :], self._Xt)[..., 0, :]
 
     def _nll(self, t):
-        return np.sum(_softplus(t) - self.spec.y * t, axis=-1)
+        """``sum_i softplus(t_i) - y_i t_i`` over the last axis; ``t`` is
+        left as it was."""
+        s = np.abs(t)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.log1p(s, out=s)
+        m = np.maximum(t, 0.0)
+        s += m
+        s -= np.multiply(self.spec.y, t, out=m)
+        return np.add.reduce(s, axis=-1)
 
     def _prior(self, q):
         return (0.5 * np.einsum("...d,...d->...", q, q) / self.spec.prior_var
                 + self._prior_const)
 
     def potential(self, x, q):
-        u = self._prior(q) + self._nll(self._predictor(x, q))
+        t = self._predictor(x.astype(np.float64), q)
+        u = self._prior(q) + self._nll(t)
         return float(u) if x.ndim == 1 else u
 
     def grad_q(self, x, q) -> np.ndarray:
-        t = self._predictor(x, q)
-        p = 1.0 / (1.0 + np.exp(-t))
-        r = (self.spec.y - p)[..., None, :]
-        return q / self.spec.prior_var - x * np.matmul(r, self.spec.X)[..., 0, :]
+        xf = x.astype(np.float64)
+        # y - sigmoid(t), in t's buffer.
+        r = self._predictor(xf, q)
+        np.negative(r, out=r)
+        np.exp(r, out=r)
+        np.add(1.0, r, out=r)
+        np.divide(1.0, r, out=r)
+        np.subtract(self.spec.y, r, out=r)
+        g = np.matmul(r[..., None, :], self.spec.X)[..., 0, :]
+        g *= xf
+        return np.subtract(q / self.spec.prior_var, g, out=g)
 
     def site_cond_neglogp(self, j, x, q) -> np.ndarray:
         # Rank-one update of the linear predictor: only column j toggles.
@@ -123,13 +141,15 @@ class BlrVarsel(ModelSpec):
         one = x.ndim == 1
         if one:
             j, x, q = np.array([j]), x[None], q[None]
+        xf = x.astype(np.float64)
         at = np.arange(x.shape[0]) * self._d + j  # flat index of (r, j[r])
-        t = self._predictor(x, q)
+        t = self._predictor(xf, q)
         col = self._Xt.take(j, 0) * q.take(at)[:, None]
         both = np.empty((x.shape[0], 2, t.shape[1]))
-        np.subtract(t, x.take(at)[:, None] * col, out=both[:, 0])
+        np.subtract(t, xf.take(at)[:, None] * col, out=both[:, 0])
         np.add(both[:, 0], col, out=both[:, 1])
-        out = self._prior(q)[:, None] + self._nll(both)
+        out = self._nll(both)
+        out += self._prior(q)[:, None]
         return out[0] if one else out
 
     def initial_point(self, rng: ChainRng) -> MixedPoint:

@@ -32,11 +32,12 @@ KERNELS = {"laplace": LaplaceKernelParams, "general": GeneralParams,
            "naive": NaiveParams, "gibbs": GibbsParams}
 
 # Fewest chains per Laplace worker.  A lockstep round costs numpy's per-call
-# overhead once for the whole batch, so one chain alone pays 2.5-3.9x what it
-# pays in a batch of 4 (``laplace_step_batch`` on a 2-vCPU x86 host, µs per
-# chain-iteration at C = 1, 2, 4, 8: gmm1d 311, 154, 80, 44; BLR 684, 445,
-# 277, 188; gmm24 1382, 713, 367, 204); below that size a worker costs more
-# CPU per chain than it saves in wall time.
+# overhead once for the whole batch, so one chain alone pays 2.3-4.0x what it
+# pays in a batch of 4 (``run_chain_batch`` on a 2-vCPU x86 host, best of 60,
+# µs per chain-iteration at C = 1, 2, 4, 8: gmm1d at the README's settings
+# 473, 227, 119, 66; BLR and gmm24 at the benchmark's, 1104, 720, 474, 339
+# and 2237, 1133, 583, 323); below that size a worker costs more CPU per
+# chain than it saves in wall time.
 LAPLACE_MIN_BATCH = 4
 
 

@@ -242,7 +242,11 @@ def loop_step(point, aux, pC, T, model, kinetic, integrator_eps, rng,
     e0 = _energy(model, kinetic, x, qC, pD, p)
     n_acc, n_grad, ok = simulate(x, qD, pD, qC, p, aux.tau, T, model, kinetic,
                                  integrator_eps, rng, propose, events)
-    err = _energy(model, kinetic, x, qC, pD, p) - e0 if ok else np.nan
+    e1 = _energy(model, kinetic, x, qC, pD, p) if ok else np.nan
+    # A state of zero weight holds inf at both ends: NaN, as the shipped
+    # path takes it, without a warning.
+    with np.errstate(invalid="ignore"):
+        err = e1 - e0
     ok = bool(abs(err) <= DIVERGENCE_MAX)  # False on NaN
     # Every trajectory that did not diverge draws the Metropolis uniform.
     u = rng.uniform() if ok else 1.0

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from mixedhmc import ChainRng, KineticEnergy, MixedPoint, ModelSpec
 from mixedhmc.core import (DegenerateSiteError, NonFiniteWeightsError,
                            RowModel, _log_space_delta, _sure_rejections,
-                           informed_rows, leapfrog, propose_and_delta,
-                           site_proposals, site_widths)
+                           flip_costs, informed_rows, leapfrog,
+                           propose_and_delta, site_proposals, site_widths)
 from mixedhmc.models import (GaussianMixture, GmmSpec, gmm1d_preset,
                              random_binary_quadratic)
 from mixedhmc.runner import run_chains
@@ -632,6 +632,30 @@ class TestSiteProposalsProperty:
             if ok[r]:
                 assert n1[0] == new[r]
                 assert np.array_equal(d1[0], delta[r])
+
+
+_INF = math.inf
+
+
+class TestFlipCosts:
+    @pytest.mark.parametrize("cur", [0, 1])
+    @pytest.mark.parametrize("w", [(_INF, _INF), (-_INF, -_INF), (_INF, 2.5),
+                                   (2.5, _INF), (1.25, 1.25)])
+    def test_documented_cost_without_warning(self, w, cur):
+        """``w[1] - w[0]`` from 0 and ``w[0] - w[1]`` from 1, on Python
+        floats: NaN where both are the same infinity, +-inf where one value
+        alone has no weight, and zero where they are equal; no warning,
+        alone or among other rows."""
+        want = w[1] - w[0] if cur == 0 else w[0] - w[1]
+        rows = np.array([w, (0.5, 3.0), w])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = flip_costs(np.array([w]), np.array([cur]))
+            stacked = flip_costs(rows, np.array([cur, 1 - cur, cur]))
+        assert alone.shape == (1,) and alone.dtype == np.float64
+        assert np.array_equal(alone, [want], equal_nan=True)
+        assert np.array_equal(stacked, [want, 2.5 if cur else -2.5, want],
+                              equal_nan=True)
 
 
 class TestSureRejections:

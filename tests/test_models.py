@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -196,7 +197,101 @@ class TestLayout:
         assert np.array_equal(gmm.means, a)
 
 
+class _BlrReference:
+    """BlrVarsel's expressions as first written, kept as the reference of
+    the in-place methods: int gamma times float beta, a temporary per
+    softplus and sigmoid pass, and ``np.sum``."""
+
+    def __init__(self, spec):
+        self.X, self.y, self.prior_var = spec.X, spec.y, spec.prior_var
+        self.d = spec.X.shape[1]
+        self.Xt = np.ascontiguousarray(spec.X.T)
+        self.prior_const = 0.5 * self.d * np.log(2.0 * np.pi * spec.prior_var)
+
+    def predictor(self, gamma, beta):
+        return np.matmul((beta * gamma)[..., None, :], self.Xt)[..., 0, :]
+
+    def nll(self, t):
+        softplus = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        return np.sum(softplus - self.y * t, axis=-1)
+
+    def prior(self, q):
+        return (0.5 * np.einsum("...d,...d->...", q, q) / self.prior_var
+                + self.prior_const)
+
+    def potential(self, x, q):
+        u = self.prior(q) + self.nll(self.predictor(x, q))
+        return float(u) if x.ndim == 1 else u
+
+    def grad_q(self, x, q):
+        t = self.predictor(x, q)
+        p = 1.0 / (1.0 + np.exp(-t))
+        r = (self.y - p)[..., None, :]
+        return q / self.prior_var - x * np.matmul(r, self.X)[..., 0, :]
+
+    def site_cond_neglogp(self, j, x, q):
+        one = x.ndim == 1
+        if one:
+            j, x, q = np.array([j]), x[None], q[None]
+        at = np.arange(x.shape[0]) * self.d + j
+        t = self.predictor(x, q)
+        col = self.Xt.take(j, 0) * q.take(at)[:, None]
+        both = np.empty((x.shape[0], 2, t.shape[1]))
+        np.subtract(t, x.take(at)[:, None] * col, out=both[:, 0])
+        np.add(both[:, 0], col, out=both[:, 1])
+        out = self.prior(q)[:, None] + self.nll(both)
+        return out[0] if one else out
+
+
+def _blr_states(ref, rng, n):
+    """``n`` BLR states for ``ref``'s data: gamma random, but all 0 in the
+    first row and all 1 in the second and the last; beta at scales from
+    0.01 to 1, and in the last quarter scaled so that the largest
+    predictor |t| is 690, near where exp(-t) would overflow."""
+    x = (rng.uniform((n, ref.d)) < 0.5).astype(np.int64)
+    x[0], x[1], x[-1] = 0, 1, 1
+    q = rng.normal((n, ref.d)) * np.geomspace(0.01, 1.0, n)[:, None]
+    for r in range(n - n // 4, n):
+        q[r] *= 690.0 / np.abs(ref.predictor(x[r], q[r])).max()
+    return x, q
+
+
 class TestBlr:
+    def test_in_place_methods_keep_the_reference_bits(self):
+        """potential, grad_q and site_cond_neglogp give the reference
+        expressions' bits, on single states and on stacks of 1, 8 and 48
+        rows, with gamma all 0 or all 1 and predictors up to |t| ~ 690."""
+        data = blr_generate(5)
+        model, ref = BlrVarsel(data.spec), _BlrReference(data.spec)
+        rng = ChainRng(53, 0)
+        x, q = _blr_states(ref, rng, 48)
+        assert np.abs(ref.predictor(x, q)).max() > 680.0
+        j = np.array([int(rng.uniform() * model.n_discrete)
+                      for _ in range(48)])
+
+        def same(got, want):
+            got, want = np.asarray(got), np.asarray(want)
+            return (got.dtype == want.dtype and got.shape == want.shape
+                    and got.tobytes() == want.tobytes())
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in range(48):
+                args = (x[r], q[r])
+                assert same(model.potential(*args), ref.potential(*args)), r
+                assert same(model.grad_q(*args), ref.grad_q(*args)), r
+                assert same(model.site_cond_neglogp(int(j[r]), *args),
+                            ref.site_cond_neglogp(int(j[r]), *args)), r
+            for c in (1, 8, 48):
+                for start in range(0, 48, c):
+                    rows = slice(start, start + c)
+                    args = (x[rows], q[rows])
+                    for method in ("potential", "grad_q"):
+                        assert same(getattr(model, method)(*args),
+                                    getattr(ref, method)(*args)), (method, c)
+                    assert same(model.site_cond_neglogp(j[rows], *args),
+                                ref.site_cond_neglogp(j[rows], *args)), c
+
     def test_generated_design_covariance(self):
         data = blr_generate(17, n=10_000, d=20)
         col_var = data.spec.X.var(axis=0, ddof=1)

@@ -81,6 +81,12 @@ MUTANTS = {
         (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[binary_T_2.5_tau]",
          f"{_LOCKSTEP}::test_each_chain_equals_the_loop"
          "[mixed_widths_sorted]")),
+    # A flip from value 1 priced as one from value 0.
+    "flip_cost_sign_from_1": Mutant(
+        "core.py", "_FLIP_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])",
+        "_FLIP_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0]])",
+        (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[binary6_T_tau]",
+         "tests/test_core.py::TestFlipCosts")),
     "refraction_keeps_energy": Mutant(
         "core.py", "k.put(at, np.where(moved, left, energy))",
         "k.put(at, energy)",
@@ -101,6 +107,10 @@ MUTANTS = {
         "kernels_general.py", "laps.append(laps[-1] + tau)",
         "laps.append(laps[-1])",
         (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[binary_T_2.5_tau]",)),
+    # At beta 1 a kept clock's end momentum turns at each reflection only.
+    "every_event_reflects": Mutant(
+        "kernels_general.py", "at[ev > moved]", "at[ev]",
+        (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[kept_positions]",)),
     "end_position_from_the_other_boundary": Mutant(
         "kernels_general.py", "np.where(w > 0.0, 0.0, tau)",
         "np.where(w > 0.0, tau, 0.0)",
