@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -39,6 +38,11 @@ KERNELS = {"laplace": LaplaceKernelParams, "general": GeneralParams,
 # and 2237, 1133, 583, 323); below that size a worker costs more CPU per
 # chain than it saves in wall time.
 LAPLACE_MIN_BATCH = 4
+
+# ``concurrent.futures.ProcessPoolExecutor``, imported by the first run that
+# takes more than one worker: the import loads ``multiprocessing``, which a
+# one-worker run never uses.
+ProcessPoolExecutor = None
 
 
 def random_point(model: ModelSpec, rng: ChainRng) -> MixedPoint:
@@ -151,12 +155,15 @@ def run_chains(kind: str, model: ModelSpec, kernel_kwargs: dict,
     worker count.  The settings ``kernel_kwargs`` (see :func:`kernel_params`)
     are checked before any worker starts.
     """
+    global ProcessPoolExecutor
     params = kernel_params(kind, model, kernel_kwargs)
     tasks = [(params, model, n_burn, n_samples, seed, streams)
              for streams in chain_batches(kind, n_chains, threads)]
     if len(tasks) <= 1:
         batches = [_batch_task(t) for t in tasks]
     else:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             batches = list(pool.map(_batch_task, tasks))
     return [out for batch in batches for out in batch]

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mixedhmc import ChainRng, run_chain_general
 from mixedhmc.baselines import run_gibbs_chain, run_naive_chain
 from mixedhmc.cli import (MODELS, main, output_paths, run_settings,
                           write_samples_csv)
+from mixedhmc.diagnostics import ChainOutput
 from mixedhmc.models import blr_dataset_to_csv, blr_generate
 from mixedhmc.runner import (KERNELS, chain_batches, default_init,
                              resolve_threads, run_chains)
@@ -184,6 +186,63 @@ class TestDeterminismAcrossWorkers:
                 data.append(fh.read())
         assert data[0] == data[1]
         assert data[0].count(b"\n") == 1 + 9 * 30
+
+
+def per_row_csv(outputs, model):
+    """The samples CSV as one %-format per row, every value column printed
+    with ``%.17g``: the reference the block writer must match byte for
+    byte."""
+    cols = ([f"x_{j}" for j in range(model.n_discrete)]
+            + [f"q_{d}" for d in range(model.n_continuous)])
+    line = "%d,%d,%d," + ",".join(["%.17g"] * len(cols)) + "\n"
+    text = "chain,iter,accept," + ",".join(cols) + "\n"
+    for chain_id, out in enumerate(outputs):
+        for i, accept in enumerate(out.accept_trace.tolist()):
+            text += line % (chain_id, i, accept, *out.samples[i].tolist())
+    return text.encode()
+
+
+class TestSamplesCsv:
+    # Values that a %-format could print otherwise: a negative zero, the
+    # least subnormal, a huge and a small magnitude, and one with no exact
+    # binary form.
+    AWKWARD = (-0.0, 5e-324, 1e300, 0.1, -1.5e-7)
+
+    @pytest.mark.parametrize("shape", ["gmm1d", "blr", "binary",
+                                       "no_sites"])
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    def test_bytes_equal_the_per_row_writer(self, tmp_path, shape,
+                                            n_chains):
+        """Sites with 2 and 4 values, with and without coordinates, and no
+        site at all; no row, one row, one whole block and one row more."""
+        model = {
+            "gmm1d": mixedhmc.models.gmm1d_preset,
+            "blr": lambda: mixedhmc.models.BlrVarsel(
+                blr_generate(0, n=30, d=20).spec),
+            "binary": lambda: mixedhmc.models.random_binary_quadratic(
+                6, ChainRng(0, 0)),
+            "no_sites": lambda: types.SimpleNamespace(n_discrete=0,
+                                                      n_continuous=2),
+        }[shape]()
+        nd, nc = model.n_discrete, model.n_continuous
+        widths = [model.site_cardinality(j) for j in range(nd)]
+        rng = np.random.default_rng(7)
+        block = mixedhmc.cli._CSV_BLOCK_ROWS
+        for n_rows in (0, 1, block, block + 1):
+            outputs = []
+            for _ in range(n_chains):
+                x = rng.integers(0, widths, (n_rows, nd))
+                if n_rows:
+                    x[-1] = np.subtract(widths, 1)
+                q = rng.normal(size=(n_rows, nc))
+                awkward = np.resize(self.AWKWARD, q.size).reshape(q.shape)
+                q[::2] = awkward[::2]
+                outputs.append(ChainOutput(np.hstack([x, q]),
+                                           rng.random(n_rows) < 0.5))
+            path = os.path.join(tmp_path, f"samples_{n_rows}.csv")
+            write_samples_csv(path, outputs, model)
+            with open(path, "rb") as fh:
+                assert fh.read() == per_row_csv(outputs, model), n_rows
 
 
 class TestAtomicWrites:
@@ -715,6 +774,17 @@ class TestImports:
         src = os.path.dirname(os.path.dirname(mixedhmc.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, mixedhmc.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_cli_import_leaves_multiprocessing_unloaded(self):
+        """A one-worker run never starts a process pool, so it does not
+        pay for importing one."""
+        src = os.path.dirname(os.path.dirname(mixedhmc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, mixedhmc.cli; "
+                "print('multiprocessing' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"

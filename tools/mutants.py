@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 _GENERAL = "tests/test_kernels_general.py"
 _LOCKSTEP = f"{_GENERAL}::TestLockstepMatchesLoop"
+_CSV_BYTES = ("tests/test_cli.py::TestSamplesCsv"
+              "::test_bytes_equal_the_per_row_writer")
 
 
 class Mutant(NamedTuple):
@@ -115,6 +117,13 @@ MUTANTS = {
         "kernels_general.py", "np.where(w > 0.0, 0.0, tau)",
         "np.where(w > 0.0, tau, 0.0)",
         (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[kept_positions]",)),
+    # The samples CSV's block writer: coordinates printed as integers, and
+    # iteration numbers counted from each block rather than the chain.
+    "csv_coordinates_as_integers": Mutant(
+        "cli.py", '["%.17g"] * model.n_continuous',
+        '["%d"] * model.n_continuous', (_CSV_BYTES,)),
+    "csv_iter_restarts_per_block": Mutant(
+        "cli.py", "np.arange(lo, hi)", "np.arange(hi - lo)", (_CSV_BYTES,)),
 }
 
 
