@@ -8,7 +8,6 @@ The same checks back the heavier acceptance tests.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -171,8 +170,7 @@ def check_distributions(seed: int = 20243, n_draws: int = 100_000,
         energy = kin_b.k(p)
         d_e = rng.uniform(p.size) * energy  # always below k(p)
         keep = energy > d_e
-        out = np.array(list(map(refract, p[keep].tolist(),
-                                d_e[keep].tolist(), repeat(kin_b))))
+        out = refract(p[keep], d_e[keep], kin_b)
         err = float(np.abs(kin_b.k(out) - (energy[keep] - d_e[keep])).max())
         results.append(CheckResult("distributions",
                                    f"refract_energy_identity_beta_{beta:.4g}",

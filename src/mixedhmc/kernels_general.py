@@ -19,14 +19,17 @@ time to the next, and a clock's position is computed once, at ``T``.  At
 beta 1 every clock moves at unit speed whatever happens at its events, so
 an iteration's events come from one sort of the times ``h_j + k tau`` up to
 ``T``.  At other beta a refraction changes a clock's speed, and each round
-finds every chain's next event afresh.  The arithmetic is that of an event
-loop on one chain ("the loop" below, which ``tests/oracle.py`` keeps as the
-reference), so each chain's samples are the same alone and in any batch.
+finds every chain's next event afresh.  Each clock carries its kinetic
+energy, which a refraction lowers by the move's cost, and moves at the
+velocity of the momentum of that energy; at every beta the fired clocks
+turn by whole-row numpy arithmetic, each row's on its own values, so each
+chain's samples are the same alone and in any batch.  The reference is an
+event loop on one chain ("the loop" below, which ``tests/oracle.py``
+keeps) that takes the same arithmetic on one-element arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,58 +117,23 @@ def initial_hit_time(qd, pd, tau: float, kinetic: KineticEnergy):
     return t if t.ndim else float(t)
 
 
-def refract(pd: float, delta_e: float, kinetic: KineticEnergy) -> float:
+def refract(pd, delta_e, kinetic: KineticEnergy):
     """Pass through a boundary, paying ``delta_e`` out of the kinetic energy.
 
-    Returns ``sign(pd) * kinv(k(pd) - delta_e)`` on floats, by the event
-    kernel's own refraction; requires ``k(pd) > delta_e`` (callers must
-    reflect otherwise).  Sign is preserved and the new kinetic energy is
-    the old minus ``delta_e``.
+    Returns ``sign(pd) * kinv(k(pd) - delta_e)``, elementwise on arrays (a
+    float for a float), by numpy's array arithmetic, which the event kernel
+    refracts with; requires ``k(pd) > delta_e`` (callers must reflect
+    otherwise).  Sign is preserved and the new kinetic energy is the old
+    minus ``delta_e``.
     """
-    energy = float(kinetic.k(pd))
-    if not energy > delta_e:
+    # A 1-D array even for a float: numpy's scalar ``**`` is libm's pow,
+    # which differs from its array pow in the last bit on some values.
+    p = np.array(pd, dtype=np.float64, ndmin=1)
+    energy = kinetic.k(p)
+    if not (energy > delta_e).all():
         raise ValueError("refract requires k(p) > delta_e; reflect instead")
-    return _refracted(pd, energy - delta_e, _float_kinv(kinetic))
-
-
-def _float_kinv(kinetic: KineticEnergy):
-    """``kinetic.kinv`` on one float, bit for bit.
-
-    numpy computes ``e ** (1 / beta)`` on an array with its own ``pow``,
-    except for the exponents 1, 2 and 0.5, where it takes the identity, the
-    square and ``sqrt``; only those have float forms that match it.
-    """
-    r = 1.0 / kinetic.beta
-    if r == 1.0:
-        return float
-    if r == 2.0:
-        return lambda e: e * e
-    if r == 0.5:
-        return math.sqrt
-    return lambda e: float(kinetic.kinv(e))
-
-
-def _refracted(p, left, kinv):
-    """The momentum of the sign of ``p`` and kinetic energy ``left > 0``:
-    ``sign(p) * kinv(left)``, with ``kinv`` from :func:`_float_kinv`."""
-    mag = kinv(left)
-    return mag if p > 0.0 else -mag
-
-
-def _float_energy(p, beta):
-    """A clock's kinetic energy ``|p| ** beta`` on a float, by libm's
-    ``pow`` (numpy's array ``pow`` differs from it in the last bit on some
-    values); inf where it overflows."""
-    try:
-        return abs(p) ** beta
-    except OverflowError:
-        return math.inf
-
-
-def _runs(p, v) -> bool:
-    """Whether a clock with momentum ``p`` and velocity ``v`` can be run:
-    both finite, and the clock not standing still."""
-    return math.isfinite(p) and math.isfinite(v) and v != 0.0
+    out = np.sign(p) * kinetic.kinv(energy - delta_e)
+    return out if np.ndim(pd) else float(out[0])
 
 
 def general_step(point: MixedPoint, aux: AuxiliaryState, pC: np.ndarray,
@@ -313,21 +281,21 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
     ``|p|``, which a refraction lowers and a reflection keeps, is all it
     carries: one sort of those times up to ``T`` gives every chain's events
     for the iteration (:func:`_event_schedule`).  At other beta each round
-    finds every chain's next event, the first of its clocks' next times;
-    the clock that fires takes its energy ``|p| ** beta``, refracted
-    momentum, new speed and next time on floats, one per chain, as the loop
-    takes them.  Between events the continuous coordinates take one
-    leapfrog segment per chain, from one event time to the next and from
-    the last to ``T``, a chain whose segment needs fewer steps taking
-    zero-length steps for the rest; a segment starts from the gradient the
-    last one ended with unless a refraction came in between.  The clock
-    positions are computed once, at ``T``, and only when they are kept.  A
-    chain diverges on a non-finite momentum or velocity, or a zero
-    velocity, of a clock on entry, at a proposal with no finite weights, at
-    a refraction to such a clock or to one that would run into the event
-    cap, past the event cap, and on an energy error above
-    ``DIVERGENCE_MAX``; it then takes no further step or draw and is
-    rejected.
+    finds every chain's next event, the first of its clocks' next times,
+    and the fired clocks turn together: each keeps its kinetic energy,
+    which a refraction lowers, and a refracted clock takes the velocity
+    ``k'`` of the momentum ``kinv`` of the energy left.  Between events the
+    continuous coordinates take one leapfrog segment per chain, from one
+    event time to the next and from the last to ``T``, a chain whose
+    segment needs fewer steps taking zero-length steps for the rest; a
+    segment starts from the gradient the last one ended with unless a
+    refraction came in between.  The clock positions are computed once, at
+    ``T``, and only when they are kept.  A chain diverges on a non-finite
+    momentum or velocity, or a zero velocity, of a clock on entry, at a
+    proposal with no finite weights, at a refraction to such a clock or to
+    one that would run into the event cap, past the event cap, and on an
+    energy error above ``DIVERGENCE_MAX``; it then takes no further step or
+    draw and is rejected.
     """
     nd, nc = model.n_discrete, model.n_continuous
     x, q, qD, _, potential, stats = _general_step(
@@ -344,7 +312,7 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
     moves ``pC`` in place to each row's end momenta.  Returns ``(x, q, qd,
     pd, potential, stats)``: ``qd`` each row's end clock positions and
     ``pd`` its end clock momenta when positions are kept; else ``qd`` as
-    given, and ``pd`` None at beta 1, where nothing else reads it."""
+    given, and ``pd`` None, as nothing else reads it."""
     (n, nd), nc = x.shape, q.shape[1]
     tau, T, eps, beta = params.tau, params.T, params.integrator_eps, params.beta
 
@@ -356,21 +324,21 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
         # finite, as drawn); it moves at unit speed, and the loop's first
         # hit time (2 tau [v > 0] - 2 qD) / (2 v) at v = -1 or +1 is qD or
         # tau - qD, bit for bit: scaling by 2 is exact.
-        k, pd = mag, None              # pd is built at T, if it is read
+        k = mag
         ok = k.all(axis=1)
         sites, hs, fires = _event_schedule(np.where(neg, qd, tau - qd), T,
                                            tau)
         at_m = sites + offsets         # flat index of each row's m-th event
         fires &= ok                    # divergent rows have no more events
     else:
+        # A clock runs when its velocity is finite and nonzero; a momentum
+        # that is not finite gives it a velocity that is not.
         kinetic = KineticEnergy(beta)
-        kinv = _float_kinv(kinetic)
-        pd = np.where(neg, -mag, mag)
-        k = kinetic.k(pd)
+        k = kinetic.k(mag)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vel = kinetic.kprime(pd)
+            vel = kinetic.kprime(np.where(neg, -mag, mag))
             fire = _hit_time(qd, vel, tau)   # each clock's next event time
-        ok = (np.isfinite(pd) & np.isfinite(vel) & (vel != 0.0)).all(axis=1)
+        ok = (np.isfinite(vel) & (vel != 0.0)).all(axis=1)
         last = np.full((n, nd), -np.inf)     # each clock's last event time
     e0 = potential + k.sum(axis=1)
     if nc:
@@ -437,12 +405,6 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
             u = np.full(n, np.nan)
             for r in np.flatnonzero(event & (width > 2)).tolist():
                 u[r] = rngs[r].uniform()
-        if beta != 1.0:
-            # The fired clocks' energies, as the loop takes them at each
-            # event; at beta 1 they are kept in k.
-            fired = at.compress(event)
-            k.put(fired, [_float_energy(p, beta)
-                          for p in pd.take(fired).tolist()])
         # A refraction pays the cost out of the clock's kinetic energy;
         # a reflection keeps it.  A skipped proposal reflects every row
         # with an event.
@@ -455,42 +417,28 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
             stale |= acc
         diverged = None
         if beta != 1.0:
-            # Each fired clock turns as the loop turns it, on floats: a
-            # reflection negates its momentum and velocity; a refraction
-            # takes the momentum of the energy left and its speed, unless
-            # the clock would not run, or would run into the event cap:
-            # then the chain diverges, its clock left as it was.  The clock
-            # fires next tau / |v| after this event.
-            rows = event.nonzero()[0]
-            fired = at.take(rows)
-            turned, dead = [], []      # each fired clock's p, v, next, last
-            # With no proposal priced no clock refracts, and e goes unread.
-            for r, moved, p, w, s, e in zip(
-                    rows.tolist(), acc.take(rows).tolist(),
-                    pd.take(fired).tolist(), vel.take(fired).tolist(),
-                    t.take(rows).tolist(),
-                    (acc if left is None else left).take(rows).tolist()):
-                if not moved:
-                    p, w = -p, -w
-                else:
-                    p_in, w_in = p, w
-                    p = _refracted(p, e, kinv)
-                    try:
-                        w = beta * abs(p) ** (beta - 1.0)
-                    except (OverflowError, ZeroDivisionError):
-                        w = math.nan
-                    if not _runs(p, w) or w * T > cap:
-                        dead.append(r)
-                        p, w = p_in, w_in
-                    else:
-                        w = w if p > 0.0 else -w
-                turned.append((p, w, s + tau / abs(w), s))
-            for stack, values in zip((pd, vel, fire, last), zip(*turned)):
-                stack.put(fired, values)
-            if dead:
-                diverged = np.zeros(n, dtype=bool)
-                diverged[dead] = True
-        elif left is not None and (T > cap or math.inf in left.tolist()):
+            # Each fired clock turns: a reflection negates its velocity; a
+            # refraction takes the velocity of the momentum of the energy
+            # left, unless the clock would not run, or would run into the
+            # event cap: then the chain diverges, its clock's velocity kept.
+            # The clock fires next tau / |v| after this event.
+            w = vel.take(at)
+            turned = -w                # a reflection's velocity
+            if np.count_nonzero(acc):  # some row refracted
+                # A row that did not refract has left <= 0 or NaN, and its
+                # v goes unread; an infinite or overflowing momentum gives
+                # a speed that the masks stop.
+                with np.errstate(all="ignore"):
+                    v = kinetic.kprime(np.copysign(kinetic.kinv(left), w))
+                runs = np.isfinite(v) & (v != 0.0)
+                stops = acc & ~(runs & (np.abs(v) * T <= cap))
+                turned = np.where(stops, w, np.where(acc, v, turned))
+                diverged = stops if np.count_nonzero(stops) else None
+            fired, s, w = at[event], t[event], turned[event]
+            vel.put(fired, w)
+            fire.put(fired, s + tau / np.abs(w))
+            last.put(fired, s)
+        elif left is not None and (T > cap or np.inf in left.tolist()):
             # At unit speed a refraction diverges to an infinite momentum,
             # and any refraction does once T alone passes the event cap.
             diverged = acc if T > cap else acc & (left == np.inf)
@@ -509,8 +457,6 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
 
     u_end = rm.potential(xs, qs)
     moved = np.array(accepts, dtype=bool).reshape(n_events, n)
-    if beta != 1.0:
-        k = kinetic.k(pd)              # by numpy, as the loop's energy error
     # Divergent rows may hold non-finite energies; the loop's float
     # arithmetic on them raises no warning either.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -523,6 +469,7 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
                   for rng, run in zip(rngs, ok.tolist())])
     accepted = ok & (u < np.exp(-np.maximum(err, 0.0)))
     keep = accepted[:, None]
+    pd = None                          # the end clock momenta, if read
     if not params.resample_positions:
         # Each clock's position at T, as the loop takes it: the boundary
         # that its end velocity w leaves plus w (T - t) after its last
@@ -534,11 +481,11 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
             pd = np.where(neg, -k, k)
             np.negative.at(pd.reshape(-1), at[ev > moved])
             w = np.copysign(1.0, pd)
-            last = np.full(n * nd, -np.inf)
-            np.maximum.at(last, at[ev], hs[:n_events][ev])
-            last = last.reshape(n, nd)
+            last = np.full((n, nd), -np.inf)
+            np.maximum.at(last.reshape(-1), at[ev], hs[:n_events][ev])
         else:
             w = vel
+            pd = np.copysign(kinetic.kinv(k), w)
         pos = (np.where(last >= 0.0, np.where(w > 0.0, 0.0, tau), qd)
                + w * (T - np.maximum(last, 0.0)))
         qd = np.where(keep, np.clip(pos, 0.0, tau, out=pos), qd)

@@ -3,10 +3,11 @@
 The locally informed proposal in two steps: draw the move, then price it
 from the potential, or price a given move from a fresh evaluation of the
 site's conditionals (the kernels use ``core.informed_rows``).  The
-event-driven kernel as an event loop on one chain, on Python floats
-(``simulate``, ``loop_step``, ``run_loop_chain``), and the same loop in
-numpy calls on single values (``reference_simulate``); the package steps
-chains in lockstep (``kernels_general``).  And ``ess_reference``, the
+event-driven kernel as an event loop on one chain, its times on Python
+floats and every ``pow`` numpy's on one-element arrays (``simulate``,
+``loop_step``, ``run_loop_chain``), and the same loop in numpy calls on
+arrays (``reference_simulate``); the package steps chains in lockstep
+(``kernels_general``).  And ``ess_reference``, the
 effective sample size one transform per half chain with Geyer's truncation
 stepped lag by lag (the package uses ``diagnostics.ess``)."""
 
@@ -22,8 +23,7 @@ from mixedhmc.core import (DIVERGENCE_MAX, DegenerateSiteError, KineticEnergy,
                            propose_and_delta)
 from mixedhmc.diagnostics import (DegenerateDimensionWarning, StepStats,
                                   drive_chains)
-from mixedhmc.kernels_general import (AuxiliaryState, _float_kinv,
-                                      _refracted, sample_auxiliary)
+from mixedhmc.kernels_general import AuxiliaryState, sample_auxiliary
 
 
 def default_proposal_sample(j, x, q, model, rng):
@@ -101,10 +101,14 @@ def _hit_time(qd, v, tau):
     return (2.0 * tau * (v > 0) - 2.0 * qd) / (2.0 * v)
 
 
-def _runs(p, v) -> bool:
-    """Whether a clock with momentum ``p`` and velocity ``v`` can be run:
-    both finite, and the clock not standing still."""
-    return math.isfinite(p) and math.isfinite(v) and v != 0.0
+def _speed(kinetic, energy, v):
+    """The velocity ``k'(p)`` of the momentum ``p`` of kinetic energy
+    ``energy`` and the sign of ``v``, by numpy's array ``pow`` on
+    one-element arrays: on a numpy scalar ``**`` is libm's ``pow``, which
+    differs from it in the last bit on some values."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return float(kinetic.kprime(np.copysign(
+            kinetic.kinv(np.array([energy])), v))[0])
 
 
 def _integrate(x, q, p, duration, max_step, model, g):
@@ -125,29 +129,32 @@ def simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
     ``t + tau / |v|`` after an event at time ``t``, where it leaves a
     boundary at velocity ``v``.  A segment runs from one event time to the
     next, the last one to ``T``; a hit at exactly ``T`` fires and ends the
-    trajectory.  Clock positions are not stepped: on exit each is its last
-    boundary plus ``v (T - t)``, or ``qD + v T`` if it never fired, clipped
-    to ``[0, tau]``, and ``pD`` the end momenta.  Each leapfrog segment
-    starts from the gradient the last one ended with, unless a refraction
-    moved ``x`` in between.
+    trajectory.  Each clock carries its kinetic energy, ``k(pD)`` at the
+    start, which a refraction lowers by the move's cost and a reflection
+    keeps; a refracted clock takes the velocity of the momentum of that
+    energy (:func:`_speed`), so every ``pow`` is numpy's on arrays.  Clock
+    positions are not stepped: on exit each is its last boundary plus ``v
+    (T - t)``, or ``qD + v T`` if it never fired, clipped to ``[0, tau]``,
+    and ``pD`` (unless ``ok`` is False) the momenta of the end energies and
+    velocities.  Each leapfrog segment starts from the gradient the last one
+    ended with, unless a refraction moved ``x`` in between.
 
     ``propose(j, x, qC, rng) -> (new_value, delta_e)`` may be overridden to
     inject a fixed proposal sequence (used by reversibility tests), and
     ``events``, unless None, receives ``(site, old, new, accepted)`` for
-    each event.  Returns ``(n_accepts, n_grads, ok)``; ``ok`` is False when
-    the trajectory degenerated: non-finite weights, a clock whose momentum
-    or velocity is not finite or whose velocity is zero (on entry or after
-    a refraction), a refraction leaving a clock fast enough to cross the
-    circle more than ``kernels_general._MAX_EVENTS`` times in time ``T``,
-    or a runaway event count.
+    each event.  Returns ``(n_accepts, n_grads, ok, energies)``, the last
+    the clocks' end kinetic energies; ``ok`` is False when the trajectory
+    degenerated: non-finite weights, a clock whose momentum or velocity is
+    not finite or whose velocity is zero (on entry or after a refraction),
+    a refraction to an infinite energy or leaving a clock fast enough to
+    cross the circle more than ``kernels_general._MAX_EVENTS`` times in time
+    ``T``, or a runaway event count.
     """
     max_events = kernels_general._MAX_EVENTS
     nd = qD.size
     nc = qC.size
-    beta = kinetic.beta
-    kinv = _float_kinv(kinetic)
     v = kinetic.kprime(pD)
-    pd, vel = pD.tolist(), v.tolist()
+    en, vel = kinetic.k(pD).tolist(), v.tolist()
     fire = _hit_time(qD, v, tau).tolist()
     # Each clock's position at its last event, and that event's time; its
     # start and 0 before any.
@@ -156,7 +163,8 @@ def simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
     n_grad = 0
     g = None  # gradient at (x, qC) where the last leapfrog segment ended
 
-    ok = all(map(_runs, pd, vel))
+    ok = all(math.isfinite(p) and math.isfinite(w) and w != 0.0
+             for p, w in zip(pD.tolist(), vel))
     now = 0.0
     n_events = 0
     while ok and now < T:
@@ -177,29 +185,20 @@ def simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
                 ok = False
                 break
             old = int(x[j])
-            p = pd[j]
-            try:
-                energy = abs(p) ** beta
-            except OverflowError:
-                energy = math.inf
-            accepted = energy > d_e
+            accepted = en[j] > d_e
             if accepted:
                 x[j] = new
                 g = None
-                p = _refracted(p, energy - d_e, kinv)
-                try:
-                    w = beta * abs(p) ** (beta - 1.0)
-                except (OverflowError, ZeroDivisionError):
-                    w = math.nan
+                en[j] -= d_e
+                w = _speed(kinetic, en[j], vel[j])
                 # A clock this fast would run into the event cap: diverge now.
-                if not _runs(p, w) or w * T > tau * max_events:
+                if (en[j] == math.inf or not math.isfinite(w) or w == 0.0
+                        or abs(w) * T > tau * max_events):
                     ok = False
                     break
-                pd[j] = p
-                vel[j] = w if p > 0.0 else -w
+                vel[j] = w
                 n_acc += 1
             else:
-                pd[j] = -p
                 vel[j] = -vel[j]
             # The clock leaves the boundary that its velocity points away from.
             start[j] = 0.0 if vel[j] > 0.0 else tau
@@ -214,8 +213,10 @@ def simulate(x, qD, pD, qC, pC, tau, T, model, kinetic, integrator_eps, rng,
     # np.clip(start + vel * (T - last), 0, tau)
     qD[:] = [tau if (c := a + w * (T - s)) > tau else (0.0 if c < 0.0 else c)
              for a, w, s in zip(start, vel, last)]
-    pD[:] = pd
-    return n_acc, n_grad, ok
+    en = np.array(en)
+    if ok:
+        pD[:] = np.copysign(kinetic.kinv(en), vel)
+    return n_acc, n_grad, ok, en
 
 
 def loop_step(point, aux, pC, T, model, kinetic, integrator_eps, rng,
@@ -239,10 +240,11 @@ def loop_step(point, aux, pC, T, model, kinetic, integrator_eps, rng,
     pD = aux.pD.copy()
     p = np.array(pC, dtype=np.float64, copy=True)
 
-    e0 = _energy(model, kinetic, x, qC, pD, p)
-    n_acc, n_grad, ok = simulate(x, qD, pD, qC, p, aux.tau, T, model, kinetic,
-                                 integrator_eps, rng, propose, events)
-    e1 = _energy(model, kinetic, x, qC, pD, p) if ok else np.nan
+    e0 = _energy(model, x, qC, kinetic.k(pD), p)
+    n_acc, n_grad, ok, k = simulate(x, qD, pD, qC, p, aux.tau, T, model,
+                                    kinetic, integrator_eps, rng, propose,
+                                    events)
+    e1 = _energy(model, x, qC, k, p) if ok else np.nan
     # A state of zero weight holds inf at both ends: NaN, as the shipped
     # path takes it, without a warning.
     with np.errstate(invalid="ignore"):
@@ -259,8 +261,10 @@ def loop_step(point, aux, pC, T, model, kinetic, integrator_eps, rng,
     return point, aux, pC, stats
 
 
-def _energy(model, kinetic, x, q, pD, p):
-    e = model.potential(x, q) + float(np.sum(kinetic.k(pD)))
+def _energy(model, x, q, k, p):
+    """The total energy at ``(x, q)`` with clock kinetic energies ``k``
+    and continuous momenta ``p``."""
+    e = model.potential(x, q) + float(np.sum(k))
     # The continuous momenta as a one-row stack, as the lockstep path sums
     # them; with none, the term is 0.
     return e + float(kinetic_energy(p[None])[0]) if p.size else e
@@ -292,10 +296,10 @@ def run_loop_chain(init, params, model, n_burn, n_samples, rng):
 
 def reference_simulate(x, qD, pD, qC, pC, tau, T, model, kinetic,
                        integrator_eps, rng, propose, events):
-    """The event loop written with numpy calls on single values, one
-    leapfrog segment per gap between events, each starting with a fresh
-    gradient: the reference that :func:`simulate` must match bit for
-    bit."""
+    """The event loop written with numpy calls on arrays, each clock's
+    values on one-element slices, one leapfrog segment per gap between
+    events, each starting with a fresh gradient: the reference that
+    :func:`simulate` must match bit for bit, with its return values."""
     def hit_time(qd, v):
         return (tau * (np.sign(v) + 1.0) - 2.0 * qd) / (2.0 * v)
 
@@ -304,6 +308,7 @@ def reference_simulate(x, qD, pD, qC, pC, tau, T, model, kinetic,
     n_acc = 0
     n_grad = 0
 
+    k = kinetic.k(pD)
     v = kinetic.kprime(pD) if nd else np.zeros(0)
     fire = hit_time(qD, v)
     start, last = qD.copy(), np.zeros(nd)
@@ -322,15 +327,15 @@ def reference_simulate(x, qD, pD, qC, pC, tau, T, model, kinetic,
         if event:
             new, d_e = propose(j, x, qC, rng)
             old = int(x[j])
-            energy = kinetic.k(pD[j])
-            accepted = energy > d_e
+            accepted = k[j] > d_e
             if accepted:
                 x[j] = new
-                pD[j] = np.sign(pD[j]) * kinetic.kinv(energy - d_e)
-                v[j] = kinetic.kprime(pD[j])
+                k[j] -= d_e
+                one = slice(j, j + 1)
+                v[one] = kinetic.kprime(np.sign(v[one])
+                                        * kinetic.kinv(k[one]))
                 n_acc += 1
             else:
-                pD[j] = -pD[j]
                 v[j] = -v[j]
             start[j] = 0.0 if v[j] > 0.0 else tau
             last[j] = now
@@ -338,7 +343,8 @@ def reference_simulate(x, qD, pD, qC, pC, tau, T, model, kinetic,
             events.append((j, old, new, accepted))
 
     np.clip(start + v * (T - last), 0.0, tau, out=qD)
-    return n_acc, n_grad, True
+    pD[:] = np.sign(v) * kinetic.kinv(k)
+    return n_acc, n_grad, True, k
 
 
 def _autocov(x: np.ndarray) -> np.ndarray:

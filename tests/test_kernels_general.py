@@ -19,7 +19,6 @@ from mixedhmc.diagnostics import ess, ks_two_sample
 from mixedhmc.kernels_general import (
     AuxiliaryState,
     GeneralParams,
-    _float_kinv,
     general_step,
     general_step_batch,
     initial_hit_time,
@@ -339,8 +338,8 @@ class TestPathReversal:
         x, qD, pD = x0.copy(), qD0.copy(), pD0.copy()
         qC, pC = qC0.copy(), pC0.copy()
         events = []
-        _, _, ok = simulate(x, qD, pD, qC, pC, tau, T, model, kin, 0.05,
-                            rng, default_propose, events)
+        _, _, ok, _ = simulate(x, qD, pD, qC, pC, tau, T, model, kin, 0.05,
+                               rng, default_propose, events)
         assert ok
         pD, pC = -pD, -pC  # the accept branch negates momenta
 
@@ -356,8 +355,8 @@ class TestPathReversal:
             return v, forced_delta(j, x_, q_, model, v)
 
         events2 = []
-        _, _, ok = simulate(x, qD, pD, qC, pC, tau, T, model, kin, 0.05,
-                            rng, inject, events2)
+        _, _, ok, _ = simulate(x, qD, pD, qC, pC, tau, T, model, kin, 0.05,
+                               rng, inject, events2)
         assert ok
         pD, pC = -pD, -pC
         assert len(events2) == len(events)
@@ -508,12 +507,14 @@ _LOOP_MODELS = {
 
 
 class TestFloatLoopMatchesReference:
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 1.5, 3.0])
+    @pytest.mark.parametrize("beta", [0.5, 2.0 / 3.0, 1.0, 2.0, 1.5, 3.0])
     @pytest.mark.parametrize("name", list(_LOOP_MODELS))
     def test_bit_identical_to_numpy_loop(self, name, beta):
-        """Positions, momenta, sites, events and accept counts equal the
-        numpy loop's exactly; each loop reports the gradient calls it made.
-        Betas 1.5 and 3 take numpy's own ``pow`` in ``kinv``."""
+        """Positions, momenta, clock energies, sites, events and accept
+        counts equal the numpy loop's exactly; each loop reports the
+        gradient calls it made.  At betas 2/3, 1.5 and 3 numpy's array
+        ``pow`` differs from libm's on a few percent of values, and both
+        loops take numpy's."""
         make_model, T = _LOOP_MODELS[name]
         model = make_model()
         calls = _counting_grad(model)
@@ -538,20 +539,10 @@ class TestFloatLoopMatchesReference:
                 assert np.array_equal(a, b)
             assert new_events == ref_events
             assert new_counts[0] == ref_counts[0]
+            assert np.array_equal(new_counts[3], ref_counts[3])
             assert (ref_counts[1], new_counts[1]) == (ref_calls, new_calls)
             kinds.update(acc for (_, _, _, acc) in new_events)
         assert kinds == {True, False}, "needs refractions and reflections"
-
-
-class TestFloatKinv:
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 1.5, 3.0])
-    def test_matches_kinetic_kinv(self, beta):
-        """numpy's sqrt fast path at beta 2 and libm's ``pow`` differ in the
-        last bit on about 1 draw in 1,500; the float form takes numpy's."""
-        kin = KineticEnergy(beta)
-        kinv = _float_kinv(kin)
-        e = ChainRng(31, 0).gamma(0.7, 20_000) * np.logspace(-6, 6, 20_000)
-        assert [kinv(v) for v in e.tolist()] == [float(kin.kinv(v)) for v in e]
 
 
 class TestGradientReuse:
@@ -572,7 +563,7 @@ class TestGradientReuse:
                                           ChainRng(seed, 1))
             assert stats.n_grad_evals == calls[0] > 0
             calls[0] = 0
-            _, n_grad, _ = reference_simulate(
+            _, n_grad, _, _ = reference_simulate(
                 x.copy(), qD.copy(), pD.copy(), qC.copy(), pC.copy(), 1.0,
                 3.0, model, kin, 0.1, ChainRng(seed, 1),
                 lambda j, x_, q_, r: propose_and_delta(j, x_, q_, model, r),
@@ -670,9 +661,9 @@ class TestNonFiniteRefraction:
 
 
 class TestLoopRefraction:
-    """The oracle's loop refracts through the float helper that
-    :func:`refract` wraps and criterion 8 checks.  A clock made to cross its boundary once,
-    at a chosen cost, leaves the loop with the momentum ``refract`` gives."""
+    """The oracle's loop refracts by the arithmetic of :func:`refract`,
+    which criterion 8 checks.  A clock made to cross its boundary once, at
+    a chosen cost, leaves the loop with the momentum ``refract`` gives."""
 
     @staticmethod
     def _cross_once(kin, p, d_e):
@@ -689,7 +680,7 @@ class TestLoopRefraction:
             sites.append(j)
             return 1 - int(x[j]), d_e
 
-        n_acc, n_grad, ok = simulate(
+        n_acc, n_grad, ok, _ = simulate(
             np.zeros(2, dtype=np.int64), qD, pD, np.zeros(0), np.zeros(0),
             1.0, T, model, kin, 0.1, ChainRng(0, 0), propose, None)
         assert ok and n_acc == 1 and n_grad == 0 and sites == [0]
@@ -705,32 +696,23 @@ class TestLoopRefraction:
         return [(float(pi), f * float(kin.k(pi)))
                 for pi in p for f in (0.9, 0.1, -0.5)]
 
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.5, 2.0 / 3.0, 1.0, 1.5, 2.0])
     def test_bit_identical_to_refract(self, beta):
-        """At beta 0.5 and 2 the loop takes the energy ``|p| ** beta`` from
-        libm's ``pow``, and ``KineticEnergy.k`` from numpy's ``sqrt`` or
-        square, which differ in the last bit on about 1 momentum in 1,200:
-        those cases are held to 1 ulp, and the rest to the bit."""
+        """The loop's momentum is ``refract``'s, bit for bit: both take the
+        energy ``|p| ** beta`` and its inverse from numpy's array ``pow``.
+        At betas 2/3 and 1.5 libm's ``pow`` differs from it in the last bit
+        on about 5% of values, at 0.5 and 2 on fewer."""
         kin = KineticEnergy(beta)
-        cases = self._cases(kin, 41)
-        exact = 0
-        for p, d_e in cases:
+        for p, d_e in self._cases(kin, 41):
             got, want = self._cross_once(kin, p, d_e), refract(p, d_e, kin)
-            if abs(p) ** beta == float(kin.k(np.array(p))):
-                assert got == want, (p, d_e)
-                exact += 1
-            else:
-                assert abs(got - want) <= np.spacing(abs(want)), (p, d_e)
-        assert exact >= 0.95 * len(cases)
+            assert got == want, (p, d_e)
 
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 1.5])
+    @pytest.mark.parametrize("beta", [0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0])
     def test_shipped_path_equals_the_oracle(self, beta):
         """The lockstep path refracts as the oracle's loop does: clocks
         made to cross their boundary once, at a cost from the model, end
         with the oracle's momenta, bit for bit, alone and in batches of 3
-        that share the cost.  Their momenta are :func:`refract`'s where the
-        two energies ``|p| ** beta`` agree, and within 4 ulp of it
-        otherwise."""
+        that share the cost, and those are :func:`refract`'s."""
         kin = KineticEnergy(beta)
         p = [p for p, _ in self._cases(kin, 42)[::3]]
         compared = 0
@@ -750,22 +732,9 @@ class TestLoopRefraction:
                     assert ref[3].n_discrete_accepts == 1
                     if not ref[3].accepted:
                         continue
-                    got, want = -ref[1].pD[0], refract(pi, d_e, kin)
-                    if abs(pi) ** beta == float(kin.k(np.array(pi))):
-                        assert got == want, (pi, d_e)
-                    else:
-                        assert abs(got - want) <= 4 * np.spacing(abs(want))
+                    assert -ref[1].pD[0] == refract(pi, d_e, kin), (pi, d_e)
                     compared += 1
         assert compared >= 0.9 * 9 * (len(p) // 3)
-
-    def test_within_a_few_ulp_at_beta_1_5(self):
-        """numpy's array ``pow`` is not libm's: the loop's momentum is held
-        to 4 ulp of :func:`refract`'s."""
-        kin = KineticEnergy(1.5)
-        for p, d_e in self._cases(kin, 43):
-            got, want = self._cross_once(kin, p, d_e), refract(p, d_e, kin)
-            assert np.sign(got) == np.sign(p)
-            assert abs(got - want) <= 4 * np.spacing(abs(want)), (p, d_e)
 
 
 class WalledSites(ModelSpec):
@@ -859,8 +828,8 @@ _LOCKSTEP_CASES = {
     "mixed_widths_sorted": (MixedWidths,
                             GeneralParams(T=0.9, integrator_eps=0.2), 19),
     # Other kinetic energies: each clock has its own speed, which a
-    # refraction changes.  At beta 1.5 and 3 the refracted momentum takes
-    # numpy's own pow in kinv, and the energy and speed libm's.
+    # refraction changes.  Every pow is numpy's array pow, which differs
+    # from libm's on a few percent of values at beta 2/3, 1.5 and 3.
     "beta0.5": (MixedWidths,
                 GeneralParams(T=2.4, beta=0.5, integrator_eps=0.2), 24),
     "beta0.5_kept": (lambda: random_binary_quadratic(6, ChainRng(2026, 0)),
@@ -871,6 +840,8 @@ _LOCKSTEP_CASES = {
     "beta1.5_kept": (gmm1d_preset,
                      GeneralParams(T=2.5, beta=1.5, integrator_eps=0.3,
                                    resample_positions=False), 27),
+    "beta0.667": (lambda: CoupledModel(3),
+                  GeneralParams(T=3.0, beta=2.0 / 3.0), 35),
     "beta2": (lambda: CoupledModel(3), GeneralParams(T=3.0, beta=2.0), 28),
     "beta2_kept": (lambda: random_binary_quadratic(
         4, ChainRng(12, 0), coupling_scale=0.8),

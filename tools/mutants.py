@@ -45,11 +45,13 @@ MUTANTS = {
         "p if mass is None else p * mass",
         ("tests/test_kernels_laplace.py::TestLaplaceStep"
          "::test_mass_matrix_conserves_energy",)),
-    # M3: a refracted clock's speed loses its factor beta.
+    # M3: a clock's speed loses its factor beta.  The lockstep step and
+    # the oracle both take it from KineticEnergy.kprime, so a closed form
+    # must see it.
     "M3_speed_without_beta": Mutant(
-        "kernels_general.py", "beta * abs(p) ** (beta - 1.0)",
-        "abs(p) ** (beta - 1.0)",
-        (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[beta2]",)),
+        "core.py", "np.sign(p) * self.beta * np.abs(p)",
+        "np.sign(p) * np.abs(p)",
+        (f"{_GENERAL}::TestInitialHitTime::test_quadratic_energy_speed",)),
     "metropolis_draw_for_divergent_rows": Mutant(
         "kernels_general.py", "rng.uniform() if run else 1.0",
         "rng.uniform()",
@@ -72,12 +74,18 @@ MUTANTS = {
     # Off beta 1: a clock's next time is tau / |v| after its event either
     # way, so the direction shows in its end position and momentum.
     "reflection_keeps_direction": Mutant(
-        "kernels_general.py", "p, w = -p, -w", "p, w = p, w",
+        "kernels_general.py", "turned = -w", "turned = w",
         (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[beta2_kept]",)),
     "fast_clock_not_stopped": Mutant(
-        "kernels_general.py", "if not _runs(p, w) or w * T > cap:",
-        "if not _runs(p, w):",
+        "kernels_general.py", "runs & (np.abs(v) * T <= cap)", "runs",
         (f"{_LOCKSTEP}::test_event_cap_steps_and_stats[beta2_kept]",)),
+    # At beta 0.5 an infinite energy gives a momentum whose clock stands
+    # still: it must diverge, not run.
+    "stopped_clock_runs": Mutant(
+        "kernels_general.py", "runs = np.isfinite(v) & (v != 0.0)",
+        "runs = True",
+        (f"{_GENERAL}::TestNonFiniteRefraction"
+         "::test_shipped_path_equals_the_oracle[inf-0.5]",)),
     "move_without_live_mask": Mutant(
         "core.py", "moved = live & (left > 0.0)", "moved = left > 0.0",
         (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[binary_T_2.5_tau]",

@@ -99,8 +99,9 @@ CONFIGS = {
         "kernel": dict(_GMM1D_GENERAL, beta=1.0, T=0.9),
         "run": {"chains": 4, "burn_in": 100, "samples": 800, "seed": 21}},
     # Two chains each, so that --threads 2 runs two lone chains and
-    # --threads 1 one batch of 2.  At beta 1.5 a refracted momentum takes
-    # numpy's own pow in kinv, and a clock's energy and speed libm's.
+    # --threads 1 one batch of 2.  At beta 1.5 numpy's array pow, which
+    # every clock's energy, momentum and speed take, differs from libm's
+    # on about 5% of values.
     "general_beta1.5": {
         "model": {"type": "gmm1d"}, "kernel": dict(_GMM1D_GENERAL, beta=1.5),
         "run": {"chains": 2, "burn_in": 100, "samples": 800, "seed": 23}},
