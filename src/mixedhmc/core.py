@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .diagnostics import StepStats
 from .rng import ChainRng
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "informed_rows",
     "site_proposals",
     "RowModel",
+    "Trajectory",
 ]
 
 # Energy errors beyond this mark a trajectory divergent and reject the step.
@@ -506,6 +508,138 @@ class RowModel:
               else np.where(moved, new, cur))
         k.put(at, np.where(moved, left, energy))
         return moved, stuck, left
+
+
+class Trajectory:
+    """One M-HMC trajectory of a batch of chains in lockstep, as both
+    kernels run it: leapfrog segments of the continuous coordinates
+    (:meth:`segment`) and single-site moves (:meth:`move`), in the order of
+    the kernel's schedule, then the Metropolis test on the total energy
+    (:meth:`close`).  Row ``r`` is chain ``r``.
+
+    It starts from the row stacks ``x`` and ``q``, momenta ``p`` and site
+    energies ``k`` (both moved in place), on the model ``rm`` (a
+    :class:`RowModel`), from ``potential``, ``U`` at each row, evaluated
+    when None, with diagonal ``mass`` (identity when None); ``ok`` is False
+    on rows divergent from the start.  A segment starts from the gradient
+    the last one ended with, taken again only on the rows whose ``x`` moved
+    in between.  A row that is done, stuck at a proposal with no finite
+    weights or marked by :meth:`diverge`, takes zero-length steps and makes
+    no further move, and is rejected.  ``ok`` marks the rows that are not
+    done, ``n_ok`` counts them, and ``accepts`` holds each move's accepted
+    rows.  ``n_grad_evals`` counts each row's own gradients, as when it
+    steps alone.
+    """
+
+    def __init__(self, rm: RowModel, x, q, p, k, potential=None, mass=None,
+                 ok=None):
+        n, self.nc = q.shape
+        if potential is None:
+            potential = rm.potential(x, q)
+        self.rm, self.n_rows, self.x, self.q = rm, n, x, q
+        self.p, self.k = p, k
+        self.potential, self.mass = potential, mass
+        self.e0 = potential + k.sum(axis=1)
+        if self.nc:
+            self.e0 += kinetic_energy(p, mass)
+        self.xs, self.qs = x.copy(), q.copy()
+        self.ok = np.ones(n, dtype=bool) if ok is None else ok
+        self.n_ok = n if ok is None else int(np.count_nonzero(ok))
+        if self.nc:
+            self.g = np.zeros((n, self.nc))  # at (xs, qs) where not stale
+            self.stale = np.ones(n, dtype=bool)  # None: no row
+        # Gradients taken on every row, as an int, and on some rows: step
+        # counts and refreshed rows, summed once by close().
+        self.steps, self.counts = 0, []
+        self.accepts = []                    # each move's accepted rows
+        # The accepted rows of a skipped proposal, which no code changes.
+        self.unmoved = None if rm.flips_only else np.zeros(n, dtype=bool)
+
+    def segment(self, h, n, lo=None, hi=None):
+        """Leapfrog row ``r`` for ``n[r]`` steps of size ``h[r]`` (``h`` a
+        ``(C, n_continuous)`` stack), a done row for none; ``lo`` and
+        ``hi`` are the least and greatest of ``n`` as ints, taken when
+        None.  Every row takes ``lo`` steps of an int count when they are
+        equal (:func:`leapfrog`)."""
+        if self.n_ok < self.n_rows:
+            n, lo = np.where(self.ok, n, 0), None
+        if lo is None:
+            lo, hi = int(n.min()), int(n.max())
+        if not hi:
+            return
+        if self.stale is not None:
+            # The stale rows that step now take their gradient afresh.
+            fresh = self.stale if lo else self.stale & (n > 0)
+            r = np.flatnonzero(fresh)
+            if r.size:
+                self.g[r] = self.rm.grad_q(self.xs[r], self.qs[r])
+                self.counts.append(fresh)
+            self.stale = None if lo else self.stale & ~fresh
+        self.g = leapfrog(self.xs, self.qs, self.p, h, lo if lo == hi else n,
+                          self.rm.grad_q, self.mass, self.g)
+        if lo == hi:
+            self.steps += lo
+        else:
+            self.counts.append(n)
+
+    def move(self, j, at, live, width, u):
+        """:meth:`RowModel.move` of the rows in ``live`` (not done) on the
+        trajectory's state, with its arguments and return value; a stuck row
+        is done.  A skipped proposal returns ``(unmoved, None, None)``, where
+        ``unmoved`` marks no row."""
+        result = self.rm.move(j, at, self.xs, self.qs, self.k, live, width, u)
+        if result is None:
+            self.accepts.append(self.unmoved)
+            return self.unmoved, None, None
+        moved, stuck, _ = result
+        self.accepts.append(moved)
+        if self.nc:
+            # Never changed in place: it may be an entry of accepts.
+            self.stale = moved if self.stale is None else self.stale | moved
+        if stuck is not None:
+            self.diverge(stuck)
+        return result
+
+    def diverge(self, rows):
+        """Mark ``rows`` done: divergent, rejected by :meth:`close`.  Their
+        site energies are put to 1, so that no whole-row operation sees an
+        infinite one."""
+        self.ok = self.ok & ~rows
+        self.n_ok = int(np.count_nonzero(self.ok))
+        self.k[rows] = 1.0
+
+    def close(self, uniform):
+        """The Metropolis test on the total energy.  A row that is done, or
+        whose energy error is not finite or exceeds ``DIVERGENCE_MAX``, is
+        divergent; ``uniform(ok)`` gives each row's uniform, read only on
+        the others (``ok``).  Returns ``(x, q, potential, stats)``: each
+        row's end state where it is accepted, else its start, ``U`` there,
+        and a :class:`~mixedhmc.diagnostics.StepStats` of ``(C,)``
+        arrays."""
+        u_end = self.rm.potential(self.xs, self.qs)
+        # Divergent rows may hold non-finite energies.
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = u_end + self.k.sum(axis=1)
+            if self.nc:
+                err += kinetic_energy(self.p, self.mass)
+            err -= self.e0
+        ok = self.ok & (np.abs(err) <= DIVERGENCE_MAX)  # False on NaN
+        accepted = ok & (uniform(ok) < np.exp(-np.maximum(err, 0.0)))
+        keep = accepted[:, None]
+        stats = StepStats(
+            accepted=accepted, energy_error=np.where(ok, err, np.nan),
+            n_discrete_accepts=_row_sums(self.accepts, self.n_rows),
+            n_grad_evals=_row_sums(self.counts, self.n_rows) + self.steps,
+            divergent=~ok)
+        return (np.where(keep, self.xs, self.x),
+                np.where(keep, self.qs, self.q) if self.nc else self.q,
+                np.where(accepted, u_end, self.potential), stats)
+
+
+def _row_sums(rows, n):
+    """The sum, as int64, of the list ``rows`` of ``(n,)`` arrays."""
+    return (np.add.reduce(rows, dtype=np.int64) if rows
+            else np.zeros(n, dtype=np.int64))
 
 
 def _on_rows(model, name, width=None):

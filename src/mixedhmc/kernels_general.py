@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DIVERGENCE_MAX, KineticEnergy, MixedPoint, ModelSpec,
-                   RowModel, check_positive, kinetic_energy, leapfrog,
-                   stack_points)
+from .core import (KineticEnergy, MixedPoint, ModelSpec, RowModel, Trajectory,
+                   check_positive, stack_points)
 # Not called here, but perfbench/tracer.py wraps the kernels' proposal by
 # this module attribute.
 from .core import propose_and_delta  # noqa: F401
@@ -271,31 +270,26 @@ def general_step_batch(x, q, qD, params: GeneralParams, model: ModelSpec,
     :class:`StepStats` of ``(C,)`` arrays.  Each row's result is the same
     alone and in any batch, bit for bit.
 
-    Each clock holds the absolute time of its next event.  Round ``m``
-    handles the ``m``-th events of all chains together: one
-    ``site_cond_neglogp`` call on the row stack and a few whole-row
-    operations (:meth:`~mixedhmc.core.RowModel.move`).  A proposal that
-    every chain with an event is sure to reject is not priced: those
-    chains reflect, their uniforms drawn all the same.  At beta 1 a clock
-    fires every tau from its first hit time, and its kinetic energy
-    ``|p|``, which a refraction lowers and a reflection keeps, is all it
-    carries: one sort of those times up to ``T`` gives every chain's events
-    for the iteration (:func:`_event_schedule`).  At other beta each round
-    finds every chain's next event, the first of its clocks' next times,
-    and the fired clocks turn together: each keeps its kinetic energy,
-    which a refraction lowers, and a refracted clock takes the velocity
-    ``k'`` of the momentum ``kinv`` of the energy left.  Between events the
-    continuous coordinates take one leapfrog segment per chain, from one
-    event time to the next and from the last to ``T``, a chain whose
-    segment needs fewer steps taking zero-length steps for the rest; a
-    segment starts from the gradient the last one ended with unless a
-    refraction came in between.  The clock positions are computed once, at
-    ``T``, and only when they are kept.  A chain diverges on a non-finite
-    momentum or velocity, or a zero velocity, of a clock on entry, at a
-    proposal with no finite weights, at a refraction to such a clock or to
-    one that would run into the event cap, past the event cap, and on an
-    energy error above ``DIVERGENCE_MAX``; it then takes no further step or
-    draw and is rejected.
+    The chains run one :class:`~mixedhmc.core.Trajectory`, whose moves are
+    their events.  Each clock holds the absolute time of its next event.
+    Round ``m`` moves at the ``m``-th events of all chains together; a
+    proposal that every chain with an event is sure to reject is not
+    priced, and those chains reflect, their uniforms drawn all the same.
+    At beta 1 a clock fires every tau from its first hit time, and its
+    kinetic energy ``|p|``, which a refraction lowers and a reflection
+    keeps, is all it carries: one sort of those times up to ``T`` gives
+    every chain's events for the iteration (:func:`_event_schedule`).  At
+    other beta each round finds every chain's next event, the first of its
+    clocks' next times, and the fired clocks turn together: each keeps its
+    kinetic energy, which a refraction lowers, and a refracted clock takes
+    the velocity ``k'`` of the momentum ``kinv`` of the energy left.  A
+    chain's leapfrog segments run from one of its event times to the next
+    and from the last to ``T``.  The clock positions are computed once, at
+    ``T``, and only when they are kept.  Besides the trajectory's own
+    rules, a chain diverges on a non-finite momentum or velocity, or a zero
+    velocity, of a clock on entry, at a refraction to such a clock or to
+    one that would run into the event cap, and past the event cap; it then
+    has no further event and draws nothing more.
     """
     nd, nc = model.n_discrete, model.n_continuous
     x, q, qD, _, potential, stats = _general_step(
@@ -316,8 +310,6 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
     (n, nd), nc = x.shape, q.shape[1]
     tau, T, eps, beta = params.tau, params.T, params.integrator_eps, params.beta
 
-    if potential is None:
-        potential = rm.potential(x, q)
     offsets = np.arange(n) * nd
     if beta == 1.0:
         # |p| ** 1 is |p|.  A clock runs when its momentum is nonzero (and
@@ -340,10 +332,8 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
             fire = _hit_time(qd, vel, tau)   # each clock's next event time
         ok = (np.isfinite(vel) & (vel != 0.0)).all(axis=1)
         last = np.full((n, nd), -np.inf)     # each clock's last event time
-    e0 = potential + k.sum(axis=1)
-    if nc:
-        e0 += kinetic_energy(pC)
-    if beta != 1.0 and not ok.all():
+    traj = Trajectory(rm, x, q, pC, k, potential, ok=ok)
+    if beta != 1.0 and traj.n_ok < n:
         # A chain with a clock that does not run diverges; its clocks are
         # put where no whole-row operation makes a NaN.
         k[~ok], vel[~ok], fire[~ok] = 1.0, 1.0, tau
@@ -352,12 +342,6 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
     # has w * T > cap.
     cap = tau * _MAX_EVENTS
 
-    xs, qs = x.copy(), q.copy()
-    accepts = []                       # each event round's refractions
-    n_grad = np.zeros(n, dtype=np.int64)
-    if nc:
-        g = np.zeros((n, nc))          # gradient at (xs, qs) where not stale
-        stale = np.ones(n, dtype=bool)
     n_events = 0
     while True:
         if beta == 1.0:
@@ -380,19 +364,9 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
             end = np.where(event, t, T)
             step, now = end - now, end
         if nc:
-            seg = step > 0.0
             steps = np.maximum(np.ceil(step / eps), 1.0)
-            counts = np.where(seg, steps, 0.0).astype(np.int64)
-            fresh = stale & seg
-            if np.count_nonzero(fresh):
-                r = np.flatnonzero(fresh)
-                g[r] = rm.grad_q(xs[r], qs[r])
-                stale &= ~seg
-            n_grad += counts + fresh
-            lo, hi = counts.min(), counts.max()
-            g = leapfrog(xs, qs, pC, np.repeat((step / steps)[:, None], nc,
-                                               axis=1),
-                         int(lo) if lo == hi else counts, rm.grad_q, g=g)
+            traj.segment(np.repeat((step / steps)[:, None], nc, axis=1),
+                         np.where(step > 0.0, steps, 0.0).astype(np.int64))
         if not more:
             break
         n_events += 1
@@ -408,13 +382,9 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
         # A refraction pays the cost out of the clock's kinetic energy;
         # a reflection keeps it.  A skipped proposal reflects every row
         # with an event.
-        acc, stuck, left = (rm.move(j, at, xs, qs, k, event, width, u)
-                            or (np.zeros_like(event), None, None))
+        acc, stuck, left = traj.move(j, at, event, width, u)
         if stuck is not None:
             event &= ~stuck            # a stuck row turns no clock
-        accepts.append(acc)
-        if nc:
-            stale |= acc
         diverged = None
         if beta != 1.0:
             # Each fired clock turns: a reflection negates its velocity; a
@@ -443,32 +413,20 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
             # and any refraction does once T alone passes the event cap.
             diverged = acc if T > cap else acc & (left == np.inf)
         if diverged is not None:
-            accepts[-1] = acc & ~diverged
+            traj.accepts[-1] = acc & ~diverged
         if n_events > _MAX_EVENTS:
             diverged = event if diverged is None else diverged | event
-        if stuck is not None:
-            diverged = stuck if diverged is None else diverged | stuck
         if diverged is not None:
-            ok &= ~diverged
-            now[diverged] = T
-            k[diverged] = 1.0          # no whole-row operation sees inf
+            traj.diverge(diverged)
+        if diverged is not None or stuck is not None:
+            # A divergent row has no further event.
+            now[~traj.ok] = T
             if beta == 1.0:
-                fires[n_events:] &= ok
+                fires[n_events:] &= traj.ok
 
-    u_end = rm.potential(xs, qs)
-    moved = np.array(accepts, dtype=bool).reshape(n_events, n)
-    # Divergent rows may hold non-finite energies; the loop's float
-    # arithmetic on them raises no warning either.
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = u_end + k.sum(axis=1)
-        if nc:
-            err += kinetic_energy(pC)
-        err -= e0
-    ok &= np.abs(err) <= DIVERGENCE_MAX  # False on NaN
-    u = np.array([rng.uniform() if run else 1.0
-                  for rng, run in zip(rngs, ok.tolist())])
-    accepted = ok & (u < np.exp(-np.maximum(err, 0.0)))
-    keep = accepted[:, None]
+    # The Metropolis uniform is drawn only by a row that did not diverge.
+    x, q, potential, stats = traj.close(lambda ok: np.array(
+        [rng.uniform() if run else 1.0 for rng, run in zip(rngs, ok.tolist())]))
     pd = None                          # the end clock momenta, if read
     if not params.resample_positions:
         # Each clock's position at T, as the loop takes it: the boundary
@@ -478,6 +436,7 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
             # A clock's momentum changes sign at each reflection: each time
             # it fired and did not move.
             at, ev = at_m[:n_events], fires[:n_events]
+            moved = np.array(traj.accepts, dtype=bool).reshape(n_events, n)
             pd = np.where(neg, -k, k)
             np.negative.at(pd.reshape(-1), at[ev > moved])
             w = np.copysign(1.0, pd)
@@ -488,13 +447,9 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
             pd = np.copysign(kinetic.kinv(k), w)
         pos = (np.where(last >= 0.0, np.where(w > 0.0, 0.0, tau), qd)
                + w * (T - np.maximum(last, 0.0)))
-        qd = np.where(keep, np.clip(pos, 0.0, tau, out=pos), qd)
-    stats = StepStats(accepted=accepted,
-                      energy_error=np.where(ok, err, np.nan),
-                      n_discrete_accepts=np.add.reduce(moved, dtype=np.int64),
-                      n_grad_evals=n_grad, divergent=~ok)
-    return (np.where(keep, xs, x), np.where(keep, qs, q) if nc else q, qd,
-            pd, np.where(accepted, u_end, potential), stats)
+        qd = np.where(stats.accepted[:, None],
+                      np.clip(pos, 0.0, tau, out=pos), qd)
+    return x, q, qd, pd, potential, stats
 
 
 def run_chain_general_batch(inits, params: GeneralParams, model: ModelSpec,

@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DIVERGENCE_MAX, MixedPoint, ModelSpec, RowModel,
-                   check_positive, kinetic_energy, leapfrog, stack_points)
+from .core import (MixedPoint, ModelSpec, RowModel, Trajectory,
+                   check_positive, stack_points)
 # Not called here, but perfbench/tracer.py wraps the kernels' proposal by
 # this module attribute.
 from .core import propose_and_delta  # noqa: F401
-from .diagnostics import ChainOutput, StepStats, drive_chains
+from .diagnostics import ChainOutput, drive_chains
 from .rng import ChainRng
 
 __all__ = [
@@ -184,19 +184,16 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
 
     Row ``r`` of ``x`` (``(C, n_discrete)``) and ``q`` (``(C,
     n_continuous)``) is the state of chain ``r``, which draws only from
-    ``rngs[r]``.  Chains share each leapfrog round and each round of
-    discrete updates; a chain whose round needs fewer leapfrog steps takes
-    zero-length steps for the rest.  A round starts from the gradient the
-    last one ended with, re-evaluated only on the rows whose ``x`` changed
-    in between.  Returns the new ``(x, q)`` and a :class:`StepStats` of
-    ``(C,)`` arrays; ``n_grad_evals`` counts the gradients of each chain's
-    own trajectory, as when it steps alone.
+    ``rngs[r]``.  Chains share each leapfrog round, a segment of one
+    :class:`~mixedhmc.core.Trajectory`, and each round of discrete
+    updates.  Returns the new ``(x, q)`` and a
+    :class:`~mixedhmc.diagnostics.StepStats` of ``(C,)`` arrays.
 
-    A chain whose conditional weights leave no finite proposal is stuck: it
-    moves no further site, is rejected and counted divergent, as are
-    non-finite or huge energy errors, and is still evaluated with its
-    batch-mates for the rest of the trajectory.  Any other model error
-    raises.  Each row's result does not depend on the other rows.
+    A chain whose conditional weights leave no finite proposal is stuck:
+    from then on it takes zero-length steps and moves no site, and it is
+    rejected and counted divergent, as are non-finite or huge energy
+    errors.  Any other model error raises.  Each row's result does not
+    depend on the other rows.
 
     On a model with a site of more than 2 values, a proposal is skipped
     when every row that is not stuck is sure to reject it
@@ -214,76 +211,26 @@ def _laplace_step(x, q, params, rm, rngs, potential=None):
     row's ``(x, q)``, evaluated when None.  Returns ``(x, q, potential,
     stats)`` for the next iteration."""
     nc = q.shape[1]
-    mass, L, n_d = params.mass_diag, params.L, params.n_D
-    n = len(rngs)
+    n_d = params.n_D
     k, p, sites, width, (eta, n_steps), u = _noise(params, nc, rngs,
                                                    rm.widths)
     # The flat index of each proposal's site in x and k.
-    at = sites + np.arange(n) * rm.widths.size
-
-    if potential is None:
-        potential = rm.potential(x, q)
-    e0 = potential + k.sum(axis=1) + kinetic_energy(p, mass)
-    rounds = np.full(n, L)             # leapfrog rounds each chain ran
-    took = np.zeros((L * n_d, n), dtype=bool)  # chains taking proposal m
-    stuck = np.zeros(n, dtype=bool)    # no finite proposal: moves no more
-    live, n_live = ~stuck, n
-    xs, qs = x.copy(), q.copy()
+    at = sites + np.arange(len(rngs)) * rm.widths.size
+    traj = Trajectory(rm, x, q, p, k, potential, params.mass_diag)
     lo, hi = n_steps.min(axis=0).tolist(), n_steps.max(axis=0).tolist()
     # Each round's step sizes, one column per chain, and the buffer they
     # are repeated along each row in: a product with a (C, 1) column
     # broadcasts row by row and costs about 2.5x as much.
     eta_t, h = eta.T.copy(), np.empty_like(p)
-    g = None                           # gradient at (xs, qs)
-    moved = False                      # a chain moved since the last leapfrog
-
-    for t in range(L):
-        if not n_live:
+    for t in range(params.L):
+        if not traj.n_ok:
             break
         if nc:
-            if moved:
-                # The last round's gradient holds where x did not change.
-                r = took[(t - 1) * n_d:t * n_d].any(axis=0).nonzero()[0]
-                g[r] = rm.grad_q(xs[r], qs[r])
-                moved = False
-            # An int step count when every chain takes the same number.
             np.copyto(h, eta_t[t, :, None])
-            g = leapfrog(xs, qs, p, h,
-                         lo[t] if lo[t] == hi[t] else n_steps[:, t],
-                         rm.grad_q, mass, g)
+            traj.segment(h, n_steps[:, t], lo[t], hi[t])
         for m in range(t * n_d, (t + 1) * n_d) if rm.widths.size else ():
-            result = rm.move(sites[m], at[m], xs, qs, k, live, width[m], u[m])
-            if result is None:
-                continue
-            take, new_stuck, _ = result
-            if new_stuck is not None:
-                rounds[new_stuck] = t + 1
-                stuck |= new_stuck
-                live = ~stuck
-                n_live = np.count_nonzero(live)
-            if take.any():
-                took[m] = take
-                moved = True
-
-    u_end = rm.potential(xs, qs)
-    err = u_end + k.sum(axis=1) + kinetic_energy(p, mass) - e0
-    divergent = stuck | ~(np.abs(err) <= DIVERGENCE_MAX)
-    energy_error = np.where(divergent, np.nan, err)
-    accepted = ~divergent & (u[-1] < np.exp(-np.maximum(err, 0.0)))
-    x_new = np.where(accepted[:, None], xs, x)
-    q_new = np.where(accepted[:, None], qs, q)
-    # A chain's own gradients: one at the start, one per leapfrog step of
-    # the rounds it ran, and one more for each of those rounds that began
-    # after it moved.
-    ran = np.arange(L) < rounds[:, None]
-    moved = took.reshape(L, n_d, n).any(axis=1).T
-    n_grad = (1 + np.where(ran, n_steps, 0).sum(axis=1)
-              + (ran[:, 1:] & moved[:, :-1]).sum(axis=1)
-              if nc else np.zeros(n, dtype=np.int64))
-    return x_new, q_new, np.where(accepted, u_end, potential), StepStats(
-        accepted=accepted, energy_error=energy_error,
-        n_discrete_accepts=took.sum(axis=0), n_grad_evals=n_grad,
-        divergent=divergent)
+            traj.move(sites[m], at[m], traj.ok, width[m], u[m])
+    return traj.close(lambda ok: u[-1])
 
 
 def run_chain_batch(inits, params: LaplaceKernelParams, model: ModelSpec,

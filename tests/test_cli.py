@@ -805,13 +805,15 @@ class TestBenchmarkTracer:
 class TestSamplesHashTool:
     def test_one_config(self):
         """tools/samples_hash.py runs a config at one and two workers and
-        prints its name and one sha256."""
+        prints its name, the samples CSV's sha256 and its step statistics'
+        sha256."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         out = subprocess.run(
             [sys.executable, os.path.join(root, "tools", "samples_hash.py"),
              "blr_n_d2"], capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert re.fullmatch(r"blr_n_d2 [0-9a-f]{64}\n", out.stdout)
+        assert re.fullmatch(r"blr_n_d2 [0-9a-f]{64} [0-9a-f]{64}\n",
+                            out.stdout)
 
 
 class TestCodeLinesTool:

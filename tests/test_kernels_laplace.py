@@ -695,38 +695,62 @@ class TestStuckChain:
         and counted divergent, and counts the gradients of its first
         leapfrog round only; a batch-mate below the wall still moves.  The
         noise is replayed from cloned streams."""
-        model = WallModel()
-        params = LaplaceKernelParams(epsilon=0.1, T=1.0, L=4)
-        p, sched = [], []
-        for c in range(3):
-            clone = ChainRng(40, c)
-            clone.exponential(1)
-            p.append(clone.normal(1)[0])
-            clone.permutation(1)
-            sched.append(get_step_sizes_n_steps(params, 1, clone))
-        # Chain 0 stays above the wall.  Chain 1 moves down: it is above
-        # the wall at its first proposal and below it at its last.  Chain 2
-        # stays below the wall.
-        assert p[1] < 0
-        first = sched[1].eta[0] * sched[1].n_steps[0]
-        q0 = np.array([[50.0], [-0.5 * (first + params.T) * p[1]], [-50.0]])
-        assert q0[1, 0] + first * p[1] > 0 > q0[1, 0] + params.T * p[1]
-        x0 = np.zeros((3, 1), dtype=np.int64)
-        x, q, stats = laplace_step_batch(x0, q0, params, model,
-                                         [ChainRng(40, c) for c in range(3)])
-        for c in (0, 1):
-            assert stats.divergent[c] and not stats.accepted[c]
-            assert np.isnan(stats.energy_error[c])
-            assert np.array_equal(x[c], x0[c])
-            assert np.array_equal(q[c], q0[c])
-            assert stats.n_discrete_accepts[c] == 0
-            assert stats.n_grad_evals[c] == sched[c].n_steps[0] + 1
-        # Equal weights make every move free, so each proposal is taken.
-        assert not stats.divergent[2] and stats.accepted[2]
-        assert stats.energy_error[2] == 0.0
-        assert stats.n_discrete_accepts[2] == params.L
-        assert stats.n_grad_evals[2] == (sched[2].n_steps + 1).sum()
-        assert q[2, 0] == pytest.approx(-50.0 + params.T * p[2], abs=1e-12)
+        _check_stuck_chains(40)
+
+    def test_stuck_chains_take_zero_length_steps(self):
+        """From the round they get stuck in, stuck chains take zero-length
+        steps: the batch makes only the moving chain's gradient calls, its
+        refreshes and its steps.  On these draws a stuck chain's later
+        rounds take more steps than the moving chain's."""
+        steps = _check_stuck_chains(43)
+        assert (steps[:2, 1:].max(axis=0) > steps[2, 1:]).any()
+
+
+def _check_stuck_chains(seed):
+    """Step chains 0 and 1 into a wall of non-finite weights at their
+    first proposal, and chain 2 below it, on streams ``seed``; check their
+    states, stats and the batch's gradient calls, and return the chains'
+    ``(3, L)`` step counts."""
+    model = _counting(WallModel())
+    params = LaplaceKernelParams(epsilon=0.1, T=1.0, L=4)
+    p, sched = [], []
+    for c in range(3):
+        clone = ChainRng(seed, c)
+        clone.exponential(1)
+        p.append(clone.normal(1)[0])
+        clone.permutation(1)
+        sched.append(get_step_sizes_n_steps(params, 1, clone))
+    # Chain 0 stays above the wall.  Chain 1 moves down: it is above the
+    # wall at its first proposal and below it at its last.  Chain 2 stays
+    # below the wall.
+    assert p[1] < 0
+    first = sched[1].eta[0] * sched[1].n_steps[0]
+    q0 = np.array([[50.0], [-0.5 * (first + params.T) * p[1]], [-50.0]])
+    assert q0[1, 0] + first * p[1] > 0 > q0[1, 0] + params.T * p[1]
+    x0 = np.zeros((3, 1), dtype=np.int64)
+    x, q, stats = laplace_step_batch(x0, q0, params, model,
+                                     [ChainRng(seed, c) for c in range(3)])
+    for c in (0, 1):
+        assert stats.divergent[c] and not stats.accepted[c]
+        assert np.isnan(stats.energy_error[c])
+        assert np.array_equal(x[c], x0[c])
+        assert np.array_equal(q[c], q0[c])
+        assert stats.n_discrete_accepts[c] == 0
+        assert stats.n_grad_evals[c] == sched[c].n_steps[0] + 1
+    # Equal weights make every move free, so each proposal is taken.
+    assert not stats.divergent[2] and stats.accepted[2]
+    assert stats.energy_error[2] == 0.0
+    assert stats.n_discrete_accepts[2] == params.L
+    assert stats.n_grad_evals[2] == (sched[2].n_steps + 1).sum()
+    assert q[2, 0] == pytest.approx(-50.0 + params.T * p[2], abs=1e-12)
+    # The model is called one row at a time, so a call on the stack counts
+    # once per row: the start and first round on all three rows, then, in
+    # each later round, chain 2's refresh on its row alone and its own
+    # steps on the stack.
+    steps = np.array([s.n_steps for s in sched])
+    assert len(model.calls) == 3 * (1 + steps[:, 0].max()) + sum(
+        1 + 3 * steps[2, t] for t in range(1, params.L))
+    return steps
 
 
 def _counting(model):

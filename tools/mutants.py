@@ -29,6 +29,8 @@ _GENERAL = "tests/test_kernels_general.py"
 _LOCKSTEP = f"{_GENERAL}::TestLockstepMatchesLoop"
 _CSV_BYTES = ("tests/test_cli.py::TestSamplesCsv"
               "::test_bytes_equal_the_per_row_writer")
+_LAPLACE = "tests/test_kernels_laplace.py"
+_NOISE = f"{_LAPLACE}::TestNoise::test_matches_per_chain_reference"
 
 
 class Mutant(NamedTuple):
@@ -59,12 +61,21 @@ MUTANTS = {
     "wide_site_draws_for_rows_without_event": Mutant(
         "kernels_general.py", "event & (width > 2)", "width > 2",
         (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[mixed_widths]",)),
+    # The trajectory both lockstep kernels run (core.Trajectory): a stuck
+    # row is done, a refreshed gradient is counted, and a moved row's
+    # gradient is taken again.
     "stuck_rows_go_on": Mutant(
-        "kernels_general.py",
-        "diverged = stuck if diverged is None else diverged | stuck", "pass",
-        (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[stuck_3_value_sites]",)),
+        "core.py", "self.diverge(stuck)", "pass",
+        (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[stuck_3_value_sites]",
+         f"{_LAPLACE}::TestStuckChain")),
     "fresh_gradient_not_counted": Mutant(
-        "kernels_general.py", "n_grad += counts + fresh", "n_grad += counts",
+        "core.py", "self.counts.append(fresh)", "pass",
+        (f"{_GENERAL}::TestGradientReuse::test_shipped_path_equals_the_oracle",
+         f"{_LAPLACE}::TestGradientReuse::test_count_is_calls_alone")),
+    "moved_rows_not_marked_stale": Mutant(
+        "core.py",
+        "self.stale = moved if self.stale is None else self.stale | moved",
+        "pass",
         (f"{_GENERAL}::TestGradientReuse::test_shipped_path_equals_the_oracle",)),
     "diverging_refraction_counted": Mutant(
         "kernels_general.py", "accepts[-1] = acc & ~diverged",
@@ -125,6 +136,40 @@ MUTANTS = {
         "kernels_general.py", "np.where(w > 0.0, 0.0, tau)",
         "np.where(w > 0.0, tau, 0.0)",
         (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[kept_positions]",)),
+    # The Laplace kernel's draws: the Dirichlet gaps' last part folded into
+    # the first, rounds longer than epsilon subdivided, the draw order, and
+    # one uniform per proposal at a site with more than 2 values.
+    "dirichlet_fold_dropped": Mutant(
+        "kernels_laplace.py", "phi[:, 0] += phi[:, n_sites]", "pass",
+        (f"{_LAPLACE}::TestStepSchedule::test_matches_line_by_line_oracle",)),
+    "rounds_not_subdivided": Mutant(
+        "kernels_laplace.py", "np.ceil(eta / params.epsilon)",
+        "np.floor(eta / params.epsilon)",
+        (f"{_LAPLACE}::TestStepSchedule::test_forced_invariants",)),
+    "momenta_drawn_before_site_energies": Mutant(
+        "kernels_laplace.py",
+        "        if nd:\n            rng.exponential(out=k[r])\n"
+        "        if nc:\n            rng.normal(out=p[r])\n",
+        "        if nc:\n            rng.normal(out=p[r])\n"
+        "        if nd:\n            rng.exponential(out=k[r])\n",
+        (_NOISE,)),
+    "binary_sites_draw_uniforms": Mutant(
+        "kernels_laplace.py", "width.T > 2", "width.T > 1",
+        (f"{_NOISE}[mixed]",)),
+    # The shared trajectory again: a moved row's gradient is taken afresh,
+    # a done row takes zero-length steps, so it counts the gradients of the
+    # rounds it ran, and a rejected chain carries its start potential.
+    "moved_rows_keep_their_gradient": Mutant(
+        "core.py", "self.g[r] = self.rm.grad_q(self.xs[r], self.qs[r])",
+        "pass",
+        (f"{_LAPLACE}::TestGradientReuse::test_count_is_calls_alone",)),
+    "stuck_rows_count_every_round": Mutant(
+        "core.py", "n, lo = np.where(self.ok, n, 0), None", "pass",
+        (f"{_LAPLACE}::TestStuckChain",)),
+    "rejected_chain_carries_the_end_potential": Mutant(
+        "core.py", "np.where(accepted, u_end, self.potential)", "u_end",
+        (f"{_LAPLACE}::TestBatchIsolation"
+         "::test_run_carries_the_start_potential",)),
     # The samples CSV's block writer: coordinates printed as integers, and
     # iteration numbers counted from each block rather than the chain.
     "csv_coordinates_as_integers": Mutant(

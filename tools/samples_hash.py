@@ -1,13 +1,18 @@
 """Print one sha256 of the samples CSV per config, after checking that the
-CSV is byte-identical at one and two worker processes.
+CSV is byte-identical at one and two worker processes, and one of the
+kernel's step statistics.
 
     python3 tools/samples_hash.py [NAME ...] [--src DIR]
 
 Runs ``mixedhmc run --threads 1`` and ``--threads 2`` on each named config
 of ``CONFIGS`` (all of them by default), in a temporary directory, with the
 package imported from ``DIR`` (default: this checkout's ``src/``) and
-single-threaded BLAS.  Prints ``<name> <sha256>`` per config.  Two versions
-of the sampler draw the same samples when their outputs match, e.g.
+single-threaded BLAS.  Prints ``<name> <sha256> <stats>`` per config:
+``<stats>`` is the sha256 of every ``StepStats`` field of every iteration
+(:func:`stats_digest`), which sees a last-bit change in an energy error
+that moves no sample, or ``-`` for a baseline kernel, which has none.  Two
+versions of the sampler draw the same samples and step statistics when
+their outputs match, e.g.
 
     diff <(python3 tools/samples_hash.py) \\
          <(python3 tools/samples_hash.py --src ../other/src)
@@ -19,6 +24,7 @@ run fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,7 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 
 _GMM24 = {"type": "laplace", "epsilon": 1.7, "T": 136.0, "L": 80, "n_D": 1}
 _BLR = {"type": "blr", "seed": 0, "n": 100, "d": 20}
@@ -124,23 +131,72 @@ CONFIGS = {
 }
 
 
+def _run(argv, src: Path, what: str):
+    """Run ``argv`` with the package imported from ``src`` and
+    single-threaded BLAS; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{what} exited with {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return proc.stdout
+
+
 def samples_digest(name: str, src: Path, threads: int, work: Path) -> str:
     """sha256 of the samples CSV of one ``mixedhmc run``."""
     out = work / f"{name}-{threads}"
     out.mkdir()
     config = out / "config.json"
     config.write_text(json.dumps(CONFIGS[name]))
-    env = dict(os.environ, PYTHONPATH=str(src))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-m", "mixedhmc.cli", "run", "--config", str(config),
-         "--threads", str(threads), "--out-dir", str(out)],
-        env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{name} at --threads {threads} exited with "
-                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    _run(["-m", "mixedhmc.cli", "run", "--config", str(config), "--threads",
+          str(threads), "--out-dir", str(out)], src,
+         f"{name} at --threads {threads}")
     return hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+
+
+def stats_digest(name: str) -> str:
+    """sha256 of every ``StepStats`` field, in field order, of every
+    iteration of config ``name``'s chains, stepped as one batch through the
+    public lockstep step (``laplace_step_batch`` or ``general_step_batch``)
+    from the inits and streams of its run; ``-`` for a baseline kernel.
+    It imports the package, so :func:`main` calls it in a child process."""
+    import numpy as np
+
+    from mixedhmc.cli import build_kernel, build_model, run_settings
+    from mixedhmc.core import KineticEnergy, stack_points
+    from mixedhmc.kernels_general import general_step_batch, sample_auxiliary
+    from mixedhmc.kernels_laplace import laplace_step_batch
+    from mixedhmc.rng import ChainRng
+    from mixedhmc.runner import default_init
+
+    config = CONFIGS[name]
+    model = build_model(config["model"])
+    kind, params = build_kernel(config["kernel"], model)
+    if kind not in ("laplace", "general"):
+        return "-"
+    chains, burn_in, samples, seed = run_settings(**config["run"])
+    rngs = [ChainRng(seed, stream) for stream in range(chains)]
+    x, q = stack_points([default_init(model, rng) for rng in rngs], model)
+    if kind == "general":
+        # As run_chain_general_batch draws the first clocks.
+        kinetic = KineticEnergy(params.beta)
+        qd = np.array([sample_auxiliary(model.n_discrete, params.tau, kinetic,
+                                        rng).qD for rng in rngs])
+        qd = qd.reshape(chains, model.n_discrete)
+    digest, potential = hashlib.sha256(), None
+    for _ in range(burn_in + samples):
+        if kind == "laplace":
+            x, q, stats = laplace_step_batch(x, q, params, model, rngs)
+        else:
+            x, q, qd, potential, stats = general_step_batch(
+                x, q, qd, params, model, rngs, potential)
+        for field in dataclasses.fields(stats):
+            value = np.asarray(getattr(stats, field.name))
+            digest.update(value.dtype.str.encode() + value.tobytes())
+    return digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -153,12 +209,17 @@ def main(argv=None) -> int:
     unknown = [name for name in args.names if name not in CONFIGS]
     if unknown:
         parser.error(f"unknown config {unknown[0]!r}")
-    code = 0
+    code, src = 0, args.src.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.names or CONFIGS:
             try:
-                one, two = (samples_digest(name, args.src.resolve(), threads,
-                                           Path(tmp)) for threads in (1, 2))
+                one, two = (samples_digest(name, src, threads, Path(tmp))
+                            for threads in (1, 2))
+                stats = _run(
+                    ["-c", f"import sys; sys.path.insert(0, {str(HERE)!r}); "
+                     "import samples_hash; "
+                     f"print(samples_hash.stats_digest({name!r}))"],
+                    src, f"{name}'s step statistics").strip()
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -166,7 +227,7 @@ def main(argv=None) -> int:
                 print(f"{name} differs: --threads 1 {one}, --threads 2 {two}")
                 code = 1
             else:
-                print(f"{name} {one}", flush=True)
+                print(f"{name} {one} {stats}", flush=True)
     return code
 
 
