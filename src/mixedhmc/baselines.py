@@ -59,13 +59,15 @@ class GibbsParams:
 
 
 def _gmm1d_tables(model: GaussianMixture):
+    """Each component's mean, variance and ``-log w + log(2 pi var) / 2``,
+    as lists of Python floats."""
     if model.n_continuous != 1:
         raise ValueError("naive sampler supports 1D mixtures only")
     spec = model.spec
     mu = spec.means[:, 0]
     var = spec.variances[:, 0]
     neg_log_w = -np.log(spec.weights) + 0.5 * np.log(2.0 * np.pi * var)
-    return mu, var, neg_log_w
+    return mu.tolist(), var.tolist(), neg_log_w.tolist()
 
 
 def naive_mixed_hmc_step(z: int, q: float, params: NaiveParams,
@@ -75,8 +77,14 @@ def naive_mixed_hmc_step(z: int, q: float, params: NaiveParams,
     Returns ``(z, q, accepted)`` after the final Metropolis test on
     ``U + k + p^2/2``.
     """
-    mu, var, neg_log_w = _gmm1d_tables(model)
-    n_comp = mu.size
+    return _naive_step(z, q, params, _gmm1d_tables(model), rng)
+
+
+def _naive_step(z, q, params, tables, rng):
+    """:func:`naive_mixed_hmc_step` on the model's ``tables``
+    (:func:`_gmm1d_tables`), in Python floats."""
+    mu, var, neg_log_w = tables
+    n_comp = len(mu)
     exp_ = math.exp
 
     def pot(zz, qq):
@@ -117,12 +125,14 @@ def naive_mixed_hmc_step(z: int, q: float, params: NaiveParams,
 def run_naive_chain(init: MixedPoint, params: NaiveParams,
                     model: GaussianMixture, n_burn: int, n_samples: int,
                     rng: ChainRng) -> ChainOutput:
-    """Iterate ``naive_mixed_hmc_step``; samples hold columns (z, q)."""
+    """Iterate ``naive_mixed_hmc_step``; samples hold columns (z, q).  The
+    model's tables are built once for the chain."""
     z, q = int(init.x[0]), float(init.q[0])
+    tables = _gmm1d_tables(model)
 
     def step():
         nonlocal z, q
-        z, q, acc = naive_mixed_hmc_step(z, q, params, model, rng)
+        z, q, acc = _naive_step(z, q, params, tables, rng)
         return z, q, acc, False
 
     return drive_chains(step, 1, 1, 1, n_burn, n_samples)[0]

@@ -303,9 +303,9 @@ def propose_and_delta(j, x, q, model, rng):
 
     For the locally informed proposal the potential difference and the
     proposal correction collapse to the log ratio of the two masked
-    normalizers.  A binary site flips, at the cost of the difference of its
-    two conditionals; a site with more than 2 values goes through the
-    one-row call of :func:`informed_rows`, which makes no further model call.
+    normalizers.  The one-row call of :func:`site_proposals`: a binary site
+    flips, at the cost :func:`flip_costs` gives, and a site with more than
+    2 values draws one uniform for its move.
 
     Returns ``(new_value, delta_e)`` for site ``j``.
     """
@@ -313,18 +313,13 @@ def propose_and_delta(j, x, q, model, rng):
     if card < 2:
         raise DegenerateSiteError(f"degenerate site {j}: cardinality {card} "
                                   "admits no move")
-    cur = int(x[j])
-    neglogp = model.site_cond_neglogp(j, x, q)
-
-    if card == 2:
-        with np.errstate(invalid="ignore"):    # inf - inf: NaN, no move
-            return 1 - cur, float(neglogp[1 - cur] - neglogp[cur])
-
-    new, delta, ok = informed_rows(np.asarray(neglogp)[None], x[j:j + 1],
-                                   rng.uniform(1))
+    neglogp = np.asarray(model.site_cond_neglogp(j, x, q), dtype=np.float64)
+    new, delta, ok = site_proposals(neglogp[None], x[j:j + 1],
+                                    np.array([card]),
+                                    rng.uniform(1) if card > 2 else None)
     if not ok[0]:
-        raise NonFiniteWeightsError(f"no admissible proposal from value {cur}: "
-                                    "conditional weights zero or non-finite")
+        raise NonFiniteWeightsError(f"no admissible proposal from value {x[j]}"
+                                    ": conditional weights zero or non-finite")
     return int(new[0]), float(delta[0])
 
 
@@ -461,9 +456,8 @@ def _sure_rejections(neglogp, cur, k_j):
 class RowModel:
     """A model as the lockstep kernels use it, read once for a run: its
     ``potential``, ``grad_q`` and ``site_cond_neglogp`` on row stacks
-    (:func:`_on_rows`), its sites' ``widths`` (:func:`site_widths`),
-    ``flips_only``, True when every site is binary, and the M-HMC site
-    update, :meth:`move`."""
+    (:func:`_on_rows`), its sites' ``widths`` (:func:`site_widths`) and
+    ``flips_only``, True when every site is binary."""
 
     def __init__(self, model: ModelSpec):
         self.widths = site_widths(model)
@@ -472,42 +466,6 @@ class RowModel:
         self.grad_q = _on_rows(model, "grad_q")
         self.site_cond_neglogp = _on_rows(model, "site_cond_neglogp",
                                           int(self.widths.max(initial=0)))
-
-    def move(self, j, at, x, q, k, live, width, u):
-        """One single-site move of each row of the stacks ``x`` and ``q``
-        in ``live``, at site ``j[r]`` (flat index ``at[r]`` into ``x`` and
-        the site energies ``k``, both updated in place), which has
-        ``width[r]`` values; ``u[r]`` is the uniform of an informed
-        proposal.
-
-        A row takes its proposal when the cost fits in its site's energy,
-        which the cost then lowers: ``energy - cost > 0``, the refraction of
-        the event-driven kernel and the Laplace kernel's update alike.  A
-        live row whose weights leave no finite proposal is stuck and does
-        not move.  Returns ``(moved, stuck, energy - cost)``, ``stuck``
-        None when every row found a proposal; or None, leaving ``x`` and
-        ``k`` as they were, when at sites wider than 2 every live row is
-        sure to reject (:func:`_sure_rejections`).
-        """
-        neglogp = self.site_cond_neglogp(j, x, q)
-        cur = x.take(at)
-        energy = k.take(at)
-        stuck = None
-        if self.flips_only:
-            cost = flip_costs(neglogp, cur)
-        else:
-            if _sure_rejections(neglogp, cur, energy).all(where=live):
-                return None
-            new, cost, found = site_proposals(neglogp, cur, width, u)
-            if not found.all():
-                stuck = live & ~found
-                live = live & found
-        left = energy - cost
-        moved = live & (left > 0.0)
-        x.put(at, cur ^ moved if self.flips_only
-              else np.where(moved, new, cur))
-        k.put(at, np.where(moved, left, energy))
-        return moved, stuck, left
 
 
 class Trajectory:
@@ -583,22 +541,48 @@ class Trajectory:
             self.counts.append(n)
 
     def move(self, j, at, live, width, u):
-        """:meth:`RowModel.move` of the rows in ``live`` (not done) on the
-        trajectory's state, with its arguments and return value; a stuck row
-        is done.  A skipped proposal returns ``(unmoved, None, None)``, where
-        ``unmoved`` marks no row."""
-        result = self.rm.move(j, at, self.xs, self.qs, self.k, live, width, u)
-        if result is None:
-            self.accepts.append(self.unmoved)
-            return self.unmoved, None, None
-        moved, stuck, _ = result
+        """One single-site move of each row in ``live`` (rows not done), at
+        site ``j[r]`` (flat index ``at[r]`` into the trajectory's sites and
+        their energies ``k``, both updated in place), which has ``width[r]``
+        values; ``u[r]`` is the uniform of an informed proposal, read only
+        where ``width[r] > 2`` (:func:`site_proposals`).
+
+        A row takes its proposal when the cost fits in its site's energy,
+        which the cost then lowers: ``energy - cost > 0``, the refraction of
+        the event-driven kernel and the Laplace kernel's update alike.  A
+        live row whose weights leave no finite proposal is stuck: it does
+        not move, and it is done.  Returns ``(moved, energy - cost)``; or,
+        when at sites wider than 2 every live row is sure to reject
+        (:func:`_sure_rejections`), ``(unmoved, None)``, where ``unmoved``
+        marks no row, leaving ``x`` and ``k`` as they were.
+        """
+        xs, k, rm = self.xs, self.k, self.rm
+        neglogp = rm.site_cond_neglogp(j, xs, self.qs)
+        cur = xs.take(at)
+        energy = k.take(at)
+        stuck = None
+        if rm.flips_only:
+            cost = flip_costs(neglogp, cur)
+        else:
+            if _sure_rejections(neglogp, cur, energy).all(where=live):
+                self.accepts.append(self.unmoved)
+                return self.unmoved, None
+            new, cost, found = site_proposals(neglogp, cur, width, u)
+            if not found.all():
+                stuck = live & ~found
+                live = live & found
+        left = energy - cost
+        moved = live & (left > 0.0)
+        xs.put(at, cur ^ moved if rm.flips_only
+               else np.where(moved, new, cur))
+        k.put(at, np.where(moved, left, energy))
         self.accepts.append(moved)
         if self.nc:
             # Never changed in place: it may be an entry of accepts.
             self.stale = moved if self.stale is None else self.stale | moved
         if stuck is not None:
             self.diverge(stuck)
-        return result
+        return moved, left
 
     def diverge(self, rows):
         """Mark ``rows`` done: divergent, rejected by :meth:`close`.  Their

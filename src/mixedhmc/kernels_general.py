@@ -382,9 +382,10 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
         # A refraction pays the cost out of the clock's kinetic energy;
         # a reflection keeps it.  A skipped proposal reflects every row
         # with an event.
-        acc, stuck, left = traj.move(j, at, event, width, u)
-        if stuck is not None:
-            event &= ~stuck            # a stuck row turns no clock
+        n_ok = traj.n_ok
+        acc, left = traj.move(j, at, event, width, u)
+        if traj.n_ok < n_ok:
+            event &= traj.ok           # a stuck row turns no clock
         diverged = None
         if beta != 1.0:
             # Each fired clock turns: a reflection negates its velocity; a
@@ -418,7 +419,7 @@ def _general_step(x, q, qd, mag, neg, pC, params, rm, rngs, potential):
             diverged = event if diverged is None else diverged | event
         if diverged is not None:
             traj.diverge(diverged)
-        if diverged is not None or stuck is not None:
+        if traj.n_ok < n_ok:
             # A divergent row has no further event.
             now[~traj.ok] = T
             if beta == 1.0:

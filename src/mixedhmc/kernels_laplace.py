@@ -7,8 +7,8 @@ discrete updates, a random permutation fixes the site visitation order, and
 only the per-site kinetic energies (initially Exponential(1)) need tracking.
 Each discrete proposal is accepted iff its energy cost fits in the site's
 remaining kinetic energy, which is then reduced by that cost
-(:meth:`~mixedhmc.core.RowModel.move`); a standard Metropolis test on the
-total energy closes the iteration.
+(:meth:`~mixedhmc.core.Trajectory.move`); a standard Metropolis test on
+the total energy closes the iteration.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def laplace_step_batch(x, q, params: LaplaceKernelParams, model: ModelSpec,
 
     On a model with a site of more than 2 values, a proposal is skipped
     when every row that is not stuck is sure to reject it
-    (:meth:`~mixedhmc.core.RowModel.move`): each row's uniform was drawn up
+    (:meth:`~mixedhmc.core.Trajectory.move`): each row's uniform was drawn up
     front, so the samples do not change.  On a model of binary sites every
     proposal is a flip.
     """

@@ -839,6 +839,22 @@ class TestCodeLinesTool:
         assert re.fullmatch(r"\d+ total", out.stdout.splitlines()[-1])
 
 
+class TestCallCountsTool:
+    def test_counts_repeat(self):
+        """tools/call_counts.py prints a config's name and its Python and C
+        calls per batch-iteration, the same on a second run."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        tool = os.path.join(root, "tools", "call_counts.py")
+        outs = [subprocess.run([sys.executable, tool, "gmm1d_laplace_c1"],
+                               capture_output=True, text=True, timeout=120)
+                for _ in range(2)]
+        for out in outs:
+            assert out.returncode == 0, out.stderr
+            assert re.fullmatch(r"gmm1d_laplace_c1 \d+(\.\d+)? \d+(\.\d+)?\n",
+                                out.stdout)
+        assert outs[0].stdout == outs[1].stdout
+
+
 class TestMutantsTool:
     def test_each_snippet_occurs_once(self):
         """Every mutant of tools/mutants.py still has its snippet, once, so

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from mixedhmc import ChainRng, KineticEnergy, MixedPoint, ModelSpec
 from mixedhmc.core import (DegenerateSiteError, NonFiniteWeightsError,
-                           RowModel, _log_space_delta, _sure_rejections,
-                           flip_costs, informed_rows, leapfrog,
-                           propose_and_delta, site_proposals, site_widths)
+                           RowModel, Trajectory, _log_space_delta,
+                           _sure_rejections, flip_costs, informed_rows,
+                           leapfrog, propose_and_delta, site_proposals,
+                           site_widths)
 from mixedhmc.models import (GaussianMixture, GmmSpec, gmm1d_preset,
                              random_binary_quadratic)
 from mixedhmc.runner import run_chains
@@ -770,22 +771,25 @@ class TestRowModel:
                        threads=1)
         assert in_core.call_count + in_runner.call_count <= 2
 
+
+class TestTrajectory:
     def test_sure_rejection_is_skipped(self):
         """A move whose cost bound exceeds every live row's site energy is
-        not priced: move returns None and leaves x and k as they were.  A
-        row outside ``live`` does not keep the proposal from being
-        skipped."""
+        not priced: move returns no moved row and no cost, and leaves x and
+        k as they were.  A row outside ``live`` does not keep the proposal
+        from being skipped."""
         model = TableSite(np.array([[0.0, 60.0, 70.0], [0.0, 0.1, 0.2]]))
-        rows = RowModel(model)
         x = np.zeros((2, 1), dtype=np.int64)
         q = np.array([[0.0], [1.0]])
         k = np.array([[5.0], [5.0]])
-        args = (np.zeros(2, dtype=np.int64), np.arange(2), x, q, k)
+        traj = Trajectory(RowModel(model), x, q, np.zeros((2, 1)), k)
+        args = (np.zeros(2, dtype=np.int64), np.arange(2))
         rest = (np.full(2, 3), np.full(2, 0.5))
         with mock.patch("mixedhmc.core.site_proposals") as priced:
-            assert rows.move(*args, np.array([True, False]), *rest) is None
+            moved, left = traj.move(*args, np.array([True, False]), *rest)
         assert priced.call_count == 0
-        assert x.tolist() == [[0], [0]] and k.tolist() == [[5.0], [5.0]]
-        moved, stuck, left = rows.move(*args, np.ones(2, dtype=bool), *rest)
-        assert moved.tolist() == [False, True] and stuck is None
-        assert x[1, 0] != 0 and k[1, 0] == left[1] < 5.0
+        assert not moved.any() and left is None
+        assert traj.xs.tolist() == [[0], [0]] and k.tolist() == [[5.0], [5.0]]
+        moved, left = traj.move(*args, np.ones(2, dtype=bool), *rest)
+        assert moved.tolist() == [False, True] and traj.n_ok == 2
+        assert traj.xs[1, 0] != 0 and k[1, 0] == left[1] < 5.0

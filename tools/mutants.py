@@ -31,6 +31,8 @@ _CSV_BYTES = ("tests/test_cli.py::TestSamplesCsv"
               "::test_bytes_equal_the_per_row_writer")
 _LAPLACE = "tests/test_kernels_laplace.py"
 _NOISE = f"{_LAPLACE}::TestNoise::test_matches_per_chain_reference"
+_MODELS = "tests/test_models.py"
+_DIAGNOSTICS = "tests/test_diagnostics.py"
 
 
 class Mutant(NamedTuple):
@@ -61,13 +63,29 @@ MUTANTS = {
     "wide_site_draws_for_rows_without_event": Mutant(
         "kernels_general.py", "event & (width > 2)", "width > 2",
         (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[mixed_widths]",)),
-    # The trajectory both lockstep kernels run (core.Trajectory): a stuck
-    # row is done, a refreshed gradient is counted, and a moved row's
-    # gradient is taken again.
+    # The site move of the trajectory both lockstep kernels run
+    # (core.Trajectory.move): only live rows move, a refraction pays its
+    # cost out of the site's energy, a stuck row is done, and a proposal is
+    # skipped only when every live row is sure to reject it.
+    "move_without_live_mask": Mutant(
+        "core.py", "moved = live & (left > 0.0)", "moved = left > 0.0",
+        (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[binary_T_2.5_tau]",
+         f"{_LOCKSTEP}::test_each_chain_equals_the_loop"
+         "[mixed_widths_sorted]")),
+    "refraction_keeps_energy": Mutant(
+        "core.py", "k.put(at, np.where(moved, left, energy))",
+        "k.put(at, energy)",
+        (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[binary6_T_tau]",)),
     "stuck_rows_go_on": Mutant(
         "core.py", "self.diverge(stuck)", "pass",
         (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[stuck_3_value_sites]",
          f"{_LAPLACE}::TestStuckChain")),
+    "skip_ignores_live": Mutant(
+        "core.py", ".all(where=live)", ".all()",
+        ("tests/test_core.py::TestTrajectory"
+         "::test_sure_rejection_is_skipped",)),
+    # The rest of the trajectory: a refreshed gradient is counted, and a
+    # moved row's gradient is taken again.
     "fresh_gradient_not_counted": Mutant(
         "core.py", "self.counts.append(fresh)", "pass",
         (f"{_GENERAL}::TestGradientReuse::test_shipped_path_equals_the_oracle",
@@ -97,21 +115,12 @@ MUTANTS = {
         "runs = True",
         (f"{_GENERAL}::TestNonFiniteRefraction"
          "::test_shipped_path_equals_the_oracle[inf-0.5]",)),
-    "move_without_live_mask": Mutant(
-        "core.py", "moved = live & (left > 0.0)", "moved = left > 0.0",
-        (f"{_LOCKSTEP}::test_each_chain_equals_the_loop[binary_T_2.5_tau]",
-         f"{_LOCKSTEP}::test_each_chain_equals_the_loop"
-         "[mixed_widths_sorted]")),
     # A flip from value 1 priced as one from value 0.
     "flip_cost_sign_from_1": Mutant(
         "core.py", "_FLIP_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])",
         "_FLIP_SIGNS = np.array([[-1.0, 1.0], [-1.0, 1.0]])",
         (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[binary6_T_tau]",
          "tests/test_core.py::TestFlipCosts")),
-    "refraction_keeps_energy": Mutant(
-        "core.py", "k.put(at, np.where(moved, left, energy))",
-        "k.put(at, energy)",
-        (f"{_LOCKSTEP}::test_steps_and_stats_equal_the_loop[binary6_T_tau]",)),
     # The beta 1 schedule: equal times go to the lower site, a time equal
     # to T fires, and each lap adds tau; a kept clock ends from the boundary
     # that its velocity leaves.
@@ -170,6 +179,38 @@ MUTANTS = {
         "core.py", "np.where(accepted, u_end, self.potential)", "u_end",
         (f"{_LAPLACE}::TestBatchIsolation"
          "::test_run_carries_the_start_potential",)),
+    # The models' gradients and site conditionals: a mixture's gradient
+    # points away from its component's mean, a BLR column's value 1 adds
+    # the column, and a binary site's field enters its local field.
+    "gmm_grad_q_sign": Mutant(
+        "models/gmm.py",
+        "return (q - self.spec.means.take(z, 0)) * self._inv_var",
+        "return (self.spec.means.take(z, 0) - q) * self._inv_var",
+        (f"{_MODELS}::TestGradients",)),
+    "blr_column_toggle_subtracts": Mutant(
+        "models/blr.py", "np.add(both[:, 0], col, out=both[:, 1])",
+        "np.subtract(both[:, 0], col, out=both[:, 1])",
+        (f"{_MODELS}::TestSiteConditionals",
+         f"{_MODELS}::TestBlr"
+         "::test_in_place_methods_keep_the_reference_bits")),
+    "binary_field_subtracted": Mutant(
+        "models/binary.py", "h += field", "h -= field",
+        (f"{_MODELS}::TestSiteConditionals",)),
+    # The ESS: autocorrelations summed in lag pairs, and an odd chain's
+    # halves split around its middle draw.
+    "ess_without_pair_sums": Mutant(
+        "diagnostics.py", "pairs = rho[0::2] + rho[1::2]",
+        "pairs = rho[0::2]",
+        (f"{_DIAGNOSTICS}::TestEss",
+         f"{_DIAGNOSTICS}::TestEssMatchesReference")),
+    "ess_split_keeps_the_middle_draw": Mutant(
+        "diagnostics.py", "arr[:, -n:]", "arr[:, n:2 * n]",
+        (f"{_DIAGNOSTICS}::TestEss",
+         f"{_DIAGNOSTICS}::TestEssMatchesReference")),
+    # A Laplace worker's batch holds at least LAPLACE_MIN_BATCH chains.
+    "laplace_batches_without_floor": Mutant(
+        "runner.py", "max(1, n_chains // LAPLACE_MIN_BATCH)",
+        "max(1, n_chains)", ("tests/test_cli.py::TestThreads",)),
     # The samples CSV's block writer: coordinates printed as integers, and
     # iteration numbers counted from each block rather than the chain.
     "csv_coordinates_as_integers": Mutant(
